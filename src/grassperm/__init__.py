@@ -16,7 +16,6 @@ from .core import (
 from .counting import (
     avoiding_word_count,
     avoiding_word_count_alternating,
-    avoiding_word_count_binomial,
     ballot,
     binomial,
     catalan,
@@ -41,7 +40,6 @@ __all__ = [
     "a_sequence",
     "avoiding_word_count",
     "avoiding_word_count_alternating",
-    "avoiding_word_count_binomial",
     "ballot",
     "binomial",
     "canonical_word",

@@ -98,7 +98,8 @@ def odd_bigrassmannian_count(m: int) -> int:
         q, r = divmod(binomial(m + 2, 3), 4)
     else:
         q, r = divmod((m - 1) * (m + 1) * (m + 3), 24)
-    assert r == 0, f"odd biGrassmannian count at m={m} not integral"
+    if r:
+        raise DomainError(f"odd biGrassmannian count at m={m} not integral")
     return q
 
 

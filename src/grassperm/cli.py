@@ -161,31 +161,24 @@ def _cmd_count(parser: argparse.ArgumentParser, args) -> int:
 
 
 def _table_rows(args) -> tuple[list[str], list[tuple]]:
+    """Header and fully built rows, so that a bad bound fails before any
+    output."""
     q = args.quantity
-    if q in ("B", "A"):
-        fn = (
-            counting.avoiding_word_count
-            if q == "B"
-            else counting.avoiding_word_count_alternating
-        )
+    if q == "B":
+        return ["k", "m", "value"], list(counting.avoiding_word_table(args.k_max))
+    if q == "A":
+        if args.k_max < 1:
+            raise DomainError("k_max must be positive")
         return ["k", "m", "value"], [
-            (k, m, fn(k, m))
+            (k, m, counting.avoiding_word_count_alternating(k, m))
             for k in range(1, args.k_max + 1)
             for m in range(2 * k - 1)
         ]
     if q == "parity":
-        return ["k", "m", "B", "O", "E"], [
-            (
-                k,
-                m,
-                counting.avoiding_word_count(k, m),
-                parity.odd_word_count(k, m),
-                parity.even_word_count(k, m),
-            )
-            for k in range(1, args.k_max + 1)
-            for m in range(2 * k - 1)
-        ]
+        return ["k", "m", "B", "O", "E"], list(parity.parity_table(args.k_max))
     if q == "classes":
+        if args.m_max < 0:
+            raise DomainError("m_max must be nonnegative")
         fns = {
             "bigrass": classes.bigrassmannian_count,
             "bigrass_odd": classes.odd_bigrassmannian_count,
@@ -297,8 +290,11 @@ def _cmd_biject(parser: argparse.ArgumentParser, args) -> int:
         floor = 0
         if args.map == "word-to-lattice":
             floor = paths.LatticePath(out_path, args.k).floor
-        with open(args.svg, "w", encoding="ascii") as fh:
-            fh.write(paths.path_svg(out_path, floor))
+        try:
+            with open(args.svg, "w", encoding="ascii") as fh:
+                fh.write(paths.path_svg(out_path, floor))
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.svg}: {exc.strerror}") from None
         print(f"svg={args.svg}")
     return 0
 
@@ -314,6 +310,10 @@ def _parse_fault(parser: argparse.ArgumentParser, raw: str | None):
 
 
 def _cmd_verify(parser: argparse.ArgumentParser, args) -> int:
+    if args.k_max < 1:
+        parser.error("--k-max must be at least 1")
+    if args.perm_cap < 0 or args.word_cap < 0:
+        parser.error("--perm-cap and --word-cap must be nonnegative")
     opts = verify.Options(
         k_max=args.k_max,
         perm_cap=args.perm_cap,

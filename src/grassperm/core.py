@@ -211,8 +211,11 @@ def perm_from_str(s: str) -> Permutation:
     s = s.strip()
     if not s:
         return ()
-    if "," in s:
-        entries = tuple(int(tok) for tok in s.split(","))
-    else:
-        entries = tuple(int(c) for c in s)
+    try:
+        if "," in s:
+            entries = tuple(int(tok) for tok in s.split(","))
+        else:
+            entries = tuple(int(c) for c in s)
+    except ValueError:
+        raise DomainError(f"not a permutation in one-line notation: {s!r}") from None
     return check_permutation(entries)

@@ -12,7 +12,6 @@ run over their natural index ranges without case splits.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .errors import DomainError
@@ -44,26 +43,6 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def catalan_or_zero(x: int | Fraction) -> int:
-    """Catalan number at ``x`` when ``x`` is a nonnegative integer, else 0.
-
-    Several parity formulas index Catalan numbers at half-integers like
-    (k - 2)/2; those terms vanish by convention.
-
-    >>> catalan_or_zero(Fraction(3, 2))
-    0
-    >>> catalan_or_zero(Fraction(4, 2))
-    2
-    """
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            return 0
-        x = int(x)
-    elif not isinstance(x, int):
-        raise DomainError(f"index must be an int or Fraction, got {x!r}")
-    return catalan(x)
-
-
 def ballot(n: int, k: int) -> int:
     """Ballot number T(n, k) = (n - k + 1)/(n + 1) * C(n + k, n).
 
@@ -76,7 +55,8 @@ def ballot(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n + 1:
         return 0
     q, r = divmod((n - k + 1) * math.comb(n + k, n), n + 1)
-    assert r == 0, f"ballot({n}, {k}) not an integer"
+    if r:
+        raise DomainError(f"ballot({n}, {k}) not an integer")
     return q
 
 
@@ -95,21 +75,16 @@ def avoiding_word_count_alternating(k: int, m: int) -> int:
     )
 
 
-# Memo for the recurrence, keyed by (k, m); only the interior cells
-# 1 <= m <= 2k - 2 are stored, the base cases stay implicit.  Rows are
-# filled in order, so a concurrent reader only ever sees finished cells.
-_recurrence_memo: dict[tuple[int, int], int] = {}
-_rows_filled = 0
-
-
 def avoiding_word_count(k: int, m: int) -> int:
-    """Number of length-m words avoiding every ``0^j 1^(k-j)``, by recurrence.
+    """Number of length-m words avoiding every ``0^j 1^(k-j)``.
 
-    Base cases: 0 for k = 0, 1 for m = 0 (k >= 1), 0 for m >= 2k - 1;
-    otherwise counts split on the last letter, subtracting the ballot number
-    of shorter words that already carry k - 1 zeros:
+    Binomial-difference form: with t = 2k - m - 1,
 
-        count(k, m) = count(k, m-1) + count(k-1, m-1) - ballot(k-1, m-k)
+        count(k, m) = sum_{j=k-t}^{k-1} C(m, j) - t * C(m, k),
+
+    and 0 once t <= 0 (that is, m >= 2k - 1).  O(k) exact terms, no table;
+    :func:`avoiding_word_table` and :func:`avoiding_word_count_alternating`
+    are the certified alternatives ``verify`` compares it with.
 
     >>> avoiding_word_count(3, 4)
     2
@@ -118,37 +93,11 @@ def avoiding_word_count(k: int, m: int) -> int:
     """
     if k < 0 or m < 0:
         raise DomainError("k and m must be nonnegative")
-    if k == 0:
+    t = 2 * k - m - 1
+    if t <= 0:
         return 0
-    if m == 0:
-        return 1
-    if m >= 2 * k - 1:
-        return 0
-    global _rows_filled
-    for kk in range(_rows_filled + 1, k + 1):
-        for mm in range(1, 2 * kk - 1):
-            _recurrence_memo[(kk, mm)] = (
-                _memo_cell(kk, mm - 1)
-                + _memo_cell(kk - 1, mm - 1)
-                - ballot(kk - 1, mm - kk)
-            )
-    _rows_filled = max(_rows_filled, k)
-    return _recurrence_memo[(k, m)]
-
-
-def _memo_cell(k: int, m: int) -> int:
-    if m == 0:
-        return 1 if k >= 1 else 0
-    if k == 0 or m >= 2 * k - 1:
-        return 0
-    return _recurrence_memo[(k, m)]
-
-
-def avoiding_word_count_binomial(k: int, m: int) -> int:
-    """Binomial-difference form: sum_{a=1}^{2k-m-1} [C(m, k-a) - C(m, k)]."""
-    if k < 0 or m < 0:
-        raise DomainError("k and m must be nonnegative")
-    return sum(binomial(m, k - a) - binomial(m, k) for a in range(1, 2 * k - m))
+    head = sum(math.comb(m, j) for j in range(max(k - t, 0), min(k, m + 1)))
+    return head - t * binomial(m, k)
 
 
 def avoiding_perm_count(k: int, m: int) -> int:
@@ -305,9 +254,26 @@ def verify_concluding_identities(k_max: int) -> list[IdentityCheck]:
 
 
 def avoiding_word_table(k_max: int) -> Iterator[tuple[int, int, int]]:
-    """Rows (k, m, count) for 1 <= k <= k_max, 0 <= m <= 2k - 2, row-major."""
+    """Rows (k, m, count) for 1 <= k <= k_max, 0 <= m <= 2k - 2, row-major,
+    by the recurrence that splits on the last letter:
+
+        count(k, m) = count(k, m-1) + count(k-1, m-1) - ballot(k-1, m-k),
+
+    subtracting the ballot number of shorter words that already carry
+    k - 1 zeros.  Base cases: count(k, 0) = 1 for k >= 1, and 0 for k = 0
+    or m >= 2k - 1.  Only the previous row is kept.
+
+    >>> [c for k, m, c in avoiding_word_table(3) if k == 3]
+    [1, 2, 4, 4, 2]
+    """
     if k_max < 1:
         raise DomainError("k_max must be positive")
+    prev: list[int] = []  # row k - 1; cells past its end are 0
     for k in range(1, k_max + 1):
-        for m in range(2 * k - 1):
-            yield k, m, avoiding_word_count(k, m)
+        row = [1]
+        for m in range(1, 2 * k - 1):
+            above = prev[m - 1] if m - 1 < len(prev) else 0
+            row.append(row[m - 1] + above - ballot(k - 1, m - k))
+        for m, count in enumerate(row):
+            yield k, m, count
+        prev = row

@@ -6,30 +6,49 @@ counts split the avoiding-word table into odd and even halves; all closed
 forms below reduce to the plain counts at roughly half the parameters, with
 a separate shape when both k and m are even.
 
-All divisions by 2 (and the 1/4, 1/24 in the sibling module) are asserted
+All divisions by 2 (and the 1/4, 1/24 in the sibling module) are checked
 exact; an inexact division means a formula was applied off its domain.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import Callable, Iterator
 
-from .counting import avoiding_word_count, ballot, catalan, catalan_or_zero
+from .counting import avoiding_word_count, avoiding_word_table, ballot, catalan
 from .errors import DomainError
 
 
 def _exact_half(value: int, what: str) -> int:
     q, r = divmod(value, 2)
-    assert r == 0, f"{what} is not even: {value}"
+    if r:
+        raise DomainError(f"{what} is not even: {value}")
     return q
+
+
+def _odd_from_counts(k: int, m: int, count: Callable[[int, int], int]) -> int:
+    """The odd count at (k, m) >= 0 from plain counts ``count(k', m')``.
+
+    Twice the odd count is the plain count corrected by counts at halved
+    parameters; the correction pairs up paths through the parity-flipping
+    peak/valley toggle and counts the unpaired ones directly.
+    """
+    if k == 0 or m == 0:
+        return 0
+    total = count(k, m)
+    if k % 2 == 0 and m % 2 == 0:
+        doubled = (
+            total
+            + count(k // 2, (m - 2) // 2)
+            - count(k // 2, m // 2)
+            - count((k - 2) // 2, (m - 2) // 2)
+        )
+    else:
+        doubled = total - 2 * count(k // 2, (m - 1) // 2)
+    return _exact_half(doubled, f"2*odd_word_count({k}, {m})")
 
 
 def odd_word_count(k: int, m: int) -> int:
     """Number of odd length-m avoiding words for parameter k.
-
-    Twice the count is the plain count corrected by counts at halved
-    parameters; the correction pairs up paths through the parity-flipping
-    peak/valley toggle and counts the unpaired ones directly.
 
     >>> odd_word_count(3, 4)
     1
@@ -38,19 +57,7 @@ def odd_word_count(k: int, m: int) -> int:
     """
     if k < 0 or m < 0:
         raise DomainError("k and m must be nonnegative")
-    if k == 0 or m == 0:
-        return 0
-    total = avoiding_word_count(k, m)
-    if k % 2 == 0 and m % 2 == 0:
-        doubled = (
-            total
-            + avoiding_word_count(k // 2, (m - 2) // 2)
-            - avoiding_word_count(k // 2, m // 2)
-            - avoiding_word_count((k - 2) // 2, (m - 2) // 2)
-        )
-    else:
-        doubled = total - 2 * avoiding_word_count(k // 2, (m - 1) // 2)
-    return _exact_half(doubled, f"2*odd_word_count({k}, {m})")
+    return _odd_from_counts(k, m, avoiding_word_count)
 
 
 def even_word_count(k: int, m: int) -> int:
@@ -58,6 +65,21 @@ def even_word_count(k: int, m: int) -> int:
     if k < 0 or m < 0:
         raise DomainError("k and m must be nonnegative")
     return avoiding_word_count(k, m) - odd_word_count(k, m)
+
+
+def parity_table(k_max: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Rows (k, m, B, O, E) for 1 <= k <= k_max, 0 <= m <= 2k - 2, row-major:
+    the plain, odd and even counts, all read off one
+    :func:`~grassperm.counting.avoiding_word_table` grid.
+    """
+    grid = {(k, m): count for k, m, count in avoiding_word_table(k_max)}
+
+    def count(k: int, m: int) -> int:
+        return grid.get((k, m), 0)
+
+    for (k, m), total in grid.items():
+        odd = _odd_from_counts(k, m, count)
+        yield k, m, total, odd, total - odd
 
 
 def odd_word_count_max_length(k: int) -> int:
@@ -70,15 +92,10 @@ def odd_word_count_max_length(k: int) -> int:
     """
     if k < 2:
         raise DomainError("k must be at least 2")
-    value = _exact_half(
-        catalan(k - 1) + catalan_or_zero(Fraction(k - 2, 2)),
+    return _exact_half(
+        catalan(k - 1) + (catalan((k - 2) // 2) if k % 2 == 0 else 0),
         f"catalan({k - 1}) + catalan(({k} - 2)/2)",
     )
-    # Companion relations from the same argument.
-    assert odd_word_count(k, 2 * k - 3) == 2 * even_word_count(k, 2 * k - 2)
-    if k % 2 == 1:
-        assert value == even_word_count(k, 2 * k - 2)
-    return value
 
 
 def all_odd_extrema_count(n: int) -> int:
@@ -87,7 +104,7 @@ def all_odd_extrema_count(n: int) -> int:
     """
     if n < 1:
         raise DomainError("n must be positive")
-    return catalan_or_zero(Fraction(n - 1, 2))
+    return catalan((n - 1) // 2) if n % 2 == 1 else 0
 
 
 def odd_avoiding_words_with_zeros(k: int, j: int) -> int:

@@ -144,7 +144,8 @@ def word_to_dyck(k: int, w: Word) -> str:
         + UP
         + DOWN * (k + j - m)
     )
-    assert is_dyck_path(path) and semilength(path) == k + 1
+    if not (is_dyck_path(path) and semilength(path) == k + 1):
+        raise DomainError(f"image of {w!r} is not a Dyck path of semilength {k + 1}")
     return path
 
 
@@ -169,7 +170,8 @@ def dyck_to_word(k: int, p: str) -> Word:
     # remaining up-step, j + 1 of them.
     a = (blocks[0] - 1,) + blocks[1 : j + 1]
     w = core.word_from_a_sequence(a)
-    assert patterns.is_avoiding_word(k, w)
+    if not patterns.is_avoiding_word(k, w):
+        raise DomainError(f"preimage of {p!r} is not an avoiding word for k={k}")
     return w
 
 
@@ -240,7 +242,8 @@ def word_to_lattice(k: int, w: Word) -> LatticePath:
 def lattice_to_word(path: LatticePath) -> Word:
     """Inverse of :func:`word_to_lattice`."""
     w = core.word_from_a_sequence(lattice_run_sequence(path))
-    assert patterns.is_avoiding_word(path.k, w)
+    if not patterns.is_avoiding_word(path.k, w):
+        raise DomainError(f"{w!r} is not an avoiding word for k={path.k}")
     return w
 
 
@@ -270,7 +273,8 @@ def toggle_first_even_extremum(p: str) -> str:
     """
     i, _, _ = find_first_even_extremum(p)
     out = _toggle(p, i)
-    assert is_dyck_path(out)
+    if not is_dyck_path(out):
+        raise DomainError(f"toggling {p!r} at {i} leaves the Dyck paths")
     return out
 
 
@@ -320,9 +324,11 @@ def halve_all_odd_path(p: str) -> str:
             runs.append([c, 1])
     runs[0][1] -= 1
     runs[-1][1] -= 1
-    assert all(n % 2 == 0 for _, n in runs)
+    if any(n % 2 for _, n in runs):
+        raise DomainError(f"{p!r} has an inner run of odd length")
     out = "".join(c * (n // 2) for c, n in runs)
-    assert is_dyck_path(out) and semilength(out) == (semilength(p) - 1) // 2
+    if not (is_dyck_path(out) and semilength(out) == (semilength(p) - 1) // 2):
+        raise DomainError(f"halving {p!r} does not give a Dyck path")
     return out
 
 

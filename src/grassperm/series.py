@@ -83,7 +83,8 @@ def inversion_table(max_n: int) -> InversionTable:
         if n >= 1:
             row[0] -= n
         for inv, c in sorted(row.items()):
-            assert c >= 0, f"negative coefficient at (n={n}, inv={inv})"
+            if c < 0:
+                raise DomainError(f"negative coefficient at (n={n}, inv={inv})")
             if c:
                 entries[(n, inv)] = c
     return InversionTable(max_n, entries)

@@ -71,11 +71,18 @@ def _word_m_range(k: int, word_cap: int) -> range:
     return range(0, min(2 * k - 2, word_cap) + 1)
 
 
+def _capped_k_range(opts: Options) -> range:
+    """The k whose words (lengths up to 2k - 2) all fit under the word cap,
+    so that a sum over lengths is complete."""
+    return range(1, min(opts.k_max, opts.word_cap // 2 + 1) + 1)
+
+
 def suite_counting(opts: Options) -> list[Check]:
     fault = opts.fault
+    recurrence = {(k, m): c for k, m, c in counting.avoiding_word_table(opts.k_max)}
 
     def table(k: int, m: int) -> int:
-        value = counting.avoiding_word_count(k, m)
+        value = recurrence[(k, m)]
         return value + 1 if fault == (k, m) else value
 
     checks = [
@@ -105,7 +112,7 @@ def suite_counting(opts: Options) -> list[Check]:
                 for m in range(1, 2 * k + 1)
                 for form, value in (
                     ("alternating", counting.avoiding_word_count_alternating(k, m)),
-                    ("binomial", counting.avoiding_word_count_binomial(k, m)),
+                    ("recurrence", recurrence.get((k, m), 0)),
                 )
             ),
         ),
@@ -159,7 +166,7 @@ def suite_counting(opts: Options) -> list[Check]:
                     ),
                     counting.avoiding_words_with_zeros(k, j),
                 )
-                for k in range(1, opts.k_max + 1)
+                for k in _capped_k_range(opts)
                 for j in range(k + 1)
             ),
         ),
@@ -262,7 +269,7 @@ def suite_parity(opts: Options) -> list[Check]:
                     ),
                     parity.odd_avoiding_words_with_zeros(k, j),
                 )
-                for k in range(1, opts.k_max + 1)
+                for k in _capped_k_range(opts)
                 for j in range(k + 1)
             ),
         ),

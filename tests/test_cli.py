@@ -97,6 +97,22 @@ class TestTable:
         assert lines[0] == "n,i,count"
         assert "3,1,2" in lines
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--quantity", "B", "--k-max", "-3"),
+            ("--quantity", "A", "--k-max", "-3"),
+            ("--quantity", "parity", "--k-max", "-3"),
+            ("--quantity", "classes", "--m-max", "-3"),
+            ("--quantity", "gf", "--n-max", "-1"),
+        ],
+    )
+    def test_bad_bound_exits_3_before_the_header(self, capsys, argv):
+        code, out, err = run(capsys, "table", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "table", "--quantity", "parity", "--k-max", "6")
         _, second, _ = run(capsys, "table", "--quantity", "parity", "--k-max", "6")
@@ -140,6 +156,14 @@ class TestEnumerate:
         lines = out.strip().splitlines()
         assert len(lines) == 5
         assert lines == sorted(lines)
+
+    def test_malformed_pattern_exits_3(self, capsys):
+        code, out, err = run(
+            capsys, "enumerate", "avoiders", "--n", "4", "--pattern", "12a"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_over_cap_exits_3(self, capsys):
         code, _, err = run(capsys, "enumerate", "dyck", "--n", "13")
@@ -212,6 +236,22 @@ class TestBiject:
         )
         assert code == 0
         assert target.read_text().startswith("<svg")
+
+    def test_unwritable_svg_exits_3(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.svg"
+        code, _, err = run(
+            capsys,
+            "biject",
+            "word-to-dyck",
+            "--k",
+            "3",
+            "--input",
+            "1100",
+            "--svg",
+            str(target),
+        )
+        assert code == 3
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestVerify:
@@ -290,6 +330,21 @@ class TestVerify:
         )
         assert code == 0
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("suite", ["counting", "parity"])
+    def test_small_word_cap_passes(self, capsys, suite):
+        # sums over all word lengths only cover the k whose words fit the cap
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--word-cap", "6")
+        assert code == 0
+        assert "FAIL" not in out
+
+    @pytest.mark.parametrize(
+        "flags", [("--word-cap", "-1"), ("--perm-cap", "-1"), ("--k-max", "0")]
+    )
+    def test_bad_cap_is_usage_error(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", *flags])
+        assert exc.value.code == 2
 
     def test_bad_fault_spec_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,4 @@
-from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,15 +20,11 @@ class TestBinomial:
 class TestCatalan:
     def test_values(self):
         assert [counting.catalan(n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
+        assert counting.catalan(-1) == 0
 
     def test_counts_dyck_paths(self):
         for n in range(8):
             assert counting.catalan(n) == len(paths.enumerate_dyck(n))
-
-    def test_half_integers_vanish(self):
-        assert counting.catalan_or_zero(Fraction(3, 2)) == 0
-        assert counting.catalan_or_zero(Fraction(6, 2)) == 5
-        assert counting.catalan_or_zero(-1) == 0
 
 
 class TestBallot:
@@ -65,6 +61,16 @@ class TestBallot:
                 assert observed == counting.ballot(k - 1, m - k), (k, m)
 
 
+@cache
+def recurrence_cells(k_max: int) -> dict[tuple[int, int], int]:
+    return {(k, m): c for k, m, c in counting.avoiding_word_table(k_max)}
+
+
+def recurrence(k: int, m: int) -> int:
+    """The recurrence table's value, 0 past a row's end as for the count."""
+    return recurrence_cells(120).get((k, m), 0)
+
+
 class TestAvoidingWordCounts:
     @pytest.mark.parametrize(
         "k,m,value", [(3, 3, 4), (3, 4, 2), (4, 4, 11), (1, 0, 1), (1, 1, 0)]
@@ -93,29 +99,37 @@ class TestAvoidingWordCounts:
             )
 
     def test_binomial_form_spots(self):
-        assert counting.avoiding_word_count_binomial(3, 4) == 2
-        assert counting.avoiding_word_count_binomial(4, 4) == 11
+        assert counting.avoiding_word_count(3, 4) == 2
+        assert counting.avoiding_word_count(4, 4) == 11
         for k in range(1, 6):
-            assert counting.avoiding_word_count_binomial(k, 2 * k - 1) == 0
+            assert counting.avoiding_word_count(k, 2 * k - 1) == 0
+        rows = list(counting.avoiding_word_table(4))
+        assert (3, 4, 2) in rows and (4, 4, 11) in rows
 
     def test_three_way_agreement(self):
         for k in range(1, 41):
             for m in range(1, 2 * k + 1):
                 b = counting.avoiding_word_count(k, m)
                 assert counting.avoiding_word_count_alternating(k, m) == b, (k, m)
-                assert counting.avoiding_word_count_binomial(k, m) == b, (k, m)
+                assert recurrence(k, m) == b, (k, m)
 
     @given(st.integers(1, 120), st.integers(0, 240))
     def test_three_way_agreement_random(self, k, m):
         b = counting.avoiding_word_count(k, m)
         assert counting.avoiding_word_count_alternating(k, m) == b
-        assert counting.avoiding_word_count_binomial(k, m) == b
+        assert recurrence(k, m) == b
 
     def test_recurrence_table_depth(self):
-        # the row-by-row fill must not hit the interpreter recursion limit
+        # a cell far past any desk-size table, where the binomial form
+        # must still agree with the alternating one
         assert counting.avoiding_word_count(
             300, 400
         ) == counting.avoiding_word_count_alternating(300, 400)
+
+    def test_large_k_short_words(self):
+        # below k every word avoids, whatever the size of k
+        assert counting.avoiding_word_count(1000, 3) == 2**3
+        assert counting.avoiding_word_count_alternating(1000, 3) == 2**3
 
     def test_concurrent_queries_agree(self):
         from concurrent.futures import ThreadPoolExecutor

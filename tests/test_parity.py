@@ -37,6 +37,31 @@ class TestOddEvenSplit:
                 ), (k, m)
 
 
+class TestParityTable:
+    def test_rows_match_point_values(self):
+        rows = list(parity.parity_table(12))
+        assert [(k, m) for k, m, *_ in rows] == [
+            (k, m) for k in range(1, 13) for m in range(2 * k - 1)
+        ]
+        for k, m, b, o, e in rows:
+            assert (b, o, e) == (
+                counting.avoiding_word_count(k, m),
+                parity.odd_word_count(k, m),
+                parity.even_word_count(k, m),
+            ), (k, m)
+
+    def test_large_k_agrees_across_forms(self):
+        k, ms = 400, (3, 398, 399, 600, 797, 798)
+        table = {m: (b, o) for kk, m, b, o, _ in parity.parity_table(k) if kk == k}
+        for m in ms:
+            odd = parity.odd_word_count(k, m)
+            alternating = parity._odd_from_counts(
+                k, m, counting.avoiding_word_count_alternating
+            )
+            assert odd == alternating == table[m][1], m
+            assert counting.avoiding_word_count(k, m) == table[m][0], m
+
+
 class TestMaxLengthClosedForm:
     @pytest.mark.parametrize("k,value", [(3, 1), (4, 3), (5, 7)])
     def test_spots(self, k, value):
