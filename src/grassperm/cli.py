@@ -11,13 +11,16 @@ Subcommands:
 - ``verify``     run the verification suites against the oracles
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain or
-cap error.  All output is deterministic for fixed flags.
+cap error.  A reader that closes the output early is not an error: the
+command exits 0, or with its verdict for ``verify``.  All output is
+deterministic for fixed flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import classes, core, counting, oracle, parity, paths, patterns, series, verify
@@ -321,49 +324,69 @@ def _cmd_verify(parser: argparse.ArgumentParser, args) -> int:
         fault=_parse_fault(parser, args.inject_fault),
     )
     names = None if args.suite == "all" else [args.suite]
-    results = verify.run_suites(names, opts)
-    if args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "suite": r.suite,
-                        "checks": [
-                            {
-                                "name": c.name,
-                                "params": c.params,
-                                "expected": c.expected,
-                                "actual": c.actual,
-                                "pass": c.passed,
-                            }
-                            for c in r.checks
-                        ],
-                    }
-                    for r in results
-                ]
-            )
+    cells = verify.word_oracle_cells(opts) if args.suite in ("all", "counting") else []
+    if opts.fault is not None and opts.fault not in cells:
+        # A fault that no check compares would leave the run green.
+        message = (
+            "--inject-fault needs the counting suite and a cell with "
+            f"1 <= K <= {opts.k_max}, 0 <= M <= min(2K - 2, {opts.word_cap})"
         )
-    else:
-        for r in results:
-            for c in r.checks:
-                status = "PASS" if c.passed else "FAIL"
-                line = f"{status} {r.suite}.{c.name} {c.actual}/{c.expected} cells"
-                mismatch = c.params.get("first_mismatch")
-                if mismatch is not None:
-                    where = " ".join(
-                        f"{key}={val}"
-                        for key, val in mismatch.items()
-                        if key not in ("expected", "actual")
-                    )
-                    line += (
-                        f" (first mismatch at {where}: expected "
-                        f"{mismatch['expected']}, actual {mismatch['actual']})"
-                    )
-                print(line)
-        total = sum(len(r.checks) for r in results)
-        bad = sum(1 for r in results for c in r.checks if not c.passed)
-        print(f"{total - bad}/{total} checks passed")
+        parser.exit(2, f"{parser.prog}: error: {message}\n")
+    results = verify.run_suites(names, opts)
+    try:
+        if args.format == "json":
+            print(
+                json.dumps(
+                    [
+                        {
+                            "suite": r.suite,
+                            "checks": [
+                                {
+                                    "name": c.name,
+                                    "params": c.params,
+                                    "expected": c.expected,
+                                    "actual": c.actual,
+                                    "pass": c.passed,
+                                }
+                                for c in r.checks
+                            ],
+                        }
+                        for r in results
+                    ]
+                )
+            )
+        else:
+            for r in results:
+                for c in r.checks:
+                    status = "PASS" if c.passed else "FAIL"
+                    line = f"{status} {r.suite}.{c.name} {c.actual}/{c.expected} cells"
+                    mismatch = c.params.get("first_mismatch")
+                    if mismatch is not None:
+                        where = " ".join(
+                            f"{key}={val}"
+                            for key, val in mismatch.items()
+                            if key not in ("expected", "actual")
+                        )
+                        line += (
+                            f" (first mismatch at {where}: expected "
+                            f"{mismatch['expected']}, actual {mismatch['actual']})"
+                        )
+                    print(line)
+            total = sum(len(r.checks) for r in results)
+            bad = sum(1 for r in results for c in r.checks if not c.passed)
+            print(f"{total - bad}/{total} checks passed")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _discard_stdout()
     return 0 if all(r.passed for r in results) else 1
+
+
+def _discard_stdout() -> None:
+    """Point stdout at the null device once the reader has gone, so the
+    interpreter's final flush cannot raise BrokenPipeError again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -371,17 +394,25 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "count":
-            return _cmd_count(parser, args)
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "biject":
-            return _cmd_biject(parser, args)
-        return _cmd_verify(parser, args)
+            code = _cmd_count(parser, args)
+        elif args.command == "table":
+            code = _cmd_table(args)
+        elif args.command == "enumerate":
+            code = _cmd_enumerate(args)
+        elif args.command == "biject":
+            code = _cmd_biject(parser, args)
+        else:
+            code = _cmd_verify(parser, args)
+        sys.stdout.flush()
+        return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # e.g. `grassperm enumerate dyck --n 10 | head -1`; verify catches
+        # its own, to keep its verdict.
+        _discard_stdout()
+        return 0
 
 
 def entrypoint() -> None:

@@ -1,29 +1,88 @@
 """
 Brute-force ground truth used to certify every closed form in the package.
 
-The permutation oracle filters all n! permutations by descent count; it
-deliberately does not go through the binary-word encoding, so the counting
-formulas and the oracle share no code path.  The word oracle iterates all
-2^m words with its own subsequence and inversion helpers.  Only
-``patterns.permutation_contains`` is shared, for pattern filtering.
-
-Enumeration caps keep full sweeps in the seconds range; raise them
-explicitly when you mean to.
+One tally per size, shared with nothing: ``word_statistics(m)`` walks all
+2^m words, and ``grassmannian_statistics(n)`` filters all n! permutations
+by descent count, never through the binary-word encoding.  Each counts its
+objects by the statistics the paper refines by, so a question about
+avoiders is a sum over one tally: a word avoids every ``0^j 1^(k-j)`` iff
+its longest ``0*1*`` subsequence is shorter than k, and a permutation
+avoids ``12...k`` iff its longest increasing subsequence is (Schensted
+1961).  The module imports nothing from the package but its error types.
+Caps keep a sweep in the seconds range; raise them explicitly when you
+mean to.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
-from .patterns import permutation_contains
 from .errors import CapExceededError, DomainError
 
 PERM_CAP = 10
 WORD_CAP = 24
 
-_CLASS_FILTERS = ("all", "bigrass", "involution")
-_PARITY_FILTERS = ("all", "odd", "even")
+
+class WordKey(NamedTuple):
+    longest: int  # longest 0*1* subsequence
+    zeros: int
+    odd: bool  # odd number of inversions, the 10 subsequences
+
+
+class PermKey(NamedTuple):
+    longest: int  # longest increasing subsequence
+    bigrass: bool  # the inverse is Grassmannian too
+    involution: bool
+    inversions: int
+    fixed_points: int
+
+
+def _check_size(size: int, cap: int, what: str) -> None:
+    if size < 0:
+        raise DomainError(f"{what} must be nonnegative")
+    if size > cap:
+        raise CapExceededError(
+            f"oracle capped at {what} {cap} (asked for {size}); "
+            "raise the cap explicitly to go further"
+        )
+
+
+@lru_cache(maxsize=None)
+def _word_tally(m: int) -> Counter[WordKey]:
+    tally: Counter[WordKey] = Counter()
+    for word in product("01", repeat=m):
+        # longest is that of the prefix read so far: a 1 extends every 0*1*
+        # subsequence, a 0 only the one made of all the zeros
+        zeros = ones = longest = inversions = 0
+        for c in word:
+            if c == "0":
+                zeros += 1
+                longest = max(longest, zeros)
+                inversions += ones
+            else:
+                ones += 1
+                longest += 1
+        tally[WordKey(longest, zeros, inversions % 2 == 1)] += 1
+    return tally
+
+
+def word_statistics(m: int, cap: int = WORD_CAP) -> Mapping[WordKey, int]:
+    """How many length-m binary words have each (longest ``0*1*``
+    subsequence, zero count, inversion parity).
+
+    >>> tally = word_statistics(4)
+    >>> sum(c for key, c in tally.items() if key.longest < 3)
+    2
+    >>> sum(c for key, c in tally.items() if key.longest < 3 and key.odd)
+    1
+    """
+    _check_size(m, cap, "word length")
+    return MappingProxyType(_word_tally(m))
 
 
 def _descents(p: tuple[int, ...]) -> int:
@@ -36,142 +95,48 @@ def _descents(p: tuple[int, ...]) -> int:
     return d
 
 
-def _inversions(p: tuple[int, ...]) -> int:
-    n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
-
-
-def _is_involution(p: tuple[int, ...]) -> bool:
-    return all(p[p[i] - 1] == i + 1 for i in range(len(p)))
-
-
-def _inverse_is_grassmannian(p: tuple[int, ...]) -> bool:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v - 1] = i + 1
-    return _descents(tuple(inv)) <= 1
+def _longest_increasing(p: tuple[int, ...]) -> int:
+    # Patience sorting: tops[i] is the least value that ends an increasing
+    # subsequence of length i + 1, so tops stays sorted.
+    tops: list[int] = []
+    for v in p:
+        i = bisect_left(tops, v)
+        if i == len(tops):
+            tops.append(v)
+        else:
+            tops[i] = v
+    return len(tops)
 
 
 @lru_cache(maxsize=None)
-def _grassmannians(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        p for p in permutations(range(1, n + 1)) if _descents(p) <= 1
-    )
+def _grassmannian_tally(n: int) -> Counter[PermKey]:
+    tally: Counter[PermKey] = Counter()
+    for p in permutations(range(1, n + 1)):
+        if _descents(p) > 1:
+            continue
+        # the positions, in the order of the values they hold
+        inverse = tuple(sorted(range(1, n + 1), key=lambda i: p[i - 1]))
+        key = PermKey(
+            _longest_increasing(p),
+            _descents(inverse) <= 1,
+            inverse == p,
+            sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j]),
+            sum(1 for i, v in enumerate(p, 1) if i == v),
+        )
+        tally[key] += 1
+    return tally
 
 
-def oracle_grassmannians(n: int, cap: int = PERM_CAP) -> list[tuple[int, ...]]:
-    """All Grassmannian permutations of [n], found by filtering all of S_n.
+def grassmannian_statistics(n: int, cap: int = PERM_CAP) -> Mapping[PermKey, int]:
+    """How many Grassmannian permutations of [n], found by filtering all of
+    S_n, have each (longest increasing subsequence, biGrassmannian,
+    involution, inversions, fixed points).
 
-    >>> len(oracle_grassmannians(4))
+    >>> tally = grassmannian_statistics(4)
+    >>> sum(tally.values())
     12
-    """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    if n > cap:
-        raise CapExceededError(
-            f"permutation oracle capped at n <= {cap} (asked for {n}); "
-            "raise the cap explicitly to go further"
-        )
-    return list(_grassmannians(n))
-
-
-def oracle_count(
-    n: int,
-    pattern: tuple[int, ...],
-    class_filter: str = "all",
-    parity_filter: str = "all",
-    cap: int = PERM_CAP,
-) -> int:
-    """Count Grassmannian permutations of [n] avoiding ``pattern``, filtered
-    by class (biGrassmannian / involution) and inversion parity.
-
-    >>> oracle_count(4, (1, 2, 3))
+    >>> sum(c for key, c in tally.items() if key.longest < 3)
     2
-    >>> oracle_count(4, (1, 2, 3), parity_filter="odd")
-    1
     """
-    if class_filter not in _CLASS_FILTERS:
-        raise DomainError(f"unknown class filter {class_filter!r}")
-    if parity_filter not in _PARITY_FILTERS:
-        raise DomainError(f"unknown parity filter {parity_filter!r}")
-    count = 0
-    for p in oracle_grassmannians(n, cap):
-        if class_filter == "bigrass" and not _inverse_is_grassmannian(p):
-            continue
-        if class_filter == "involution" and not _is_involution(p):
-            continue
-        if parity_filter != "all" and _inversions(p) % 2 != (parity_filter == "odd"):
-            continue
-        if permutation_contains(p, pattern):
-            continue
-        count += 1
-    return count
-
-
-def _word_contains(w: str, pat: str) -> bool:
-    i = 0
-    for c in w:
-        if i < len(pat) and c == pat[i]:
-            i += 1
-    return i == len(pat)
-
-
-def _word_inversions(w: str) -> int:
-    ones = 0
-    total = 0
-    for c in w:
-        if c == "1":
-            ones += 1
-        else:
-            total += ones
-    return total
-
-
-def oracle_word_count(
-    k: int,
-    m: int,
-    parity_filter: str = "all",
-    zeros: int | None = None,
-    cap: int = WORD_CAP,
-) -> int:
-    """Count length-m binary words avoiding ``0^j 1^(k-j)`` for every j in
-    [0, k], optionally restricted to a zero count and an inversion parity.
-
-    Inversions of a word are its ``10`` subsequences, counted directly.
-
-    >>> oracle_word_count(3, 4)
-    2
-    >>> oracle_word_count(3, 4, parity_filter="odd")
-    1
-    """
-    if k < 0 or m < 0:
-        raise DomainError("k and m must be nonnegative")
-    if parity_filter not in _PARITY_FILTERS:
-        raise DomainError(f"unknown parity filter {parity_filter!r}")
-    if m > cap:
-        raise CapExceededError(
-            f"word oracle capped at m <= {cap} (asked for {m})"
-        )
-    pats = ["0" * j + "1" * (k - j) for j in range(k + 1)]
-    count = 0
-    for x in range(2**m):
-        w = format(x, f"0{m}b") if m else ""
-        if any(_word_contains(w, pat) for pat in pats):
-            continue
-        if zeros is not None and w.count("0") != zeros:
-            continue
-        if parity_filter != "all" and _word_inversions(w) % 2 != (
-            parity_filter == "odd"
-        ):
-            continue
-        count += 1
-    return count
-
-
-def oracle_inversion_histogram(n: int, cap: int = PERM_CAP) -> dict[int, int]:
-    """Histogram {inversions: count} over all Grassmannian permutations of [n]."""
-    hist: dict[int, int] = {}
-    for p in oracle_grassmannians(n, cap):
-        inv = _inversions(p)
-        hist[inv] = hist.get(inv, 0) + 1
-    return hist
+    _check_size(n, cap, "permutation size")
+    return MappingProxyType(_grassmannian_tally(n))

@@ -71,6 +71,26 @@ def _word_m_range(k: int, word_cap: int) -> range:
     return range(0, min(2 * k - 2, word_cap) + 1)
 
 
+def word_oracle_cells(opts: Options) -> list[tuple[int, int]]:
+    """The (k, m) cells compared with the word oracle one length at a time;
+    ``Options.fault`` only shows if it names one of them."""
+    ks = range(1, opts.k_max + 1)
+    return [(k, m) for k in ks for m in _word_m_range(k, opts.word_cap)]
+
+
+def _words(m: int, opts: Options, keep: Callable[[oracle.WordKey], bool]) -> int:
+    """How many length-m words have statistics that pass ``keep``."""
+    tally = oracle.word_statistics(m, opts.word_cap)
+    return sum(count for key, count in tally.items() if keep(key))
+
+
+def _perms(n: int, opts: Options, keep: Callable[[oracle.PermKey], bool]) -> int:
+    """How many Grassmannian permutations of [n] have statistics that pass
+    ``keep``."""
+    tally = oracle.grassmannian_statistics(n, opts.perm_cap)
+    return sum(count for key, count in tally.items() if keep(key))
+
+
 def _capped_k_range(opts: Options) -> range:
     """The k whose words (lengths up to 2k - 2) all fit under the word cap,
     so that a sum over lengths is complete."""
@@ -90,13 +110,8 @@ def suite_counting(opts: Options) -> list[Check]:
             "recurrence_vs_word_oracle",
             {"k_max": opts.k_max, "word_cap": opts.word_cap},
             (
-                (
-                    {"k": k, "m": m},
-                    oracle.oracle_word_count(k, m, cap=opts.word_cap),
-                    table(k, m),
-                )
-                for k in range(1, opts.k_max + 1)
-                for m in _word_m_range(k, opts.word_cap)
+                ({"k": k, "m": m}, _words(m, opts, lambda w: w.longest < k), table(k, m))
+                for k, m in word_oracle_cells(opts)
             ),
         ),
         _sweep(
@@ -161,7 +176,7 @@ def suite_counting(opts: Options) -> list[Check]:
                 (
                     {"k": k, "j": j},
                     sum(
-                        oracle.oracle_word_count(k, m, zeros=j, cap=opts.word_cap)
+                        _words(m, opts, lambda w: w.longest < k and w.zeros == j)
                         for m in _word_m_range(k, opts.word_cap)
                     ),
                     counting.avoiding_words_with_zeros(k, j),
@@ -176,11 +191,7 @@ def suite_counting(opts: Options) -> list[Check]:
             (
                 (
                     {"n": n, "k": k},
-                    sum(
-                        1
-                        for p in oracle.oracle_grassmannians(n, opts.perm_cap)
-                        if len(core.fixed_points(p)) == k
-                    ),
+                    _perms(n, opts, lambda p: p.fixed_points == k),
                     counting.fixed_point_count(n, k),
                 )
                 for n in range(opts.perm_cap + 1)
@@ -211,11 +222,10 @@ def suite_parity(opts: Options) -> list[Check]:
             (
                 (
                     {"k": k, "m": m},
-                    oracle.oracle_word_count(k, m, parity_filter="odd", cap=opts.word_cap),
+                    _words(m, opts, lambda w: w.longest < k and w.odd),
                     parity.odd_word_count(k, m),
                 )
-                for k in range(1, opts.k_max + 1)
-                for m in _word_m_range(k, opts.word_cap)
+                for k, m in word_oracle_cells(opts)
             ),
         ),
         _sweep(
@@ -262,9 +272,7 @@ def suite_parity(opts: Options) -> list[Check]:
                 (
                     {"k": k, "j": j},
                     sum(
-                        oracle.oracle_word_count(
-                            k, m, parity_filter="odd", zeros=j, cap=opts.word_cap
-                        )
+                        _words(m, opts, lambda w: w.longest < k and w.odd and w.zeros == j)
                         for m in _word_m_range(k, opts.word_cap)
                     ),
                     parity.odd_avoiding_words_with_zeros(k, j),
@@ -290,64 +298,57 @@ def suite_parity(opts: Options) -> list[Check]:
     ]
 
 
+_CLASSES = (
+    # (name, member field, odd only, total formula, avoider formula)
+    ("bigrass", "bigrass", False, classes.bigrassmannian_count,
+     classes.bigrassmannian_avoider_count),
+    ("bigrass_odd", "bigrass", True, classes.odd_bigrassmannian_count,
+     classes.odd_bigrassmannian_avoider_count),
+    ("invol", "involution", False, classes.involution_count,
+     classes.involution_avoider_count),
+    ("invol_odd", "involution", True, classes.odd_involution_count,
+     classes.odd_involution_avoider_count),
+)
+
+
+def _oracle_class(n: int, k: int, member: str, odd: bool, opts: Options) -> int:
+    """Members of one class among the Grassmannian permutations of [n] that
+    avoid 12...k; every one avoids 12...(n + 1)."""
+    return _perms(
+        n,
+        opts,
+        lambda p: p.longest < k and getattr(p, member) and (not odd or p.inversions % 2),
+    )
+
+
 def suite_classes(opts: Options) -> list[Check]:
-    id_k = core.identity_permutation
-
-    def cells():
-        # A pattern longer than the host matches nothing, so these are
-        # unrestricted totals per class.
-        for m in range(opts.perm_cap + 1):
-            yield (
-                {"class": "bigrass", "m": m},
-                oracle.oracle_count(m, id_k(m + 1), "bigrass", cap=opts.perm_cap),
-                classes.bigrassmannian_count(m),
-            )
-            yield (
-                {"class": "bigrass_odd", "m": m},
-                oracle.oracle_count(m, id_k(m + 1), "bigrass", "odd", opts.perm_cap),
-                classes.odd_bigrassmannian_count(m),
-            )
-            yield (
-                {"class": "invol", "m": m},
-                oracle.oracle_count(m, id_k(m + 1), "involution", cap=opts.perm_cap),
-                classes.involution_count(m),
-            )
-            yield (
-                {"class": "invol_odd", "m": m},
-                oracle.oracle_count(m, id_k(m + 1), "involution", "odd", opts.perm_cap),
-                classes.odd_involution_count(m),
-            )
-
-    def avoider_cells():
-        for k in range(2, opts.k_max + 1):
-            for m in range(opts.perm_cap + 1):
-                yield (
-                    {"class": "bigrass", "k": k, "m": m},
-                    oracle.oracle_count(m, id_k(k), "bigrass", cap=opts.perm_cap),
-                    classes.bigrassmannian_avoider_count(k, m),
-                )
-                yield (
-                    {"class": "bigrass_odd", "k": k, "m": m},
-                    oracle.oracle_count(m, id_k(k), "bigrass", "odd", opts.perm_cap),
-                    classes.odd_bigrassmannian_avoider_count(k, m),
-                )
-                yield (
-                    {"class": "invol", "k": k, "m": m},
-                    oracle.oracle_count(m, id_k(k), "involution", cap=opts.perm_cap),
-                    classes.involution_avoider_count(k, m),
-                )
-                yield (
-                    {"class": "invol_odd", "k": k, "m": m},
-                    oracle.oracle_count(m, id_k(k), "involution", "odd", opts.perm_cap),
-                    classes.odd_involution_avoider_count(k, m),
-                )
-
     return [
-        _sweep("class_totals_vs_oracle", {"perm_cap": opts.perm_cap}, cells()),
+        _sweep(
+            "class_totals_vs_oracle",
+            {"perm_cap": opts.perm_cap},
+            (
+                (
+                    {"class": name, "m": m},
+                    _oracle_class(m, m + 1, member, odd, opts),
+                    total(m),
+                )
+                for m in range(opts.perm_cap + 1)
+                for name, member, odd, total, _ in _CLASSES
+            ),
+        ),
         _sweep(
             "class_avoiders_vs_oracle",
             {"k_max": opts.k_max, "perm_cap": opts.perm_cap},
-            avoider_cells(),
+            (
+                (
+                    {"class": name, "k": k, "m": m},
+                    _oracle_class(m, k, member, odd, opts),
+                    avoiders(k, m),
+                )
+                for k in range(2, opts.k_max + 1)
+                for m in range(opts.perm_cap + 1)
+                for name, member, odd, _, avoiders in _CLASSES
+            ),
         ),
         _sweep(
             "odd_involution_shift_relation",
@@ -541,7 +542,9 @@ def suite_series(opts: Options) -> list[Check]:
 
     def histogram_cells():
         for n in range(opts.perm_cap + 1):
-            hist = oracle.oracle_inversion_histogram(n, opts.perm_cap)
+            hist: dict[int, int] = {}
+            for key, count in oracle.grassmannian_statistics(n, opts.perm_cap).items():
+                hist[key.inversions] = hist.get(key.inversions, 0) + count
             row = table.row(n)
             keys = sorted(set(hist) | set(row))
             for i in keys:

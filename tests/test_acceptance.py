@@ -1,21 +1,10 @@
 """Acceptance suite: one test per criterion, each at its full stated range,
-printing one PASS/FAIL line per criterion (run with ``pytest -v -s``)."""
+printing one PASS/FAIL line per criterion (run with ``pytest -v -s``).
+Ranges that ``verify`` sweeps are read from the session's harness run."""
 
 import time
 
-from grassperm import (
-    classes,
-    cli,
-    core,
-    counting,
-    oracle,
-    parity,
-    paths,
-    patterns,
-    series,
-)
-
-id_k = core.identity_permutation
+from grassperm import cli, counting, oracle, parity, paths
 
 
 def report(n: int, label: str, ok: bool) -> None:
@@ -23,17 +12,16 @@ def report(n: int, label: str, ok: bool) -> None:
     assert ok, f"criterion {n} failed: {label}"
 
 
-def test_criterion_01_closed_form_matches_oracle():
+def test_criterion_01_closed_form_matches_oracle(harness):
     ok = (
         counting.avoiding_word_count(3, 3) == 4
         and counting.avoiding_word_count(3, 4) == 2
         and counting.avoiding_word_count(4, 4) == 11
     )
-    for k in range(2, 8):
-        for m in range(k, 2 * k - 1):
-            ok = ok and counting.avoiding_word_count_alternating(
-                k, m
-            ) == oracle.oracle_word_count(k, m)
+    # alternating = binomial = recurrence cell by cell, and the oracle
+    # certifies the recurrence for k <= 7 and every m <= 2k - 2
+    ok = ok and harness("counting.closed_forms_agree", k_max=7).passed
+    ok = ok and harness("counting.recurrence_vs_word_oracle", k_max=7, word_cap=12).passed
     report(1, "alternating closed form equals exhaustive word count", ok)
 
 
@@ -53,21 +41,8 @@ def test_criterion_02_three_formulas_agree():
     report(2, f"binomial = alternating = recurrence up to k=40 ({elapsed:.2f}s)", ok and elapsed < 5.0)
 
 
-def test_criterion_03_dyck_bijection_certified():
-    ok = True
-    for k in range(1, 8):
-        by_sum = {}
-        for p in paths.enumerate_dyck(k + 1):
-            if paths.peaks(p):
-                by_sum.setdefault(paths.first_last_peak_sum(p), set()).add(p)
-        for m in range(2 * k - 1):
-            words = patterns.enumerate_avoiding_words(k, m)
-            images = {paths.word_to_dyck(k, w) for w in words}
-            ok = ok and len(images) == len(words)
-            ok = ok and images == by_sum.get(2 * k - m, set())
-            ok = ok and all(
-                paths.dyck_to_word(k, paths.word_to_dyck(k, w)) == w for w in words
-            )
+def test_criterion_03_dyck_bijection_certified(harness):
+    ok = harness("paths.word_dyck_bijection", k_max=7, word_cap=12).passed
     report(3, "word <-> Dyck path bijection onto the peak-sum class, k <= 7", ok)
 
 
@@ -80,13 +55,8 @@ def test_criterion_04_ballot_catalan_identity():
     report(4, "ballot number as alternating Catalan sum, a <= 30", ok)
 
 
-def test_criterion_05_parity_split():
-    ok = True
-    for k in range(1, 8):
-        for m in range(1, 2 * k - 1):
-            ok = ok and parity.odd_word_count(k, m) == oracle.oracle_word_count(
-                k, m, parity_filter="odd"
-            )
+def test_criterion_05_parity_split(harness):
+    ok = harness("parity.odd_vs_word_oracle", k_max=7, word_cap=12).passed
     for k in range(2, 21):
         ok = ok and parity.odd_word_count_max_length(k) == parity.odd_word_count(
             k, 2 * k - 2
@@ -97,7 +67,7 @@ def test_criterion_05_parity_split():
     report(5, "odd counts match oracle (k <= 7) and closed forms (k <= 20)", ok)
 
 
-def test_criterion_06_totals():
+def test_criterion_06_totals(harness):
     ok = True
     for k in range(1, 13):
         ok = ok and sum(
@@ -108,50 +78,27 @@ def test_criterion_06_totals():
         ) == counting.catalan(k + 1) - counting.binomial(k, 2) - 1
     for k in range(2, 7):
         observed = sum(
-            oracle.oracle_count(m, id_k(k)) for m in range(2 * k - 1)
+            count
+            for m in range(2 * k - 1)
+            for key, count in oracle.grassmannian_statistics(m).items()
+            if key.longest < k
         )
         ok = ok and observed == counting.total_avoiding_perms(k)
+    # the cell count shows that the word cap cut no k <= 7
+    check = harness("counting.words_by_zero_count", k_max=7)
+    ok = ok and check.passed and check.expected >= sum(k + 1 for k in range(1, 8))
     for k in range(1, 8):
-        for j in range(k + 2):
-            observed = sum(
-                oracle.oracle_word_count(k, m, zeros=j) for m in range(2 * k - 1)
-            )
-            ok = ok and observed == counting.avoiding_words_with_zeros(k, j)
+        # a word with k + 1 zeros contains 0^k
+        ok = ok and counting.avoiding_words_with_zeros(k, k + 1) == 0
     report(6, "grand totals and zero-refined totals, k <= 12 (oracle k <= 6)", ok)
 
 
-def test_criterion_07_special_classes():
-    ok = True
-    for m in range(10):
-        ok = ok and classes.bigrassmannian_count(m) == oracle.oracle_count(
-            m, id_k(m + 1), "bigrass"
-        )
-        ok = ok and classes.odd_bigrassmannian_count(m) == oracle.oracle_count(
-            m, id_k(m + 1), "bigrass", "odd"
-        )
-        ok = ok and classes.involution_count(m) == oracle.oracle_count(
-            m, id_k(m + 1), "involution"
-        )
-        ok = ok and classes.odd_involution_count(m) == oracle.oracle_count(
-            m, id_k(m + 1), "involution", "odd"
-        )
-        for k in range(2, 7):
-            ok = ok and classes.bigrassmannian_avoider_count(
-                k, m
-            ) == oracle.oracle_count(m, id_k(k), "bigrass")
-            ok = ok and classes.odd_bigrassmannian_avoider_count(
-                k, m
-            ) == oracle.oracle_count(m, id_k(k), "bigrass", "odd")
-            ok = ok and classes.involution_avoider_count(k, m) == oracle.oracle_count(
-                m, id_k(k), "involution"
-            )
-            ok = ok and classes.odd_involution_avoider_count(
-                k, m
-            ) == oracle.oracle_count(m, id_k(k), "involution", "odd")
-    for m in range(5, 41):
-        ok = ok and classes.odd_involution_count(m) == classes.odd_involution_count(
-            m - 4
-        ) + m - 1
+def test_criterion_07_special_classes(harness):
+    ok = (
+        harness("classes.class_totals_vs_oracle", perm_cap=9).passed
+        and harness("classes.class_avoiders_vs_oracle", k_max=6, perm_cap=9).passed
+        and harness("classes.odd_involution_shift_relation", m_max=40).passed
+    )
     report(7, "all eight class formulas vs oracle (m <= 9, k <= 6)", ok)
 
 
@@ -174,13 +121,11 @@ def test_criterion_08_all_odd_extrema_and_toggle():
     report(8, "all-odd-extrema counts (n <= 11) and toggle involution (n <= 8)", ok)
 
 
-def test_criterion_09_inversion_generating_table():
-    table = series.inversion_table(10)
-    ok = True
-    for n in range(11):
-        ok = ok and table.row(n) == oracle.oracle_inversion_histogram(n, cap=10)
-        if n >= 1:
-            ok = ok and sum(table.row(n).values()) == 2**n - n
+def test_criterion_09_inversion_generating_table(harness):
+    ok = (
+        harness("series.coefficients_vs_oracle", perm_cap=10).passed
+        and harness("series.row_sums", n_max=10).passed
+    )
     report(9, "inversion table equals oracle histogram, n <= 10", ok)
 
 

@@ -1,9 +1,7 @@
 import pytest
 
-from grassperm import classes, core, oracle, patterns
+from grassperm import classes, core, patterns
 from grassperm.errors import DomainError
-
-id_k = core.identity_permutation
 
 
 class TestPredicates:
@@ -48,11 +46,8 @@ class TestBigrassmannianCounts:
     def test_total_spot(self):
         assert classes.bigrassmannian_count(3) == 5
 
-    def test_totals_vs_oracle(self):
-        for m in range(8):
-            assert classes.bigrassmannian_count(m) == oracle.oracle_count(
-                m, id_k(m + 1), class_filter="bigrass"
-            )
+    def test_totals_vs_oracle(self, harness):
+        assert harness("classes.class_totals_vs_oracle", perm_cap=7).passed
 
     def test_avoiders_spot(self):
         assert classes.bigrassmannian_avoider_count(3, 4) == 1
@@ -63,12 +58,8 @@ class TestBigrassmannianCounts:
         for k in range(2, 8):
             assert classes.bigrassmannian_avoider_count(k, k) == binomial(k + 1, 3)
 
-    def test_avoiders_vs_oracle(self):
-        for k in range(2, 7):
-            for m in range(8):
-                assert classes.bigrassmannian_avoider_count(k, m) == oracle.oracle_count(
-                    m, id_k(k), class_filter="bigrass"
-                ), (k, m)
+    def test_avoiders_vs_oracle(self, harness):
+        assert harness("classes.class_avoiders_vs_oracle", k_max=6, perm_cap=7).passed
 
     def test_rejects_k_one(self):
         with pytest.raises(DomainError):
@@ -80,56 +71,37 @@ class TestOddBigrassmannian:
     def test_total_spots(self, m, value):
         assert classes.odd_bigrassmannian_count(m) == value
 
-    def test_totals_vs_oracle(self):
-        for m in range(8):
-            assert classes.odd_bigrassmannian_count(m) == oracle.oracle_count(
-                m, id_k(m + 1), class_filter="bigrass", parity_filter="odd"
-            )
+    def test_totals_vs_oracle(self, harness):
+        assert harness("classes.class_totals_vs_oracle", perm_cap=7).passed
 
     def test_avoider_reduction_spot(self):
         # m - k even reduces to size 2k - m
         assert classes.odd_bigrassmannian_avoider_count(3, 5) == 0
 
-    def test_avoiders_vs_oracle(self):
-        for k in range(2, 7):
-            for m in range(8):
-                assert classes.odd_bigrassmannian_avoider_count(
-                    k, m
-                ) == oracle.oracle_count(
-                    m, id_k(k), class_filter="bigrass", parity_filter="odd"
-                ), (k, m)
+    def test_avoiders_vs_oracle(self, harness):
+        assert harness("classes.class_avoiders_vs_oracle", k_max=6, perm_cap=7).passed
 
 
 class TestInvolutions:
     def test_total_spot(self):
         assert classes.involution_count(3) == 3
 
-    def test_totals_vs_oracle(self):
-        for m in range(8):
-            assert classes.involution_count(m) == oracle.oracle_count(
-                m, id_k(m + 1), class_filter="involution"
-            )
+    def test_totals_vs_oracle(self, harness):
+        assert harness("classes.class_totals_vs_oracle", perm_cap=7).passed
 
     def test_avoiders_spot(self):
         assert classes.involution_avoider_count(3, 4) == 1
 
-    def test_avoiders_vs_oracle(self):
-        for k in range(2, 7):
-            for m in range(8):
-                assert classes.involution_avoider_count(k, m) == oracle.oracle_count(
-                    m, id_k(k), class_filter="involution"
-                ), (k, m)
+    def test_avoiders_vs_oracle(self, harness):
+        assert harness("classes.class_avoiders_vs_oracle", k_max=6, perm_cap=7).passed
 
 
 class TestOddInvolutions:
     def test_total_spot(self):
         assert classes.odd_involution_count(4) == 3
 
-    def test_totals_vs_oracle(self):
-        for m in range(8):
-            assert classes.odd_involution_count(m) == oracle.oracle_count(
-                m, id_k(m + 1), class_filter="involution", parity_filter="odd"
-            )
+    def test_totals_vs_oracle(self, harness):
+        assert harness("classes.class_totals_vs_oracle", perm_cap=7).passed
 
     def test_shift_relation(self):
         for m in range(5, 41):
@@ -137,11 +109,5 @@ class TestOddInvolutions:
                 m - 4
             ) + m - 1
 
-    def test_avoiders_vs_oracle(self):
-        for k in range(2, 7):
-            for m in range(8):
-                assert classes.odd_involution_avoider_count(
-                    k, m
-                ) == oracle.oracle_count(
-                    m, id_k(k), class_filter="involution", parity_filter="odd"
-                ), (k, m)
+    def test_avoiders_vs_oracle(self, harness):
+        assert harness("classes.class_avoiders_vs_oracle", k_max=6, perm_cap=7).passed

@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from grassperm import cli
 
@@ -346,6 +353,23 @@ class TestVerify:
             cli.main(["verify", *flags])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--suite", "counting", "--inject-fault", "9,9"),
+            ("--suite", "parity", "--inject-fault", "3,4"),
+            ("--suite", "counting", "--inject-fault", "3,5"),
+        ],
+    )
+    def test_fault_no_check_compares_is_usage_error(self, capsys, argv):
+        # each of these once perturbed nothing and passed green
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", *argv])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("grassperm: error:") and out.err.count("\n") == 1
+
     def test_bad_fault_spec_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--inject-fault", "oops"])
@@ -355,3 +379,97 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,lines,code",
+    [
+        (("enumerate", "dyck", "--n", "10"), 1, 0),
+        (("count", "--quantity", "B", "--k", "3", "--m", "4"), 0, 0),
+        (("verify", "--suite", "counting", "--k-max", "4", "--inject-fault", "3,4"), 0, 1),
+    ],
+)
+def test_reader_closing_early(argv, lines, code):
+    # The reader takes `lines` lines and closes the pipe; the dyck listing
+    # overflows the pipe buffer, so the writer meets the closed pipe.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grassperm.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == code
+    assert err == b""
+
+
+SMALL = st.integers(-3, 6).map(str)
+TEXT = st.text("01UD,a2", max_size=6)
+OPTIONAL = {
+    **dict.fromkeys(
+        ("--k", "--m", "--n", "--j", "--cap", "--k-max", "--m-max", "--n-max"), SMALL
+    ),
+    "--perm-cap": SMALL,
+    "--word-cap": SMALL,
+    "--stats": st.sampled_from(["inversions", "fixed-points", "peaks"]),
+    "--format": st.sampled_from(["csv", "json", "text"]),
+    "--inject-fault": st.sampled_from(["3,4", "9,9", "1", "a,b"]) | TEXT,
+}
+ENUMERATE = ("--stats", "--cap")
+BIJECT = ({"--input": TEXT}, ("--k",))
+# each command with the flags it needs and the flags it may take
+COMMANDS = {
+    "count": (
+        {"--quantity": st.sampled_from(cli.COUNT_QUANTITIES)},
+        ("--k", "--m", "--n", "--j"),
+    ),
+    "table": (
+        {"--quantity": st.sampled_from(["B", "A", "parity", "classes", "gf"])},
+        ("--k-max", "--m-max", "--n-max", "--format"),
+    ),
+    "enumerate words": ({"--k": SMALL, "--m": SMALL}, ENUMERATE),
+    "enumerate avoiders": (
+        {"--n": SMALL, "--pattern": st.sampled_from(["12a", "123", "2,1,3"]) | TEXT},
+        ENUMERATE,
+    ),
+    "enumerate dyck": ({"--n": SMALL}, ENUMERATE),
+    "biject word-to-dyck": BIJECT,
+    "biject word-to-lattice": BIJECT,
+    "biject toggle": BIJECT,
+    "biject halve": BIJECT,
+    "verify": (
+        # the paths suite sweeps fixed sizes, too slow to repeat here
+        {"--suite": st.sampled_from(["counting", "parity", "classes", "series"])},
+        ("--k-max", "--perm-cap", "--word-cap", "--format", "--inject-fault"),
+    ),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional = COMMANDS[command]
+    argv = command.split()
+    for flag, values in required.items():
+        argv += [flag, draw(values)]
+    for flag in draw(st.lists(st.sampled_from(optional), max_size=3)):
+        argv += [flag, draw(OPTIONAL[flag])]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_every_argv_ends_in_a_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import sys
 
 import pytest
 
@@ -7,66 +8,72 @@ from grassperm import oracle
 from grassperm.errors import CapExceededError, DomainError
 
 
+def avoiders(tally, k, keep=lambda key: True) -> int:
+    """Objects in ``tally`` avoiding the length-k patterns, among those kept."""
+    return sum(count for key, count in tally.items() if key.longest < k and keep(key))
+
+
 class TestPermutationOracle:
     @pytest.mark.parametrize("n,count", [(1, 1), (3, 5), (4, 12)])
     def test_sizes(self, n, count):
-        assert len(oracle.oracle_grassmannians(n)) == count
+        assert sum(oracle.grassmannian_statistics(n).values()) == count
 
     def test_cap_refusal(self):
         with pytest.raises(CapExceededError):
-            oracle.oracle_grassmannians(11)
+            oracle.grassmannian_statistics(11)
+        with pytest.raises(DomainError):
+            oracle.grassmannian_statistics(-1)
         # explicit cap raise is honored
-        assert len(oracle.oracle_grassmannians(4, cap=4)) == 12
+        assert sum(oracle.grassmannian_statistics(4, cap=4).values()) == 12
 
     def test_count_examples(self):
-        assert oracle.oracle_count(4, (1, 2, 3)) == 2
-        assert oracle.oracle_count(4, (1, 2, 3), parity_filter="odd") == 1
+        tally = oracle.grassmannian_statistics(4)
+        assert avoiders(tally, 3) == 2
+        assert avoiders(tally, 3, lambda key: key.inversions % 2 == 1) == 1
 
     def test_short_hosts_avoid_everything(self):
         for k in range(3, 6):
             for m in range(1, k):
-                assert oracle.oracle_count(m, tuple(range(1, k + 1))) == 2**m - m
-
-    def test_rejects_unknown_filters(self):
-        with pytest.raises(DomainError):
-            oracle.oracle_count(3, (2, 1), class_filter="weird")
-        with pytest.raises(DomainError):
-            oracle.oracle_count(3, (2, 1), parity_filter="weird")
+                assert avoiders(oracle.grassmannian_statistics(m), k) == 2**m - m
 
 
 class TestWordOracle:
     def test_example(self):
-        assert oracle.oracle_word_count(3, 4) == 2
+        assert avoiders(oracle.word_statistics(4), 3) == 2
 
     def test_summed_sweep(self):
-        total = sum(oracle.oracle_word_count(3, m) for m in range(5))
+        total = sum(avoiders(oracle.word_statistics(m), 3) for m in range(5))
         assert total == 13
 
     def test_zero_count_refinement(self):
-        total = sum(oracle.oracle_word_count(3, m, zeros=2) for m in range(5))
+        total = sum(
+            avoiders(oracle.word_statistics(m), 3, lambda key: key.zeros == 2)
+            for m in range(5)
+        )
         assert total == 5
 
     def test_cap_refusal(self):
         with pytest.raises(CapExceededError):
-            oracle.oracle_word_count(3, 25)
+            oracle.word_statistics(25)
+        with pytest.raises(DomainError):
+            oracle.word_statistics(-1)
 
 
 def test_oracle_module_stays_independent():
-    """The oracle may not lean on the formulas it certifies.
+    """The oracle may not lean on the code it certifies.
 
-    Only stdlib imports plus the shared containment predicate and error
-    types are allowed; in particular no counting, parity, classes, series,
-    or core (the word encoding) imports.
+    Only the standard library and the package's error types may be
+    imported: no patterns (containment), counting, parity, classes, series,
+    or core (the word encoding).
     """
     tree = ast.parse(inspect.getsource(oracle))
-    imported = set()
+    package, stdlib = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
+            stdlib.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            package.add(node.module)
         elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-    assert imported == {"__future__", "functools", "itertools", "patterns", "errors"}
-    # from patterns, only the containment predicate
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "patterns":
-            assert [alias.name for alias in node.names] == ["permutation_contains"]
+            stdlib.add(node.module.split(".")[0])
+    assert package == {"errors"}
+    assert stdlib <= sys.stdlib_module_names

@@ -1,6 +1,6 @@
 import pytest
 
-from grassperm import oracle, series
+from grassperm import series
 from grassperm.errors import DomainError
 
 
@@ -24,10 +24,8 @@ def test_single_zero_inversion_permutation_per_size():
         assert table.row(n)[0] == 1
 
 
-def test_matches_oracle_histogram():
-    table = series.inversion_table(8)
-    for n in range(9):
-        assert table.row(n) == oracle.oracle_inversion_histogram(n)
+def test_matches_oracle_histogram(harness):
+    assert harness("series.coefficients_vs_oracle", perm_cap=8).passed
 
 
 def test_max_inversions_bound():
