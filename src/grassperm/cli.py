@@ -26,20 +26,38 @@ import sys
 from . import classes, core, counting, oracle, parity, paths, patterns, series, verify
 from .errors import DomainError
 
-COUNT_QUANTITIES = (
-    "B",
-    "A",
-    "O",
-    "E",
-    "bigrass",
-    "bigrass-odd",
-    "invol",
-    "invol-odd",
-    "fixed",
-    "total-words",
-    "total-perms",
-    "total-odd",
-)
+# Each quantity's forms (flags, module, function), most flags first: the first
+# form given all its flags serves, called with them in order; a call that fits
+# none is told what the last form lacks.  Functions are looked up per call.
+COUNT_FORMS = {
+    "B": ((("k", "m"), counting, "avoiding_word_count"),),
+    "A": ((("k", "m"), counting, "avoiding_word_count_alternating"),),
+    "O": ((("k", "m"), parity, "odd_word_count"),),
+    "E": ((("k", "m"), parity, "even_word_count"),),
+    "bigrass": (
+        (("k", "m"), classes, "bigrassmannian_avoider_count"),
+        (("m",), classes, "bigrassmannian_count"),
+    ),
+    "bigrass-odd": (
+        (("k", "m"), classes, "odd_bigrassmannian_avoider_count"),
+        (("m",), classes, "odd_bigrassmannian_count"),
+    ),
+    "invol": (
+        (("k", "m"), classes, "involution_avoider_count"),
+        (("m",), classes, "involution_count"),
+    ),
+    "invol-odd": (
+        (("k", "m"), classes, "odd_involution_avoider_count"),
+        (("m",), classes, "odd_involution_count"),
+    ),
+    "fixed": ((("n", "k"), counting, "fixed_point_count"),),
+    "total-words": (
+        (("k", "j"), counting, "avoiding_words_with_zeros"),
+        (("k",), counting, "total_avoiding_words"),
+    ),
+    "total-perms": ((("k",), counting, "total_avoiding_perms"),),
+    "total-odd": ((("k",), parity, "total_odd_avoiders"),),
+}
 
 ENUMERATE_CAPS = {"words": oracle.WORD_CAP, "avoiders": 14, "dyck": 12}
 
@@ -53,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="print one exact count")
-    p_count.add_argument("--quantity", required=True, choices=COUNT_QUANTITIES)
+    p_count.add_argument("--quantity", required=True, choices=COUNT_FORMS)
     p_count.add_argument("--k", type=int)
     p_count.add_argument("--m", type=int)
     p_count.add_argument("--n", type=int)
@@ -111,56 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(parser: argparse.ArgumentParser, args, *names: str) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        flags = ", ".join(f"--{n}" for n in missing)
-        parser.error(f"--quantity {args.quantity} requires {flags}")
-
-
 def _cmd_count(parser: argparse.ArgumentParser, args) -> int:
-    q = args.quantity
-    if q in ("B", "A", "O", "E"):
-        _require(parser, args, "k", "m")
-        fn = {
-            "B": counting.avoiding_word_count,
-            "A": counting.avoiding_word_count_alternating,
-            "O": parity.odd_word_count,
-            "E": parity.even_word_count,
-        }[q]
-        value = fn(args.k, args.m)
-    elif q in ("bigrass", "bigrass-odd", "invol", "invol-odd"):
-        _require(parser, args, "m")
-        total_fn, avoider_fn = {
-            "bigrass": (classes.bigrassmannian_count, classes.bigrassmannian_avoider_count),
-            "bigrass-odd": (
-                classes.odd_bigrassmannian_count,
-                classes.odd_bigrassmannian_avoider_count,
-            ),
-            "invol": (classes.involution_count, classes.involution_avoider_count),
-            "invol-odd": (
-                classes.odd_involution_count,
-                classes.odd_involution_avoider_count,
-            ),
-        }[q]
-        value = total_fn(args.m) if args.k is None else avoider_fn(args.k, args.m)
-    elif q == "fixed":
-        _require(parser, args, "n", "k")
-        value = counting.fixed_point_count(args.n, args.k)
-    elif q == "total-words":
-        _require(parser, args, "k")
-        if args.j is None:
-            value = counting.total_avoiding_words(args.k)
-        else:
-            value = counting.avoiding_words_with_zeros(args.k, args.j)
-    elif q == "total-perms":
-        _require(parser, args, "k")
-        value = counting.total_avoiding_perms(args.k)
-    else:  # total-odd
-        _require(parser, args, "k")
-        value = parity.total_odd_avoiders(args.k)
-    print(value)
-    return 0
+    for flags, module, function in COUNT_FORMS[args.quantity]:
+        values = [getattr(args, flag) for flag in flags]
+        if None not in values:
+            print(getattr(module, function)(*values))
+            return 0
+    missing = ", ".join(f"--{flag}" for flag, v in zip(flags, values) if v is None)
+    parser.error(f"--quantity {args.quantity} requires {missing}")
 
 
 def _table_rows(args) -> tuple[list[str], list[tuple]]:
@@ -392,6 +368,11 @@ def _discard_stdout() -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact values print in full; argv above was parsed under the default
+    # limit on int/str digits (0 is no limit, as before Python 3.10.7).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         if args.command == "count":
             code = _cmd_count(parser, args)
@@ -413,6 +394,9 @@ def main(argv: list[str] | None = None) -> int:
         # its own, to keep its verdict.
         _discard_stdout()
         return 0
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def entrypoint() -> None:

@@ -2,11 +2,10 @@
 Pattern containment for permutations and binary words, and enumeration of
 the avoider sets the counting formulas are certified against.
 
-Word containment is plain subsequence containment.  For permutations it is
-the usual order-isomorphic-subsequence relation.  The two notions agree on
-Grassmannian permutations through the word encoding, except that the
-identity is reachable from several words; ``grassmannian_contains`` handles
-that case.
+Word containment is plain subsequence containment.  Containment between
+Grassmannian permutations is decided on their words, by
+``grassmannian_contains``; the generic backtracking search
+``permutation_contains`` is kept as the reference it is certified against.
 """
 
 from __future__ import annotations
@@ -60,27 +59,32 @@ def permutation_contains(sigma: Permutation, pi: Permutation) -> bool:
 def grassmannian_contains(wprime: Word, w: Word) -> bool:
     """Containment of G(w) in G(w'), decided at the word level.
 
-    For non-identity G(w) this is word containment.  When G(w) is the
-    identity of size k, G(w') contains it iff w' contains some ``0^j 1^(k-j)``.
+    For non-identity G(w) this is word containment.  G(w) is the identity
+    of size k = len(w) iff w has no ``10``, and G(w') contains it iff w'
+    contains some ``0^j 1^(k-j)``: iff its longest ``0*1*`` subsequence
+    reaches k.
     """
     core.check_word(wprime)
     core.check_word(w)
-    if core.is_identity(core.grassmannian_of_word(w)):
-        return any(word_contains(wprime, u) for u in core.identity_words(len(w)))
-    return word_contains(wprime, w)
+    if "10" in w:
+        return word_contains(wprime, w)
+    longest = zeros = 0
+    for c in wprime:  # longest 0*1* subsequence of the prefix read so far
+        zeros += c == "0"
+        longest = max(longest + (c == "1"), zeros)
+    return longest >= len(w)
 
 
 def is_avoiding_word(k: int, w: Word) -> bool:
     """True iff ``w`` avoids every word ``0^j 1^(k-j)``, j in [0, k].
 
     These are exactly the words whose permutation avoids the identity of
-    size k.  For k = 0 the empty pattern is contained in everything, so no
-    word qualifies.
+    size k.  No word does for k = 0, and every word shorter than k does, so
+    the identity tested is cut at len(w) + 1 to cost O(len(w)), not O(k).
     """
     if k < 0:
         raise DomainError("k must be nonnegative")
-    core.check_word(w)
-    return not any(word_contains(w, u) for u in core.identity_words(k))
+    return not grassmannian_contains(w, "0" * min(k, len(w) + 1))
 
 
 def enumerate_avoiding_words(k: int, m: int) -> list[Word]:
@@ -93,8 +97,6 @@ def enumerate_avoiding_words(k: int, m: int) -> list[Word]:
     """
     if k < 0 or m < 0:
         raise DomainError("k and m must be nonnegative")
-    if k == 0:
-        return []
     if m >= 2 * k - 1:
         # pigeonhole: the word has k zeros or k ones, hence contains
         # 0^k or 1^k
@@ -106,10 +108,16 @@ def enumerate_avoiding_words(k: int, m: int) -> list[Word]:
 def enumerate_avoiders(n: int, pattern: Permutation) -> list[Permutation]:
     """All Grassmannian permutations of [n] avoiding ``pattern``, sorted.
 
-    The pattern must itself be Grassmannian.  The host set is materialized
-    from binary words with the identity deduplicated.
+    The pattern must itself be Grassmannian.  Each length-n word is tested
+    by ``grassmannian_contains``; the identity's words all agree, and
+    decoding merges them.
     """
     pattern = core.check_permutation(pattern)
     if not core.is_grassmannian(pattern):
         raise DomainError(f"pattern is not Grassmannian: {pattern!r}")
-    return [p for p in core.grassmannian_permutations(n) if not permutation_contains(p, pattern)]
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    u = core.canonical_word(pattern)
+    words = (format(x, f"0{n}b") if n else "" for x in range(2**n))
+    avoiders = {core.grassmannian_of_word(w) for w in words if not grassmannian_contains(w, u)}
+    return sorted(avoiders)

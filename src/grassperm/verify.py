@@ -145,6 +145,24 @@ def suite_counting(opts: Options) -> list[Check]:
                 for m in _word_m_range(k, opts.word_cap)
             ),
         ),
+        # enumerate_avoiders decides containment by the same word rule as
+        # the formulas, so its counts are also held to the permutation oracle.
+        _sweep(
+            "perm_counts_vs_perm_oracle",
+            {"k_max": opts.k_max, "perm_cap": opts.perm_cap},
+            (
+                ({"k": k, "m": m, "form": form}, _perms(m, opts, lambda p: p.longest < k), value)
+                for k in range(1, opts.k_max + 1)
+                for m in range(min(2 * k - 2, opts.perm_cap) + 1)
+                for form, value in (
+                    ("formula", counting.avoiding_perm_count(k, m)),
+                    (
+                        "enumeration",
+                        len(patterns.enumerate_avoiders(m, core.identity_permutation(k))),
+                    ),
+                )
+            ),
+        ),
         _sweep(
             "total_words",
             {"k_max": opts.k_max},

@@ -4,7 +4,7 @@ Ranges that ``verify`` sweeps are read from the session's harness run."""
 
 import time
 
-from grassperm import cli, counting, oracle, parity, paths
+from grassperm import cli, counting, parity, paths
 
 
 def report(n: int, label: str, ok: bool) -> None:
@@ -76,14 +76,10 @@ def test_criterion_06_totals(harness):
         ok = ok and sum(
             counting.avoiding_perm_count(k, m) for m in range(2 * k - 1)
         ) == counting.catalan(k + 1) - counting.binomial(k, 2) - 1
-    for k in range(2, 7):
-        observed = sum(
-            count
-            for m in range(2 * k - 1)
-            for key, count in oracle.grassmannian_statistics(m).items()
-            if key.longest < k
-        )
-        ok = ok and observed == counting.total_avoiding_perms(k)
+    # per-size permutation counts equal the oracle's for every m <= 2k - 2,
+    # and total_perms sums them to the closed form
+    ok = ok and harness("counting.perm_counts_vs_perm_oracle", k_max=6, perm_cap=10).passed
+    ok = ok and harness("counting.total_perms", k_max=6).passed
     # the cell count shows that the word cap cut no k <= 7
     check = harness("counting.words_by_zero_count", k_max=7)
     ok = ok and check.passed and check.expected >= sum(k + 1 for k in range(1, 8))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from grassperm import cli
+from grassperm import cli, counting
 
 
 def run(capsys, *argv):
@@ -46,6 +46,51 @@ class TestCount:
     def test_missing_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["count", "--quantity", "B", "--k", "3"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv,flags",
+        [
+            (("--quantity", "fixed"), "--n, --k"),
+            (("--quantity", "fixed", "--k", "1"), "--n"),
+            (("--quantity", "bigrass", "--k", "3"), "--m"),
+            (("--quantity", "total-words", "--j", "2"), "--k"),
+            (("--quantity", "O", "--n", "2"), "--k, --m"),
+        ],
+    )
+    def test_missing_flags_are_named(self, capsys, argv, flags):
+        # a quantity with two forms names the flags its last form lacks
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count", *argv])
+        assert exc.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message == f"grassperm: error: --quantity {argv[1]} requires {flags}"
+
+    @pytest.mark.parametrize(
+        "argv,value",
+        [
+            (
+                ("--quantity", "total-perms", "--k", "20000"),
+                counting.catalan(20001) - counting.binomial(20000, 2) - 1,
+            ),
+            (("--quantity", "fixed", "--n", "20000", "--k", "0"), 2**19998),
+        ],
+        ids=["total-perms", "fixed"],
+    )
+    def test_values_past_the_default_digit_limit(self, capsys, argv, value):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "count", *argv)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert len(out) > limit and out == f"{value}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_argv_keeps_the_default_digit_limit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count", "--quantity", "B", "--k", "9" * 5000, "--m", "3"])
         assert exc.value.code == 2
 
     def test_unknown_quantity_is_usage_error(self, capsys):
@@ -426,7 +471,7 @@ BIJECT = ({"--input": TEXT}, ("--k",))
 # each command with the flags it needs and the flags it may take
 COMMANDS = {
     "count": (
-        {"--quantity": st.sampled_from(cli.COUNT_QUANTITIES)},
+        {"--quantity": st.sampled_from(sorted(cli.COUNT_FORMS))},
         ("--k", "--m", "--n", "--j"),
     ),
     "table": (

@@ -65,6 +65,14 @@ class TestGrassmannianContainment:
     def test_identity_case_container(self):
         assert patterns.grassmannian_contains("0011", "000")
 
+    @given(word, st.integers(0, 14), st.data())
+    def test_identity_case_is_any_identity_word(self, w, k, data):
+        # every word 0^j 1^(k-j) names the identity of size k
+        j = data.draw(st.integers(0, k))
+        contained = any(patterns.word_contains(w, u) for u in core.identity_words(k))
+        assert patterns.grassmannian_contains(w, "0" * j + "1" * (k - j)) == contained
+        assert patterns.is_avoiding_word(k, w) == (not contained)
+
 
 class TestEnumerateAvoidingWords:
     def test_small_table(self):
@@ -81,17 +89,30 @@ class TestEnumerateAvoidingWords:
     def test_k_zero_is_empty(self):
         assert patterns.enumerate_avoiding_words(0, 3) == []
 
-    def test_counts_match_avoider_permutations(self):
-        for k in range(2, 8):
-            for m in range(k, 2 * k - 1):
-                nwords = len(patterns.enumerate_avoiding_words(k, m))
-                nperms = len(
-                    patterns.enumerate_avoiders(m, core.identity_permutation(k))
-                )
-                assert nwords == nperms, (k, m)
+    def test_pattern_far_longer_than_words(self):
+        # every word avoids, and no word pays for the length of the pattern
+        words = patterns.enumerate_avoiding_words(10**7, 10)
+        assert words == [format(x, "010b") for x in range(2**10)]
+
+    def test_counts_match_avoider_permutations(self, harness):
+        check = harness("counting.word_count_vs_permutation_count", k_max=7, word_cap=12)
+        assert check.passed
 
 
 class TestEnumerateAvoiders:
+    def test_matches_backtracking_filter(self):
+        # every Grassmannian pattern of size <= 5, the empty one included
+        pats = [p for n in range(6) for p in core.grassmannian_permutations(n)]
+        for n in range(9):
+            hosts = core.grassmannian_permutations(n)
+            for pat in pats:
+                expected = [p for p in hosts if not patterns.permutation_contains(p, pat)]
+                assert patterns.enumerate_avoiders(n, pat) == expected, (n, pat)
+
+    def test_rejects_negative_size(self):
+        with pytest.raises(DomainError):
+            patterns.enumerate_avoiders(-1, (1, 2))
+
     def test_identity_pattern_size_3(self):
         assert patterns.enumerate_avoiders(3, (1, 2, 3)) == [
             (1, 3, 2),
