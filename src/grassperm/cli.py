@@ -184,31 +184,37 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _with_stat(line: str, stats: str | None, value) -> str:
-    return line if stats is None else f"{line} {stats}={value}"
+def _write_listing(names, stats: str | None, values) -> None:
+    """One line per object: its name, then `` stats=value`` when asked for.
+    ``values`` is lazy, so a statistic no one asked for is never computed."""
+    if stats is None:
+        lines = (f"{name}\n" for name in names)
+    else:
+        lines = (f"{name} {stats}={value}\n" for name, value in zip(names, values))
+    sys.stdout.writelines(lines)
 
 
 def _cmd_enumerate(args) -> int:
     if args.kind == "words":
         if args.m > args.cap:
             raise DomainError(f"word length {args.m} over cap {args.cap}")
-        for w in patterns.enumerate_avoiding_words(args.k, args.m):
-            print(_with_stat(w, args.stats, core.inversion_count(w)))
+        words = patterns.enumerate_avoiding_words(args.k, args.m)
+        _write_listing(words, args.stats, map(core.inversion_count, words))
     elif args.kind == "avoiders":
         if args.n > args.cap:
             raise DomainError(f"size {args.n} over cap {args.cap}")
         pattern = core.perm_from_str(args.pattern)
-        for p in patterns.enumerate_avoiders(args.n, pattern):
-            if args.stats == "fixed-points":
-                stat = len(core.fixed_points(p))
-            else:
-                stat = core.inversion_count(core.canonical_word(p))
-            print(_with_stat(core.perm_to_str(p), args.stats, stat))
+        perms = patterns.enumerate_avoiders(args.n, pattern)
+        if args.stats == "fixed-points":
+            values = (len(core.fixed_points(p)) for p in perms)
+        else:
+            values = (core.inversion_count(core.canonical_word(p)) for p in perms)
+        _write_listing(map(core.perm_to_str, perms), args.stats, values)
     else:  # dyck
         if args.n > args.cap:
             raise DomainError(f"semilength {args.n} over cap {args.cap}")
-        for p in paths.enumerate_dyck(args.n):
-            print(_with_stat(p, args.stats, len(paths.peaks(p))))
+        dyck = paths.enumerate_dyck(args.n)
+        _write_listing(dyck, args.stats, map(paths.peak_count, dyck))
     return 0
 
 

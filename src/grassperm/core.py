@@ -29,7 +29,7 @@ Permutation = tuple[int, ...]
 
 def check_word(w: Word) -> Word:
     """Validate that ``w`` consists only of '0' and '1' characters."""
-    if any(c not in "01" for c in w):
+    if w.strip("01"):  # strip stops at the first foreign character from either end
         raise DomainError(f"not a binary word: {w!r}")
     return w
 

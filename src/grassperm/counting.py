@@ -64,15 +64,29 @@ def avoiding_word_count_alternating(k: int, m: int) -> int:
     """Alternating closed form for the number of length-m avoiding words.
 
     sum_{j=1}^{2k-m} (-1)^(j-1) * j * C(2k-m-j, j) * catalan(k-j); terms with
-    2k - m - j < j vanish through the binomial convention.  Defined for all
-    k, m >= 0 (empty sum once m >= 2k).
+    2k - m - j < j vanish through the binomial convention, so the sum stops
+    at j = floor((2k - m) / 2) <= k.  Defined for all k, m >= 0 (empty sum
+    once m >= 2k - 1).  Each term is walked from the last by the ratio of
+    small factors, one multiplication and one exact division.
     """
     if k < 0 or m < 0:
         raise DomainError("k and m must be nonnegative")
-    return sum(
-        (-1) ** (j - 1) * j * binomial(2 * k - m - j, j) * catalan(k - j)
-        for j in range(1, 2 * k - m + 1)
-    )
+    n = 2 * k - m
+    if n < 2:
+        return 0
+    total, term = 0, (n - 1) * catalan(k - 1)  # the term at j = 1
+    for j in range(1, n // 2 + 1):
+        total += term
+        # term j + 1 over term j: -(j + 1) / j for the sign and factor j,
+        # C(n-j-1, j+1) / C(n-j, j) = (n-2j)(n-2j-1) / ((j+1)(n-j)), and
+        # catalan(k-j-1) / catalan(k-j) = (k-j+1) / (2(2(k-j)-1)); past the
+        # last term the value is not used
+        term = (
+            -term
+            * (n - 2 * j) * (n - 2 * j - 1) * (k - j + 1)
+            // (2 * j * (n - j) * (2 * (k - j) - 1))
+        )
+    return total
 
 
 def avoiding_word_count(k: int, m: int) -> int:

@@ -18,6 +18,7 @@ Here (a_0, ..., a_j) is the run-length sequence of the word, m its length.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from . import core, patterns
 from .core import Word
@@ -28,7 +29,8 @@ DOWN = "D"
 
 
 def check_steps(p: str) -> str:
-    if any(c not in "UD" for c in p):
+    # strip stops at the first foreign character from either end
+    if p.strip(UP + DOWN):
         raise DomainError(f"not a U/D step string: {p!r}")
     return p
 
@@ -73,18 +75,35 @@ def extrema(p: str) -> list[tuple[int, str, int]]:
     return out
 
 
+def _turn_heights(p: str, turn: str) -> list[int]:
+    """The height reached just before each factor ``turn`` of ``p``
+    (``UD`` or ``DU``, neither of which overlaps itself), left to right."""
+    check_steps(p)
+    pieces = p.split(turn)[:-1]
+    return list(accumulate(2 * piece.count(UP) - len(piece) for piece in pieces))
+
+
 def peaks(p: str) -> list[int]:
     """Peak heights in left-to-right order.
 
     >>> peaks("UDUD")
     [1, 1]
     """
-    return [h for _, kind, h in extrema(p) if kind == "peak"]
+    return [h + 1 for h in _turn_heights(p, UP + DOWN)]
 
 
 def valleys(p: str) -> list[int]:
     """Valley heights in left-to-right order."""
-    return [h for _, kind, h in extrema(p) if kind == "valley"]
+    return [h - 1 for h in _turn_heights(p, DOWN + UP)]
+
+
+def peak_count(p: str) -> int:
+    """Number of peaks, that is of ``UD`` factors.
+
+    >>> peak_count("UDUUDD")
+    2
+    """
+    return check_steps(p).count(UP + DOWN)
 
 
 def first_last_peak_sum(p: str) -> int:
@@ -337,22 +356,16 @@ def enumerate_dyck(n: int) -> list[str]:
     if n < 0:
         raise DomainError("n must be nonnegative")
     out: list[str] = []
-    steps: list[str] = []
 
-    def build(h: int, ups_left: int) -> None:
-        if ups_left == 0 and h == 0:
-            out.append("".join(steps))
+    def build(prefix: str, h: int, ups_left: int) -> None:
+        if not ups_left:  # the only completion is h downs
+            out.append(prefix + DOWN * h)
             return
-        if h > 0:
-            steps.append(DOWN)
-            build(h - 1, ups_left)
-            steps.pop()
-        if ups_left > 0:
-            steps.append(UP)
-            build(h + 1, ups_left - 1)
-            steps.pop()
+        if h:
+            build(prefix + DOWN, h - 1, ups_left)
+        build(prefix + UP, h + 1, ups_left - 1)
 
-    build(0, n)
+    build("", 0, n)
     return out
 
 

@@ -90,6 +90,11 @@ def is_avoiding_word(k: int, w: Word) -> bool:
 def enumerate_avoiding_words(k: int, m: int) -> list[Word]:
     """All length-m words avoiding every ``0^j 1^(k-j)``, lexicographically sorted.
 
+    Generated depth first, ``0`` before ``1``, over the state (zeros,
+    longest ``0*1*`` subsequence, letters left).  A prefix is extended only
+    while it can still be completed, so every prefix visited yields a word
+    and the cost follows the output, not the 2^m words.
+
     >>> enumerate_avoiding_words(3, 4)
     ['1010', '1100']
     >>> enumerate_avoiding_words(2, 0)
@@ -97,12 +102,28 @@ def enumerate_avoiding_words(k: int, m: int) -> list[Word]:
     """
     if k < 0 or m < 0:
         raise DomainError("k and m must be nonnegative")
-    if m >= 2 * k - 1:
-        # pigeonhole: the word has k zeros or k ones, hence contains
-        # 0^k or 1^k
-        return []
-    words = (format(x, f"0{m}b") if m else "" for x in range(2**m))
-    return sorted(w for w in words if is_avoiding_word(k, w))
+    # Appending b ones and then left - b zeros ends with longest
+    # max(longest + b, zeros + left - b), and no order of the same letters
+    # ends lower.  Some b in [0, left] keeps both below k iff
+    # longest < k and zeros + longest + left <= 2k - 2.
+    top = 2 * k - 2
+    out: list[Word] = []
+
+    def extend(prefix: Word, zeros: int, longest: int, left: int) -> None:
+        if not left:
+            out.append(prefix)
+            return
+        left -= 1
+        # longest >= zeros, so a 0 raises longest only from longest == zeros
+        after_zero = longest if longest > zeros else zeros + 1
+        if after_zero < k and zeros + 1 + after_zero + left <= top:
+            extend(prefix + "0", zeros + 1, after_zero, left)
+        if longest + 1 < k and zeros + longest + 1 + left <= top:
+            extend(prefix + "1", zeros, longest + 1, left)
+
+    if 0 < k and m <= top:
+        extend("", 0, 0, m)
+    return out
 
 
 def enumerate_avoiders(n: int, pattern: Permutation) -> list[Permutation]:

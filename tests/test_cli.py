@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -221,6 +222,83 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "dyck", "--n", "13")
         assert code == 3
         assert "cap" in err
+
+
+def _subsequence(u, w):
+    it = iter(w)
+    return all(c in it for c in u)
+
+
+def _brute_words(k, m):
+    identities = ["0" * j + "1" * (k - j) for j in range(k + 1)]
+    for letters in itertools.product("01", repeat=m):
+        w = "".join(letters)
+        if not any(_subsequence(u, w) for u in identities):
+            yield w, sum(a + b == "10" for a, b in itertools.combinations(w, 2))
+
+
+def _brute_dyck(n):
+    for steps in itertools.product("DU", repeat=2 * n):
+        heights = itertools.accumulate(1 if c == "U" else -1 for c in steps)
+        if all(h >= 0 for h in heights) and steps.count("U") == n:
+            p = "".join(steps)
+            yield p, sum(p[i : i + 2] == "UD" for i in range(len(p) - 1))
+
+
+def _order_isomorphic(a, b):
+    pairs = itertools.combinations(range(len(a)), 2)
+    return all((a[i] < a[j]) == (b[i] < b[j]) for i, j in pairs)
+
+
+def _brute_avoiders(n, pattern, stats):
+    for p in itertools.permutations(range(1, n + 1)):
+        if sum(p[i] > p[i + 1] for i in range(n - 1)) > 1:
+            continue
+        subs = itertools.combinations(p, len(pattern))
+        if any(_order_isomorphic(sub, pattern) for sub in subs):
+            continue
+        if stats == "fixed-points":
+            value = sum(v == i + 1 for i, v in enumerate(p))
+        else:
+            value = sum(a > b for a, b in itertools.combinations(p, 2))
+        yield ",".join(map(str, p)), value
+
+
+def _lines(objects, stats):
+    if stats is None:
+        return "".join(f"{name}\n" for name, _ in objects)
+    return "".join(f"{name} {stats}={value}\n" for name, value in objects)
+
+
+class TestEnumerateBytes:
+    """Each listing is exactly the lines built here by brute force."""
+
+    @pytest.mark.parametrize("stats", [None, "inversions"])
+    @pytest.mark.parametrize("k,m", [(0, 2), (1, 0), (3, 4), (4, 5), (5, 8), (6, 3)])
+    def test_words(self, capsys, k, m, stats):
+        argv = ["enumerate", "words", "--k", str(k), "--m", str(m)]
+        code, out, err = run(capsys, *argv, *(["--stats", stats] if stats else []))
+        assert (code, err) == (0, "")
+        assert out == _lines(_brute_words(k, m), stats)
+
+    @pytest.mark.parametrize("stats", [None, "peaks"])
+    @pytest.mark.parametrize("n", [0, 1, 4, 6])
+    def test_dyck(self, capsys, n, stats):
+        argv = ["enumerate", "dyck", "--n", str(n)]
+        code, out, err = run(capsys, *argv, *(["--stats", stats] if stats else []))
+        assert (code, err) == (0, "")
+        assert out == _lines(_brute_dyck(n), stats)
+
+    @pytest.mark.parametrize("stats", [None, "inversions", "fixed-points"])
+    @pytest.mark.parametrize(
+        "n,pattern", [(5, (1, 2, 3)), (6, (2, 4, 1, 3)), (4, (2, 1)), (6, (1, 3, 2))]
+    )
+    def test_avoiders(self, capsys, n, pattern, stats):
+        pattern_arg = ",".join(map(str, pattern))
+        argv = ["enumerate", "avoiders", "--n", str(n), "--pattern", pattern_arg]
+        code, out, err = run(capsys, *argv, *(["--stats", stats] if stats else []))
+        assert (code, err) == (0, "")
+        assert out == _lines(_brute_avoiders(n, pattern, stats), stats)
 
 
 class TestBiject:

@@ -134,6 +134,19 @@ def test_round_trip_property(w):
     assert core.inversion_count(w) == direct_inversions(p)
 
 
+FOREIGN = [" ", "\n", "\t", "\u00a0", "\u0663", "\uff11", "2", "U", "D", "x"]
+
+
+@given(st.text(st.sampled_from("01") | st.sampled_from(FOREIGN) | st.characters()))
+def test_check_word_rejects_exactly_foreign_characters(w):
+    # non-ASCII digits such as U+0663 and U+FF11 parse as int() digits
+    if all(c in "01" for c in w):
+        assert core.check_word(w) == w
+    else:
+        with pytest.raises(DomainError):
+            core.check_word(w)
+
+
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=8))
 def test_a_sequence_inverse_property(a):
     a = tuple(a)

@@ -135,6 +135,28 @@ class TestAvoidingWordCounts:
         assert counting.avoiding_word_count(1000, 3) == 2**3
         assert counting.avoiding_word_count_alternating(1000, 3) == 2**3
 
+    def test_alternating_walk_matches_per_term_sum(self):
+        def per_term(k, m):
+            return sum(
+                (-1) ** (j - 1)
+                * j
+                * counting.binomial(2 * k - m - j, j)
+                * counting.catalan(k - j)
+                for j in range(1, 2 * k - m + 1)
+            )
+
+        for k in range(60):
+            for m in range(2 * k + 3):
+                assert counting.avoiding_word_count_alternating(k, m) == per_term(k, m), (k, m)
+
+    @pytest.mark.parametrize(
+        "k,m",
+        [(3000, 0), (3000, 1), (3000, 3000), (3000, 5998), (20000, 20000), (20000, 39990)],
+    )
+    def test_alternating_form_at_large_k(self, k, m):
+        b = counting.avoiding_word_count(k, m)
+        assert counting.avoiding_word_count_alternating(k, m) == b
+
     def test_concurrent_queries_agree(self):
         from concurrent.futures import ThreadPoolExecutor
 

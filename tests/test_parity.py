@@ -93,14 +93,15 @@ class TestAllOddExtrema:
     def test_spots(self, n, value):
         assert parity.all_odd_extrema_count(n) == value
 
-    def test_matches_enumeration(self):
-        for n in range(1, 10):
-            observed = sum(
-                1
-                for p in paths.enumerate_dyck(n)
-                if all(h % 2 == 1 for h in paths.peaks(p) + paths.valleys(p))
-            )
-            assert observed == parity.all_odd_extrema_count(n)
+    def test_matches_enumeration(self, harness):
+        # the harness counts the all-odd paths up to n = 8
+        assert harness("paths.even_extremum_toggle", n_max=8).passed
+        observed = sum(
+            1
+            for p in paths.enumerate_dyck(9)
+            if all(h % 2 == 1 for h in paths.peaks(p) + paths.valleys(p))
+        )
+        assert observed == parity.all_odd_extrema_count(9)
 
 
 class TestZeroRefinedOddCounts:

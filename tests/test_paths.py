@@ -9,6 +9,14 @@ def all_extrema_odd(p):
     return all(h % 2 == 1 for h in paths.peaks(p) + paths.valleys(p))
 
 
+def assert_statistics_match_extrema(p):
+    found = paths.extrema(p)
+    peak_heights = [h for _, kind, h in found if kind == "peak"]
+    assert paths.peaks(p) == peak_heights
+    assert paths.valleys(p) == [h for _, kind, h in found if kind == "valley"]
+    assert paths.peak_count(p) == len(peak_heights)
+
+
 @st.composite
 def avoiding_words(draw, k_max=12):
     """A parameter k and a word avoiding every 0^j 1^(k-j).
@@ -40,6 +48,19 @@ class TestStatistics:
     def test_peaks_and_valleys(self, p, pk, vl):
         assert paths.peaks(p) == pk
         assert paths.valleys(p) == vl
+
+    def test_match_the_extrema_on_dyck_paths(self):
+        for n in range(11):
+            for p in paths.enumerate_dyck(n):
+                assert_statistics_match_extrema(p)
+
+    @given(st.text(alphabet="UD", max_size=40))
+    def test_match_the_extrema_on_step_strings(self, p):
+        assert_statistics_match_extrema(p)
+
+    def test_peak_count_rejects_invalid_steps(self):
+        with pytest.raises(DomainError):
+            paths.peak_count("UDX")
 
     def test_peak_sum_single_peak_counts_twice(self):
         for n in range(1, 6):
@@ -76,23 +97,14 @@ class TestWordDyckBijection:
             assert p == "U" * k + "D" + "U" + "D" * k
             assert paths.first_last_peak_sum(p) == 2 * k
 
-    def test_round_trip_everywhere(self):
-        for k in range(1, 6):
-            for m in range(2 * k - 1):
-                for w in patterns.enumerate_avoiding_words(k, m):
-                    assert paths.dyck_to_word(k, paths.word_to_dyck(k, w)) == w
+    def test_round_trip_everywhere(self, harness):
+        # the check's round_trip cells, for every m <= 2k - 2
+        assert harness("paths.word_dyck_bijection", k_max=5, word_cap=8).passed
 
-    def test_image_is_exactly_the_peak_sum_class(self):
-        for k in range(1, 6):
-            by_sum = {}
-            for p in paths.enumerate_dyck(k + 1):
-                if paths.peaks(p):
-                    by_sum.setdefault(paths.first_last_peak_sum(p), set()).add(p)
-            for m in range(2 * k - 1):
-                words = patterns.enumerate_avoiding_words(k, m)
-                images = {paths.word_to_dyck(k, w) for w in words}
-                assert len(images) == len(words)
-                assert images == by_sum.get(2 * k - m, set())
+    def test_image_is_exactly_the_peak_sum_class(self, harness):
+        # the check's image_set cells: images distinct and equal to the
+        # Dyck paths of semilength k + 1 with peak sum 2k - m
+        assert harness("paths.word_dyck_bijection", k_max=5, word_cap=8).passed
 
     def test_rejects_non_avoiding_word(self):
         with pytest.raises(DomainError):
@@ -134,14 +146,8 @@ class TestToggle:
         assert paths.dyck_run_sequence("UDUUDUDD") == (1, 0, 1, 2)
         assert paths.dyck_run_sequence("UUDUDUDD") == (0, 1, 1, 2)
 
-    def test_involution_and_parity_flip(self):
-        for n in range(1, 7):
-            for p in paths.enumerate_dyck(n):
-                if all_extrema_odd(p):
-                    continue
-                q = paths.toggle_first_even_extremum(p)
-                assert paths.toggle_first_even_extremum(q) == p
-                assert paths.is_odd_dyck(q) != paths.is_odd_dyck(p)
+    def test_involution_and_parity_flip(self, harness):
+        assert harness("paths.even_extremum_toggle", n_max=6).passed
 
     def test_rejects_all_odd_path(self):
         with pytest.raises(DomainError):
@@ -155,20 +161,18 @@ class TestHalving:
     def test_single_tall_peak(self):
         assert paths.halve_all_odd_path("UUUDDD") == "UD"
 
-    def test_counts(self):
-        for n in range(1, 10):
-            domain = [p for p in paths.enumerate_dyck(n) if all_extrema_odd(p)]
-            assert len(domain) == parity.all_odd_extrema_count(n)
-            if n % 2 == 1:
-                images = {paths.halve_all_odd_path(p) for p in domain}
-                assert len(images) == len(domain)
-                assert images == set(paths.enumerate_dyck((n - 1) // 2))
+    def test_counts(self, harness):
+        # all-odd counts for n <= 8, halving images for odd n <= 9
+        assert harness("paths.even_extremum_toggle", n_max=8).passed
+        assert harness("paths.all_odd_halving", n_max=9).passed
+        domain = [p for p in paths.enumerate_dyck(9) if all_extrema_odd(p)]
+        assert len(domain) == parity.all_odd_extrema_count(9)
 
-    def test_all_odd_paths_are_odd(self):
-        for n in range(1, 10):
-            for p in paths.enumerate_dyck(n):
-                if all_extrema_odd(p):
-                    assert paths.is_odd_dyck(p)
+    def test_all_odd_paths_are_odd(self, harness):
+        # odd n <= 9 by the halving check; even n <= 8 have no such path,
+        # their all-odd count being 0
+        assert harness("paths.all_odd_halving", n_max=9).passed
+        assert harness("paths.even_extremum_toggle", n_max=8).passed
 
     def test_rejects_even_extremum(self):
         with pytest.raises(DomainError):
@@ -193,13 +197,8 @@ class TestLattice:
         assert paths.lattice_to_word(partner) == "110101"
         assert paths.toggle_lattice_path(partner) == lp
 
-    def test_round_trip_and_parity(self):
-        for k in range(1, 6):
-            for m in range(2 * k - 1):
-                for w in patterns.enumerate_avoiding_words(k, m):
-                    lp = paths.word_to_lattice(k, w)
-                    assert paths.lattice_to_word(lp) == w
-                    assert paths.is_odd_lattice(lp) == core.is_odd_word(w)
+    def test_round_trip_and_parity(self, harness):
+        assert harness("paths.lattice_encoding", k_max=5, word_cap=8).passed
 
     def test_rejects_word_outside_class(self):
         with pytest.raises(DomainError):
@@ -224,27 +223,17 @@ class TestEnumeration:
     def test_peak_pair_example(self):
         assert counting.dyck_peak_pair_count(2, 1, 1) == 1
 
-    def test_peak_pair_matches_enumeration(self):
-        for n in range(2, 7):
-            pairs = [
-                (paths.peaks(p)[0], paths.peaks(p)[-1])
-                for p in paths.enumerate_dyck(n)
-            ]
-            for a in range(1, n + 1):
-                for b in range(1, 2 * (n - 1) - a + 1):
-                    assert pairs.count((a, b)) == counting.dyck_peak_pair_count(
-                        n - 1, a, b
-                    ), (n, a, b)
+    def test_peak_pair_matches_enumeration(self, harness):
+        assert harness("paths.peak_statistics_formulas", n_max=6).passed
 
-    def test_peak_sum_matches_enumeration(self):
+    def test_peak_sum_matches_enumeration(self, harness):
+        # the harness sweeps s >= 2 for 2 <= n <= 7; no path has a peak sum
+        # below 2, and the formula must say so
+        assert harness("paths.peak_statistics_formulas", n_max=7).passed
         for n in range(1, 8):
-            sums = [
-                paths.first_last_peak_sum(p)
-                for p in paths.enumerate_dyck(n)
-                if paths.peaks(p)
-            ]
-            for s in range(2 * n - 1):
-                assert sums.count(s) == counting.dyck_peak_sum_count(n, s), (n, s)
+            sums = [paths.first_last_peak_sum(p) for p in paths.enumerate_dyck(n)]
+            for s in range(min(2, 2 * n - 1)):
+                assert sums.count(s) == counting.dyck_peak_sum_count(n, s) == 0, (n, s)
 
     def test_peak_sum_ties_to_word_count(self):
         for k in range(1, 8):
@@ -279,6 +268,18 @@ def test_lattice_bijection_on_random_words(kw):
     lp = paths.word_to_lattice(k, w)
     assert paths.lattice_to_word(lp) == w
     assert paths.is_odd_lattice(lp) == core.is_odd_word(w)
+
+
+FOREIGN = [" ", "\n", "\t", "\u00a0", "\u0663", "\uff11", "u", "d", "x", "0", "1"]
+
+
+@given(st.text(st.sampled_from("UD") | st.sampled_from(FOREIGN) | st.characters()))
+def test_check_steps_rejects_exactly_foreign_characters(p):
+    if all(c in "UD" for c in p):
+        assert paths.check_steps(p) == p
+    else:
+        with pytest.raises(DomainError):
+            paths.check_steps(p)
 
 
 def test_svg_rendering_smoke():

@@ -78,6 +78,15 @@ class TestEnumerateAvoidingWords:
     def test_small_table(self):
         assert patterns.enumerate_avoiding_words(3, 4) == ["1010", "1100"]
 
+    def test_equals_brute_force_filter(self):
+        # a word that avoids at k avoids at k + 1, so each k filters the
+        # words kept at k + 1 rather than all 2^m words again
+        for m in range(17):
+            kept = [format(x, f"0{m}b") if m else "" for x in range(2**m)]
+            for k in range(9, -1, -1):
+                kept = [w for w in kept if patterns.is_avoiding_word(k, w)]
+                assert patterns.enumerate_avoiding_words(k, m) == sorted(kept), (k, m)
+
     def test_empty_word_always_avoids(self):
         for k in range(1, 5):
             assert patterns.enumerate_avoiding_words(k, 0) == [""]

@@ -8,11 +8,75 @@ import pytest
 import grassperm
 
 SOURCES = sorted(Path(grassperm.__file__).parent.glob("*.py"))
+CONTAINER_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+CONTAINER_CALLS = {"dict", "list", "set"}
+CACHES = {"cache", "lru_cache"}
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def import_time_nodes(tree):
+    """Every node run at import: the module body, not function or class bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def builds_container(value):
+    if isinstance(value, ast.Tuple):
+        return any(builds_container(v) for v in value.elts)
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+        return value.func.id in CONTAINER_CALLS
+    return isinstance(value, CONTAINER_DISPLAYS)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     # `python -O` strips asserts, so a check written as one silently vanishes.
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = parse(path)
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"assert statements in {path.name} at lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_level_containers(path):
+    # A module-level container that code fills is a memo shared by every
+    # caller in the process.  UPPER_CASE names are read-only tables by
+    # convention.
+    bound = []
+    for node in import_time_nodes(parse(path)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        lower = [n for n in names if n.islower() and not n.startswith("__")]
+        if lower and builds_container(node.value):
+            bound.append((node.lineno, lower))
+    assert bound == [], f"module-level containers in {path.name}: {bound}"
+
+
+def decorator_name(dec):
+    target = dec.func if isinstance(dec, ast.Call) else dec
+    return getattr(target, "id", getattr(target, "attr", None))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_caches_only_in_the_oracle(path):
+    # The oracle's per-size tallies are the one cache the package keeps.
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    cached = [
+        node.lineno
+        for node in ast.walk(parse(path))
+        if isinstance(node, functions)
+        and any(decorator_name(dec) in CACHES for dec in node.decorator_list)
+    ]
+    if path.name != "oracle.py":
+        assert cached == [], f"cache decorators in {path.name} at lines {cached}"
