@@ -23,7 +23,7 @@ import json
 import os
 import sys
 
-from . import classes, core, counting, oracle, parity, paths, patterns, series, verify
+from . import classes, core, counting, parity, paths, patterns, series, verify
 from .errors import DomainError
 
 # Each quantity's forms (flags, module, function), most flags first: the first
@@ -59,7 +59,7 @@ COUNT_FORMS = {
     "total-odd": ((("k",), parity, "total_odd_avoiders"),),
 }
 
-ENUMERATE_CAPS = {"words": oracle.WORD_CAP, "avoiders": 14, "dyck": 12}
+ENUMERATE_CAPS = {"words": 24, "avoiders": 14, "dyck": 12}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,9 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=("all",) + tuple(verify.SUITES),
     )
-    p_verify.add_argument("--k-max", type=int, default=6)
-    p_verify.add_argument("--perm-cap", type=int, default=9)
-    p_verify.add_argument("--word-cap", type=int, default=20)
+    p_verify.add_argument("--k-max", type=int, default=verify.Options.k_max)
+    p_verify.add_argument("--perm-cap", type=int, default=verify.Options.perm_cap)
+    p_verify.add_argument("--word-cap", type=int, default=verify.Options.word_cap)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument(
         "--inject-fault",

@@ -1,18 +1,18 @@
 """
 Exact counting formulas: binomials, Catalan and ballot numbers, the three
 equivalent expressions for the number of length-m words avoiding every
-``0^j 1^(k-j)``, peak statistics of Dyck paths, fixed-point counts, and the
-grand totals.
+``0^j 1^(k-j)``, peak statistics of Dyck paths, fixed-point counts, the
+grand totals, and the ballot number as an alternating Catalan sum.
 
 Everything is exact integer arithmetic.  Binomials follow the combinatorial
-convention C(n, k) = 0 outside 0 <= k <= n, which lets the alternating sums
-run over their natural index ranges without case splits.
+convention C(n, k) = 0 outside 0 <= k <= n.  Every alternating Catalan sum
+is one walk, :func:`_alternating_catalan_sum`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import DomainError
 
@@ -60,33 +60,41 @@ def ballot(n: int, k: int) -> int:
     return q
 
 
+def _alternating_catalan_sum(n: int, c: int, f: int) -> int:
+    """sum_{j>=f} (-1)^(j-f) * C(j, f) * C(n-j, j) * catalan(c-j), for f in
+    {0, 1}: the one shape of the paper's alternating Catalan sums.
+
+    Terms vanish once 2j > n or j > c, so the last is j = min(n // 2, c),
+    and the first is already 0 when that is below f.  Each term is walked
+    from the one before by the ratio of small factors, one multiplication
+    and one exact division, and the walk stops at the last term, so no step
+    divides by zero.
+    """
+    total = term = binomial(n - f, f) * catalan(c - f)  # the term at j = f
+    for j in range(f, min(n // 2, c)):
+        # term j + 1 over term j: -1 for the sign,
+        # C(j+1, f) / C(j, f) = (j + 1) / (j + 1 - f),
+        # C(n-j-1, j+1) / C(n-j, j) = (n-2j)(n-2j-1) / ((j+1)(n-j)), and
+        # catalan(c-j-1) / catalan(c-j) = (c-j+1) / (2(2(c-j)-1)); the two
+        # factors j + 1 cancel
+        term = (
+            -term
+            * (n - 2 * j) * (n - 2 * j - 1) * (c - j + 1)
+            // (2 * (j + 1 - f) * (n - j) * (2 * (c - j) - 1))
+        )
+        total += term
+    return total
+
+
 def avoiding_word_count_alternating(k: int, m: int) -> int:
     """Alternating closed form for the number of length-m avoiding words.
 
-    sum_{j=1}^{2k-m} (-1)^(j-1) * j * C(2k-m-j, j) * catalan(k-j); terms with
-    2k - m - j < j vanish through the binomial convention, so the sum stops
-    at j = floor((2k - m) / 2) <= k.  Defined for all k, m >= 0 (empty sum
-    once m >= 2k - 1).  Each term is walked from the last by the ratio of
-    small factors, one multiplication and one exact division.
+    sum_{j=1}^{2k-m} (-1)^(j-1) * j * C(2k-m-j, j) * catalan(k-j), defined
+    for all k, m >= 0 (empty sum once m >= 2k - 1).
     """
     if k < 0 or m < 0:
         raise DomainError("k and m must be nonnegative")
-    n = 2 * k - m
-    if n < 2:
-        return 0
-    total, term = 0, (n - 1) * catalan(k - 1)  # the term at j = 1
-    for j in range(1, n // 2 + 1):
-        total += term
-        # term j + 1 over term j: -(j + 1) / j for the sign and factor j,
-        # C(n-j-1, j+1) / C(n-j, j) = (n-2j)(n-2j-1) / ((j+1)(n-j)), and
-        # catalan(k-j-1) / catalan(k-j) = (k-j+1) / (2(2(k-j)-1)); past the
-        # last term the value is not used
-        term = (
-            -term
-            * (n - 2 * j) * (n - 2 * j - 1) * (k - j + 1)
-            // (2 * j * (n - j) * (2 * (k - j) - 1))
-        )
-    return total
+    return _alternating_catalan_sum(2 * k - m, k, 1)
 
 
 def avoiding_word_count(k: int, m: int) -> int:
@@ -161,15 +169,14 @@ def dyck_peak_sum_count(n: int, s: int) -> int:
 
     sum_{j=1}^{floor(s/2)} (-1)^(j-1) * j * C(s-j, j) * catalan(n-1-j),
     valid for s <= 2n - 2 (the single-peak staircase path is excluded).
+    Through the word-to-Dyck bijection this is the number of length
+    2n - 2 - s words avoiding every ``0^j 1^(n-1-j)``.
     """
     if n < 1:
         raise DomainError("n must be positive")
     if s > 2 * n - 2:
         raise DomainError(f"s must be at most 2n - 2, got s={s}, n={n}")
-    return sum(
-        (-1) ** (j - 1) * j * binomial(s - j, j) * catalan(n - 1 - j)
-        for j in range(1, s // 2 + 1)
-    )
+    return avoiding_word_count_alternating(n - 1, 2 * n - 2 - s)
 
 
 def fixed_point_count(n: int, k: int) -> int:
@@ -220,56 +227,16 @@ def avoiding_words_with_zeros(k: int, j: int) -> int:
     return ballot(k, j + 1)
 
 
-def ballot_catalan_identity_holds(a: int, b: int) -> bool:
-    """Check T(a, b) = sum_{j=0}^{a-b} (-1)^j * C(a-b-j, j) * catalan(a-j)."""
+def ballot_alternating(a: int, b: int) -> int:
+    """The ballot number T(a, b) as an alternating Catalan sum:
+    sum_{j=0}^{a-b} (-1)^j * C(a-b-j, j) * catalan(a-j).
+
+    >>> ballot_alternating(3, 1)
+    3
+    """
     if a < 0 or b < 0 or b > a:
         raise DomainError(f"need 0 <= b <= a, got ({a}, {b})")
-    rhs = sum(
-        (-1) ** j * binomial(a - b - j, j) * catalan(a - j) for j in range(a - b + 1)
-    )
-    return ballot(a, b) == rhs
-
-
-class IdentityCheck(NamedTuple):
-    identity: str
-    k: int
-    m: int | None
-    expected: int
-    actual: int
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-
-def verify_concluding_identities(k_max: int) -> list[IdentityCheck]:
-    """Evaluate both closing identities for every k up to k_max.
-
-    (i)  the alternating sum equals 2^m for all 0 <= m < k, and
-    (ii) sum_{j=1}^{k} (-1)^(j-1) * j * C(k-j, j) * catalan(k-j) = 2^k - k - 1.
-    """
-    if k_max < 1:
-        raise DomainError("k_max must be positive")
-    checks = []
-    for k in range(1, k_max + 1):
-        for m in range(k):
-            checks.append(
-                IdentityCheck(
-                    "alternating_sum_is_power_of_two",
-                    k,
-                    m,
-                    2**m,
-                    avoiding_word_count_alternating(k, m),
-                )
-            )
-        lhs = sum(
-            (-1) ** (j - 1) * j * binomial(k - j, j) * catalan(k - j)
-            for j in range(1, k + 1)
-        )
-        checks.append(
-            IdentityCheck("alternating_sum_at_full_length", k, None, 2**k - k - 1, lhs)
-        )
-    return checks
+    return _alternating_catalan_sum(a - b, a, 0)
 
 
 def avoiding_word_table(k_max: int) -> Iterator[tuple[int, int, int]]:

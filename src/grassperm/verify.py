@@ -91,14 +91,20 @@ def _perms(n: int, opts: Options, keep: Callable[[oracle.PermKey], bool]) -> int
     return sum(count for key, count in tally.items() if keep(key))
 
 
-def _capped_k_range(opts: Options) -> range:
+def _capped_k(opts: Options) -> tuple[range, dict]:
     """The k whose words (lengths up to 2k - 2) all fit under the word cap,
-    so that a sum over lengths is complete."""
-    return range(1, min(opts.k_max, opts.word_cap // 2 + 1) + 1)
+    so that a sum over lengths is complete, and the params that report
+    them: the largest k swept, the cap, and the k it cut, if any."""
+    top = min(opts.k_max, opts.word_cap // 2 + 1)
+    params = {"k_max": top, "word_cap": opts.word_cap}
+    if top < opts.k_max:
+        params["skipped_k"] = list(range(top + 1, opts.k_max + 1))
+    return range(1, top + 1), params
 
 
 def suite_counting(opts: Options) -> list[Check]:
     fault = opts.fault
+    capped_ks, capped_params = _capped_k(opts)
     recurrence = {(k, m): c for k, m, c in counting.avoiding_word_table(opts.k_max)}
 
     def table(k: int, m: int) -> int:
@@ -189,7 +195,7 @@ def suite_counting(opts: Options) -> list[Check]:
         ),
         _sweep(
             "words_by_zero_count",
-            {"k_max": opts.k_max},
+            capped_params,
             (
                 (
                     {"k": k, "j": j},
@@ -199,7 +205,7 @@ def suite_counting(opts: Options) -> list[Check]:
                     ),
                     counting.avoiding_words_with_zeros(k, j),
                 )
-                for k in _capped_k_range(opts)
+                for k in capped_ks
                 for j in range(k + 1)
             ),
         ),
@@ -233,6 +239,7 @@ def suite_counting(opts: Options) -> list[Check]:
 
 
 def suite_parity(opts: Options) -> list[Check]:
+    capped_ks, capped_params = _capped_k(opts)
     return [
         _sweep(
             "odd_vs_word_oracle",
@@ -285,7 +292,7 @@ def suite_parity(opts: Options) -> list[Check]:
         ),
         _sweep(
             "odd_words_by_zero_count",
-            {"k_max": opts.k_max},
+            capped_params,
             (
                 (
                     {"k": k, "j": j},
@@ -295,7 +302,7 @@ def suite_parity(opts: Options) -> list[Check]:
                     ),
                     parity.odd_avoiding_words_with_zeros(k, j),
                 )
-                for k in _capped_k_range(opts)
+                for k in capped_ks
                 for j in range(k + 1)
             ),
         ),
@@ -586,32 +593,34 @@ def suite_series(opts: Options) -> list[Check]:
 
 def suite_identities(opts: Options) -> list[Check]:
     a_max = max(opts.k_max, 6)
+
+    def concluding_cells():
+        # (i) the alternating sum is 2^m for m < k; (ii) at m = k it is
+        # 2^k - k - 1
+        for k in range(1, opts.k_max + 1):
+            for m in range(k):
+                yield (
+                    {"identity": "alternating_sum_is_power_of_two", "k": k, "m": m},
+                    2**m,
+                    counting.avoiding_word_count_alternating(k, m),
+                )
+            yield (
+                {"identity": "alternating_sum_at_full_length", "k": k, "m": None},
+                2**k - k - 1,
+                counting.avoiding_word_count_alternating(k, k),
+            )
+
     return [
         _sweep(
             "ballot_catalan_alternating_sum",
             {"a_max": a_max},
             (
-                (
-                    {"a": a, "b": b},
-                    1,
-                    int(counting.ballot_catalan_identity_holds(a, b)),
-                )
+                ({"a": a, "b": b}, counting.ballot(a, b), counting.ballot_alternating(a, b))
                 for a in range(a_max + 1)
                 for b in range(a + 1)
             ),
         ),
-        _sweep(
-            "concluding_identities",
-            {"k_max": opts.k_max},
-            (
-                (
-                    {"identity": c.identity, "k": c.k, "m": c.m},
-                    c.expected,
-                    c.actual,
-                )
-                for c in counting.verify_concluding_identities(opts.k_max)
-            ),
-        ),
+        _sweep("concluding_identities", {"k_max": opts.k_max}, concluding_cells()),
     ]
 
 

@@ -4,7 +4,7 @@ Ranges that ``verify`` sweeps are read from the session's harness run."""
 
 import time
 
-from grassperm import cli, counting, parity, paths
+from grassperm import cli, counting, parity, paths, verify
 
 
 def report(n: int, label: str, ok: bool) -> None:
@@ -47,11 +47,9 @@ def test_criterion_03_dyck_bijection_certified(harness):
 
 
 def test_criterion_04_ballot_catalan_identity():
-    ok = all(
-        counting.ballot_catalan_identity_holds(a, b)
-        for a in range(31)
-        for b in range(a + 1)
-    )
+    ballots, _ = verify.suite_identities(verify.Options(k_max=30))
+    ok = ballots.passed and ballots.params == {"a_max": 30}
+    ok = ok and ballots.expected == sum(a + 1 for a in range(31))
     report(4, "ballot number as alternating Catalan sum, a <= 30", ok)
 
 
@@ -126,14 +124,10 @@ def test_criterion_09_inversion_generating_table(harness):
 
 
 def test_criterion_10_concluding_identities():
-    checks = counting.verify_concluding_identities(25)
-    ok = all(c.ok for c in checks)
-    spot = [
-        c
-        for c in checks
-        if c.identity == "alternating_sum_at_full_length" and c.k == 3
-    ]
-    ok = ok and spot[0].actual == 4 == 2**3 - 3 - 1
+    _, concluding = verify.suite_identities(verify.Options(k_max=25))
+    ok = concluding.passed and concluding.params == {"k_max": 25}
+    ok = ok and concluding.expected == sum(k + 1 for k in range(1, 26))
+    ok = ok and counting.avoiding_word_count_alternating(3, 3) == 4 == 2**3 - 3 - 1
     report(10, "closing identities hold for k <= 25", ok)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from grassperm import cli, counting
+from grassperm import cli, counting, verify
 
 
 def run(capsys, *argv):
@@ -467,6 +467,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", suite, "--word-cap", "6")
         assert code == 0
         assert "FAIL" not in out
+
+    def test_small_word_cap_names_the_skipped_k(self):
+        # words of k = 5 and 6 reach length 8 and 10, past the cap of 6
+        opts = verify.Options(k_max=6, word_cap=6)
+        results = verify.run_suites(["counting", "parity"], opts)
+        checks = {f"{r.suite}.{c.name}": c for r in results for c in r.checks}
+        for name in ("counting.words_by_zero_count", "parity.odd_words_by_zero_count"):
+            check = checks[name]
+            assert check.params == {"k_max": 4, "word_cap": 6, "skipped_k": [5, 6]}
+            assert check.passed and check.expected == sum(k + 1 for k in range(1, 5))
+        uncut = {c.name: c for c in verify.suite_counting(verify.Options(k_max=6, word_cap=10))}
+        assert uncut["words_by_zero_count"].params == {"k_max": 6, "word_cap": 10}
 
     @pytest.mark.parametrize(
         "flags", [("--word-cap", "-1"), ("--perm-cap", "-1"), ("--k-max", "0")]

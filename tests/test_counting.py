@@ -3,7 +3,7 @@ from functools import cache
 import pytest
 from hypothesis import given, strategies as st
 
-from grassperm import counting, oracle, paths
+from grassperm import counting, oracle, paths, verify
 from grassperm.errors import DomainError
 
 
@@ -63,6 +63,29 @@ class TestBallot:
                     if key.longest < k and key.zeros == k - 1
                 )
                 assert observed == counting.ballot(k - 1, m - k), (k, m)
+
+
+# The per-term alternating Catalan sums, literally as the paper writes them:
+# the references the walked kernel behind them is held to.
+def alternating_per_term(k: int, m: int) -> int:
+    return sum(
+        (-1) ** (j - 1) * j * counting.binomial(2 * k - m - j, j) * counting.catalan(k - j)
+        for j in range(1, 2 * k - m + 1)
+    )
+
+
+def ballot_per_term(a: int, b: int) -> int:
+    return sum(
+        (-1) ** j * counting.binomial(a - b - j, j) * counting.catalan(a - j)
+        for j in range(a - b + 1)
+    )
+
+
+def peak_sum_per_term(n: int, s: int) -> int:
+    return sum(
+        (-1) ** (j - 1) * j * counting.binomial(s - j, j) * counting.catalan(n - 1 - j)
+        for j in range(1, s // 2 + 1)
+    )
 
 
 @cache
@@ -136,18 +159,11 @@ class TestAvoidingWordCounts:
         assert counting.avoiding_word_count_alternating(1000, 3) == 2**3
 
     def test_alternating_walk_matches_per_term_sum(self):
-        def per_term(k, m):
-            return sum(
-                (-1) ** (j - 1)
-                * j
-                * counting.binomial(2 * k - m - j, j)
-                * counting.catalan(k - j)
-                for j in range(1, 2 * k - m + 1)
-            )
-
         for k in range(60):
             for m in range(2 * k + 3):
-                assert counting.avoiding_word_count_alternating(k, m) == per_term(k, m), (k, m)
+                assert counting.avoiding_word_count_alternating(k, m) == alternating_per_term(
+                    k, m
+                ), (k, m)
 
     @pytest.mark.parametrize(
         "k,m",
@@ -239,37 +255,73 @@ class TestTotals:
             assert counting.avoiding_words_with_zeros(k, k + 1) == 0
 
 
+class TestPeakSumCount:
+    def test_matches_per_term_sum(self):
+        for k in range(40):
+            for s in range(-1, 2 * k + 1):
+                assert counting.dyck_peak_sum_count(k + 1, s) == peak_sum_per_term(
+                    k + 1, s
+                ), (k, s)
+
+    def test_rejects_bad_domain(self):
+        with pytest.raises(DomainError):
+            counting.dyck_peak_sum_count(0, 0)
+        with pytest.raises(DomainError):
+            counting.dyck_peak_sum_count(3, 5)
+
+
 class TestIdentities:
     def test_degenerate_diagonal(self):
         for a in range(10):
-            assert counting.ballot_catalan_identity_holds(a, a)
+            assert counting.ballot_alternating(a, a) == counting.ballot(a, a) == counting.catalan(a)
 
     def test_spot(self):
-        assert counting.ballot_catalan_identity_holds(3, 1)
+        assert counting.ballot_alternating(3, 1) == counting.ballot(3, 1) == 3
 
     def test_sweep(self):
         for a in range(26):
             for b in range(a + 1):
-                assert counting.ballot_catalan_identity_holds(a, b)
+                assert counting.ballot_alternating(a, b) == counting.ballot(a, b), (a, b)
+
+    def test_ballot_walk_matches_per_term_sum(self):
+        for a in range(60):
+            for b in range(a + 1):
+                assert counting.ballot_alternating(a, b) == ballot_per_term(a, b), (a, b)
 
     def test_rejects_bad_domain(self):
-        with pytest.raises(DomainError):
-            counting.ballot_catalan_identity_holds(2, 3)
+        for a, b in [(2, 3), (-1, 0), (2, -1)]:
+            with pytest.raises(DomainError):
+                counting.ballot_alternating(a, b)
 
     def test_concluding_identities_all_pass(self):
-        checks = counting.verify_concluding_identities(25)
-        assert all(c.ok for c in checks)
+        ballots, concluding = verify.suite_identities(verify.Options(k_max=25))
+        assert ballots.passed and ballots.params == {"a_max": 25}
+        assert concluding.passed and concluding.params == {"k_max": 25}
+        # identity (i) at every m < k, and identity (ii) once per k
+        assert concluding.expected == sum(k + 1 for k in range(1, 26))
 
     def test_concluding_spot_values(self):
-        by_key = {
-            (c.identity, c.k, c.m): c for c in counting.verify_concluding_identities(3)
+        assert counting.avoiding_word_count_alternating(3, 3) == 4 == 2**3 - 3 - 1
+        assert counting.avoiding_word_count_alternating(1, 1) == 0
+        assert counting.avoiding_word_count_alternating(3, 0) == 1
+
+    def test_full_length_matches_per_term_sum(self):
+        for k in range(1, 40):
+            # the left side of identity (ii) is the per-term sum at m = k
+            value = counting.avoiding_word_count_alternating(k, k)
+            assert value == alternating_per_term(k, k) == 2**k - k - 1, k
+
+    def test_mismatch_names_both_values(self, monkeypatch):
+        def off_at_4_2(a, b):
+            return counting.ballot(a, b) + ((a, b) == (4, 2))
+
+        monkeypatch.setattr(counting, "ballot_alternating", off_at_4_2)
+        ballots, _ = verify.suite_identities(verify.Options(k_max=6))
+        assert not ballots.passed
+        value = counting.ballot(4, 2)
+        assert ballots.params["first_mismatch"] == {
+            "a": 4, "b": 2, "expected": value, "actual": value + 1
         }
-        full = by_key[("alternating_sum_at_full_length", 3, None)]
-        assert full.expected == full.actual == 4
-        k1 = by_key[("alternating_sum_at_full_length", 1, None)]
-        assert k1.expected == k1.actual == 0
-        m0 = by_key[("alternating_sum_is_power_of_two", 3, 0)]
-        assert m0.expected == m0.actual == 1
 
 
 def test_table_rows_shape():

@@ -80,3 +80,24 @@ def test_caches_only_in_the_oracle(path):
     ]
     if path.name != "oracle.py":
         assert cached == [], f"cache decorators in {path.name} at lines {cached}"
+
+
+def is_minus_one(node):
+    return (
+        isinstance(node, ast.UnaryOp)
+        and isinstance(node.op, ast.USub)
+        and isinstance(node.operand, ast.Constant)
+        and node.operand.value == 1
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_sign_powers(path):
+    # An alternating sum written term by term as (-1) ** j * ... recomputes
+    # every term; counting walks them all in one kernel.
+    powers = [
+        node.lineno
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and is_minus_one(node.left)
+    ]
+    assert powers == [], f"(-1) ** ... in {path.name} at lines {powers}"
