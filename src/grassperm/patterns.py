@@ -6,6 +6,9 @@ Word containment is plain subsequence containment.  Containment between
 Grassmannian permutations is decided on their words, by
 ``grassmannian_contains``; the generic backtracking search
 ``permutation_contains`` is kept as the reference it is certified against.
+Avoiders are generated, not filtered: each generator extends a prefix only
+while it can still be completed to an avoiding word, so every prefix it
+visits yields a word and the cost follows the output, not the 2^n words.
 """
 
 from __future__ import annotations
@@ -126,19 +129,45 @@ def enumerate_avoiding_words(k: int, m: int) -> list[Word]:
     return out
 
 
+def _words_avoiding(n: int, u: Word) -> list[Word]:
+    """All length-n words that do not contain the nonempty ``u`` as a
+    subsequence, lexicographically sorted.
+
+    Generated depth first, ``0`` before ``1``, over the state (prefix,
+    letters of ``u`` matched greedily).  The letter ``u`` does not ask for
+    next never advances the match, so a prefix whose match is incomplete
+    can always be completed.
+    """
+    out: list[Word] = []
+
+    def extend(prefix: Word, matched: int, left: int) -> None:
+        if not left:
+            out.append(prefix)
+            return
+        for c in "01":
+            advanced = matched + (c == u[matched])
+            if advanced < len(u):
+                extend(prefix + c, advanced, left - 1)
+
+    extend("", 0, n)
+    return out
+
+
 def enumerate_avoiders(n: int, pattern: Permutation) -> list[Permutation]:
     """All Grassmannian permutations of [n] avoiding ``pattern``, sorted.
 
-    The pattern must itself be Grassmannian.  Each length-n word is tested
-    by ``grassmannian_contains``; the identity's words all agree, and
-    decoding merges them.
+    The pattern must itself be Grassmannian.  The avoiding words are
+    generated: for the identity of size k, those avoiding every
+    ``0^j 1^(k-j)``; for any other pattern, those avoiding its word as a
+    subsequence.  Decoding merges the identity's words.
     """
     pattern = core.check_permutation(pattern)
     if not core.is_grassmannian(pattern):
         raise DomainError(f"pattern is not Grassmannian: {pattern!r}")
     if n < 0:
         raise DomainError("n must be nonnegative")
-    u = core.canonical_word(pattern)
-    words = (format(x, f"0{n}b") if n else "" for x in range(2**n))
-    avoiders = {core.grassmannian_of_word(w) for w in words if not grassmannian_contains(w, u)}
-    return sorted(avoiders)
+    if core.is_identity(pattern):
+        words = enumerate_avoiding_words(len(pattern), n)
+    else:
+        words = _words_avoiding(n, core.canonical_word(pattern))
+    return sorted({core.grassmannian_of_word(w) for w in words})

@@ -78,16 +78,16 @@ def word_oracle_cells(opts: Options) -> list[tuple[int, int]]:
     return [(k, m) for k in ks for m in _word_m_range(k, opts.word_cap)]
 
 
-def _words(m: int, opts: Options, keep: Callable[[oracle.WordKey], bool]) -> int:
+def _words(m: int, keep: Callable[[oracle.WordKey], bool]) -> int:
     """How many length-m words have statistics that pass ``keep``."""
-    tally = oracle.word_statistics(m, opts.word_cap)
+    tally = oracle.word_statistics(m)
     return sum(count for key, count in tally.items() if keep(key))
 
 
-def _perms(n: int, opts: Options, keep: Callable[[oracle.PermKey], bool]) -> int:
+def _perms(n: int, keep: Callable[[oracle.PermKey], bool]) -> int:
     """How many Grassmannian permutations of [n] have statistics that pass
     ``keep``."""
-    tally = oracle.grassmannian_statistics(n, opts.perm_cap)
+    tally = oracle.grassmannian_statistics(n)
     return sum(count for key, count in tally.items() if keep(key))
 
 
@@ -116,7 +116,7 @@ def suite_counting(opts: Options) -> list[Check]:
             "recurrence_vs_word_oracle",
             {"k_max": opts.k_max, "word_cap": opts.word_cap},
             (
-                ({"k": k, "m": m}, _words(m, opts, lambda w: w.longest < k), table(k, m))
+                ({"k": k, "m": m}, _words(m, lambda w: w.longest < k), table(k, m))
                 for k, m in word_oracle_cells(opts)
             ),
         ),
@@ -157,7 +157,7 @@ def suite_counting(opts: Options) -> list[Check]:
             "perm_counts_vs_perm_oracle",
             {"k_max": opts.k_max, "perm_cap": opts.perm_cap},
             (
-                ({"k": k, "m": m, "form": form}, _perms(m, opts, lambda p: p.longest < k), value)
+                ({"k": k, "m": m, "form": form}, _perms(m, lambda p: p.longest < k), value)
                 for k in range(1, opts.k_max + 1)
                 for m in range(min(2 * k - 2, opts.perm_cap) + 1)
                 for form, value in (
@@ -167,6 +167,21 @@ def suite_counting(opts: Options) -> list[Check]:
                         len(patterns.enumerate_avoiders(m, core.identity_permutation(k))),
                     ),
                 )
+            ),
+        ),
+        _sweep(
+            "nonidentity_count_vs_enumeration",
+            {"k_max": 5, "n_max": min(opts.perm_cap, 7)},
+            (
+                (
+                    {"pattern": core.perm_to_str(p), "n": n},
+                    counting.nonidentity_avoider_count(n, k),
+                    len(patterns.enumerate_avoiders(n, p)),
+                )
+                for k in range(2, 6)
+                for p in core.grassmannian_permutations(k)
+                if not core.is_identity(p)
+                for n in range(min(opts.perm_cap, 7) + 1)
             ),
         ),
         _sweep(
@@ -200,7 +215,7 @@ def suite_counting(opts: Options) -> list[Check]:
                 (
                     {"k": k, "j": j},
                     sum(
-                        _words(m, opts, lambda w: w.longest < k and w.zeros == j)
+                        _words(m, lambda w: w.longest < k and w.zeros == j)
                         for m in _word_m_range(k, opts.word_cap)
                     ),
                     counting.avoiding_words_with_zeros(k, j),
@@ -215,7 +230,7 @@ def suite_counting(opts: Options) -> list[Check]:
             (
                 (
                     {"n": n, "k": k},
-                    _perms(n, opts, lambda p: p.fixed_points == k),
+                    _perms(n, lambda p: p.fixed_points == k),
                     counting.fixed_point_count(n, k),
                 )
                 for n in range(opts.perm_cap + 1)
@@ -247,7 +262,7 @@ def suite_parity(opts: Options) -> list[Check]:
             (
                 (
                     {"k": k, "m": m},
-                    _words(m, opts, lambda w: w.longest < k and w.odd),
+                    _words(m, lambda w: w.longest < k and w.odd),
                     parity.odd_word_count(k, m),
                 )
                 for k, m in word_oracle_cells(opts)
@@ -297,7 +312,7 @@ def suite_parity(opts: Options) -> list[Check]:
                 (
                     {"k": k, "j": j},
                     sum(
-                        _words(m, opts, lambda w: w.longest < k and w.odd and w.zeros == j)
+                        _words(m, lambda w: w.longest < k and w.odd and w.zeros == j)
                         for m in _word_m_range(k, opts.word_cap)
                     ),
                     parity.odd_avoiding_words_with_zeros(k, j),
@@ -336,12 +351,11 @@ _CLASSES = (
 )
 
 
-def _oracle_class(n: int, k: int, member: str, odd: bool, opts: Options) -> int:
+def _oracle_class(n: int, k: int, member: str, odd: bool) -> int:
     """Members of one class among the Grassmannian permutations of [n] that
     avoid 12...k; every one avoids 12...(n + 1)."""
     return _perms(
         n,
-        opts,
         lambda p: p.longest < k and getattr(p, member) and (not odd or p.inversions % 2),
     )
 
@@ -354,7 +368,7 @@ def suite_classes(opts: Options) -> list[Check]:
             (
                 (
                     {"class": name, "m": m},
-                    _oracle_class(m, m + 1, member, odd, opts),
+                    _oracle_class(m, m + 1, member, odd),
                     total(m),
                 )
                 for m in range(opts.perm_cap + 1)
@@ -367,7 +381,7 @@ def suite_classes(opts: Options) -> list[Check]:
             (
                 (
                     {"class": name, "k": k, "m": m},
-                    _oracle_class(m, k, member, odd, opts),
+                    _oracle_class(m, k, member, odd),
                     avoiders(k, m),
                 )
                 for k in range(2, opts.k_max + 1)
@@ -563,13 +577,18 @@ def suite_paths(opts: Options) -> list[Check]:
 
 
 def suite_series(opts: Options) -> list[Check]:
+    # The oracle goes first, so that it refuses a perm_cap past its own
+    # before any table is expanded to that size.
+    hists: list[dict[int, int]] = []
+    for n in range(opts.perm_cap + 1):
+        hist: dict[int, int] = {}
+        for key, count in oracle.grassmannian_statistics(n).items():
+            hist[key.inversions] = hist.get(key.inversions, 0) + count
+        hists.append(hist)
     table = series.inversion_table(opts.perm_cap)
 
     def histogram_cells():
-        for n in range(opts.perm_cap + 1):
-            hist: dict[int, int] = {}
-            for key, count in oracle.grassmannian_statistics(n, opts.perm_cap).items():
-                hist[key.inversions] = hist.get(key.inversions, 0) + count
+        for n, hist in enumerate(hists):
             row = table.row(n)
             keys = sorted(set(hist) | set(row))
             for i in keys:

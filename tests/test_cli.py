@@ -481,6 +481,20 @@ class TestVerify:
         assert uncut["words_by_zero_count"].params == {"k_max": 6, "word_cap": 10}
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            # 13! permutations, or 2^25 words, are past what the oracle serves
+            ("--suite", "counting", "--k-max", "3", "--perm-cap", "13"),
+            ("--suite", "counting", "--k-max", "14", "--word-cap", "25"),
+        ],
+    )
+    def test_cap_past_the_oracle_exits_3(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: oracle serves") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "flags", [("--word-cap", "-1"), ("--perm-cap", "-1"), ("--k-max", "0")]
     )
     def test_bad_cap_is_usage_error(self, capsys, flags):

@@ -1,11 +1,59 @@
 import ast
 import inspect
 import sys
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 
 from grassperm import oracle
 from grassperm.errors import CapExceededError, DomainError
+
+
+def brute_word_tally(m):
+    """The word tally one word at a time, over all 2^m words."""
+    tally = Counter()
+    for word in product("01", repeat=m):
+        zeros = ones = longest = inversions = 0
+        for c in word:
+            if c == "0":
+                zeros += 1
+                longest = max(longest, zeros)
+                inversions += ones
+            else:
+                ones += 1
+                longest += 1
+        tally[oracle.WordKey(longest, zeros, inversions % 2 == 1)] += 1
+    return tally
+
+
+def brute_grassmannian_tally(n):
+    """The permutation tally by filtering all n! permutations."""
+
+    def descents(p):
+        return sum(1 for i in range(len(p) - 1) if p[i] > p[i + 1])
+
+    def longest_increasing(p):
+        # longest[i]: the longest increasing subsequence ending at p[i]
+        longest = []
+        for i, v in enumerate(p):
+            longest.append(1 + max((longest[j] for j in range(i) if p[j] < v), default=0))
+        return max(longest, default=0)
+
+    tally = Counter()
+    for p in permutations(range(1, n + 1)):
+        if descents(p) > 1:
+            continue
+        inverse = tuple(sorted(range(1, n + 1), key=lambda i: p[i - 1]))
+        key = oracle.PermKey(
+            longest_increasing(p),
+            descents(inverse) <= 1,
+            inverse == p,
+            sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j]),
+            sum(1 for i, v in enumerate(p, 1) if i == v),
+        )
+        tally[key] += 1
+    return tally
 
 
 def avoiders(tally, k, keep=lambda key: True) -> int:
@@ -19,12 +67,15 @@ class TestPermutationOracle:
         assert sum(oracle.grassmannian_statistics(n).values()) == count
 
     def test_cap_refusal(self):
+        assert oracle.PERM_CAP == 12
         with pytest.raises(CapExceededError):
-            oracle.grassmannian_statistics(11)
+            oracle.grassmannian_statistics(13)
         with pytest.raises(DomainError):
             oracle.grassmannian_statistics(-1)
-        # explicit cap raise is honored
-        assert sum(oracle.grassmannian_statistics(4, cap=4).values()) == 12
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_walk_equals_filter(self, n):
+        assert oracle.grassmannian_statistics(n) == brute_grassmannian_tally(n)
 
     def test_count_examples(self):
         tally = oracle.grassmannian_statistics(4)
@@ -57,6 +108,10 @@ class TestWordOracle:
             oracle.word_statistics(25)
         with pytest.raises(DomainError):
             oracle.word_statistics(-1)
+
+    @pytest.mark.parametrize("m", range(17))
+    def test_aggregated_walk_equals_word_loop(self, m):
+        assert oracle.word_statistics(m) == brute_word_tally(m)
 
 
 def test_oracle_module_stays_independent():

@@ -7,6 +7,16 @@ from grassperm.errors import DomainError
 word = st.text(alphabet="01", max_size=12)
 
 
+def filtered_avoiders(n, pattern):
+    """The avoiders by testing all 2^n words of length n, decoded and sorted."""
+    u = core.canonical_word(pattern)
+    words = (format(x, f"0{n}b") if n else "" for x in range(2**n))
+    avoiders = {
+        core.grassmannian_of_word(w) for w in words if not patterns.grassmannian_contains(w, u)
+    }
+    return sorted(avoiders)
+
+
 class TestWordContainment:
     def test_scattered_match(self):
         assert patterns.word_contains("01001101100", "1100")
@@ -118,6 +128,14 @@ class TestEnumerateAvoiders:
                 expected = [p for p in hosts if not patterns.permutation_contains(p, pat)]
                 assert patterns.enumerate_avoiders(n, pat) == expected, (n, pat)
 
+    def test_matches_word_filter(self):
+        # every Grassmannian pattern of size <= 5, the empty one included
+        pats = [p for n in range(6) for p in core.grassmannian_permutations(n)]
+        assert len(pats) == 48
+        for n in range(11):
+            for pat in pats:
+                assert patterns.enumerate_avoiders(n, pat) == filtered_avoiders(n, pat), (n, pat)
+
     def test_rejects_negative_size(self):
         with pytest.raises(DomainError):
             patterns.enumerate_avoiders(-1, (1, 2))
@@ -157,6 +175,11 @@ class TestEnumerateAvoiders:
                         n,
                         pat,
                     )
+
+    def test_nonidentity_count_is_certified(self, harness):
+        # the 42 non-identity patterns of sizes 2 to 5, on hosts n <= 7
+        check = harness("counting.nonidentity_count_vs_enumeration", n_max=7)
+        assert check.passed and check.expected == 42 * 8
 
     def test_nonidentity_pattern_count_spot_k5(self):
         pat = core.grassmannian_of_word("10001")
