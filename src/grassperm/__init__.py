@@ -1,70 +1,56 @@
 """Grassmannian permutations avoiding an increasing pattern: exact counts,
-bijections with binary words and Dyck paths, and brute-force certification."""
+bijections with binary words and Dyck paths, and brute-force certification.
 
-from .core import (
-    a_sequence,
-    canonical_word,
-    descent_count,
-    fixed_points,
-    grassmannian_of_word,
-    grassmannian_permutations,
-    inversion_count,
-    is_grassmannian,
-    is_odd_word,
-    words_of_permutation,
-)
-from .counting import (
-    avoiding_word_count,
-    avoiding_word_count_alternating,
-    ballot,
-    binomial,
-    catalan,
-    fixed_point_count,
-    total_avoiding_perms,
-    total_avoiding_words,
-)
-from .errors import CapExceededError, DomainError
-from .parity import even_word_count, odd_word_count, total_odd_avoiders
-from .patterns import (
-    enumerate_avoiders,
-    enumerate_avoiding_words,
-    grassmannian_contains,
-    permutation_contains,
-    word_contains,
-)
-from .paths import dyck_to_word, enumerate_dyck, word_to_dyck, word_to_lattice
+The names below are imported from their modules on first use (PEP 562), so
+that importing one module of the package does not import them all.
+"""
 
-__all__ = [
-    "CapExceededError",
-    "DomainError",
-    "a_sequence",
-    "avoiding_word_count",
-    "avoiding_word_count_alternating",
-    "ballot",
-    "binomial",
-    "canonical_word",
-    "catalan",
-    "descent_count",
-    "dyck_to_word",
-    "enumerate_avoiders",
-    "enumerate_avoiding_words",
-    "enumerate_dyck",
-    "even_word_count",
-    "fixed_point_count",
-    "fixed_points",
-    "grassmannian_contains",
-    "grassmannian_of_word",
-    "grassmannian_permutations",
-    "inversion_count",
-    "is_grassmannian",
-    "is_odd_word",
-    "odd_word_count",
-    "permutation_contains",
-    "total_avoiding_perms",
-    "total_avoiding_words",
-    "total_odd_avoiders",
-    "word_contains",
-    "word_to_dyck",
-    "word_to_lattice",
-    "words_of_permutation",
-]
+from importlib import import_module
+
+# Each public name and the module that defines it.
+EXPORTS = {
+    "CapExceededError": "errors",
+    "DomainError": "errors",
+    "a_sequence": "core",
+    "avoiding_word_count": "counting",
+    "avoiding_word_count_alternating": "counting",
+    "ballot": "counting",
+    "binomial": "counting",
+    "canonical_word": "core",
+    "catalan": "counting",
+    "descent_count": "core",
+    "dyck_to_word": "paths",
+    "enumerate_avoiders": "patterns",
+    "enumerate_avoiding_words": "patterns",
+    "enumerate_dyck": "paths",
+    "even_word_count": "parity",
+    "fixed_point_count": "counting",
+    "fixed_points": "core",
+    "grassmannian_contains": "patterns",
+    "grassmannian_of_word": "core",
+    "grassmannian_permutations": "core",
+    "inversion_count": "core",
+    "is_grassmannian": "core",
+    "is_odd_word": "core",
+    "odd_word_count": "parity",
+    "permutation_contains": "patterns",
+    "total_avoiding_perms": "counting",
+    "total_avoiding_words": "counting",
+    "total_odd_avoiders": "parity",
+    "word_contains": "patterns",
+    "word_to_dyck": "paths",
+    "word_to_lattice": "paths",
+    "words_of_permutation": "core",
+}
+
+__all__ = sorted(EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{EXPORTS[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(EXPORTS))

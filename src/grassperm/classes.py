@@ -163,3 +163,21 @@ def odd_involution_avoider_count(k: int, m: int) -> int:
         raise DomainError("need k >= 1 and m >= 0")
     t = _reduced_size(k, m)
     return odd_involution_count(t) if t >= 0 else 0
+
+
+def class_table(m_max: int) -> list[tuple[str, int, int]]:
+    """Rows (class, m, count) of the four class totals for 0 <= m <= m_max,
+    one class after another.
+
+    >>> class_table(1)[:3]
+    [('bigrass', 0, 1), ('bigrass', 1, 1), ('bigrass_odd', 0, 0)]
+    """
+    if m_max < 0:
+        raise DomainError("m_max must be nonnegative")
+    totals = (
+        ("bigrass", bigrassmannian_count),
+        ("bigrass_odd", odd_bigrassmannian_count),
+        ("invol", involution_count),
+        ("invol_odd", odd_involution_count),
+    )
+    return [(name, m, total(m)) for name, total in totals for m in range(m_max + 1)]

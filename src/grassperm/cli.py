@@ -14,50 +14,73 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain or
 cap error.  A reader that closes the output early is not an error: the
 command exits 0, or with its verdict for ``verify``.  All output is
 deterministic for fixed flags.
+
+A command imports only the modules it runs, because a one-value query is
+mostly start-up: the form tables name modules by string, and each handler
+imports what it calls.  ``count --quantity B`` loads ``counting`` alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from importlib import import_module
 
-from . import classes, core, counting, parity, paths, patterns, series, verify
 from .errors import DomainError
+
+def _function(module: str, name: str):
+    """``name`` from the package module ``module``, looked up per call."""
+    return getattr(import_module(f"{__package__}.{module}"), name)
+
 
 # Each quantity's forms (flags, module, function), most flags first: the first
 # form given all its flags serves, called with them in order; a call that fits
-# none is told what the last form lacks.  Functions are looked up per call.
+# none is told what the last form lacks.
 COUNT_FORMS = {
-    "B": ((("k", "m"), counting, "avoiding_word_count"),),
-    "A": ((("k", "m"), counting, "avoiding_word_count_alternating"),),
-    "O": ((("k", "m"), parity, "odd_word_count"),),
-    "E": ((("k", "m"), parity, "even_word_count"),),
+    "B": ((("k", "m"), "counting", "avoiding_word_count"),),
+    "A": ((("k", "m"), "counting", "avoiding_word_count_alternating"),),
+    "O": ((("k", "m"), "parity", "odd_word_count"),),
+    "E": ((("k", "m"), "parity", "even_word_count"),),
     "bigrass": (
-        (("k", "m"), classes, "bigrassmannian_avoider_count"),
-        (("m",), classes, "bigrassmannian_count"),
+        (("k", "m"), "classes", "bigrassmannian_avoider_count"),
+        (("m",), "classes", "bigrassmannian_count"),
     ),
     "bigrass-odd": (
-        (("k", "m"), classes, "odd_bigrassmannian_avoider_count"),
-        (("m",), classes, "odd_bigrassmannian_count"),
+        (("k", "m"), "classes", "odd_bigrassmannian_avoider_count"),
+        (("m",), "classes", "odd_bigrassmannian_count"),
     ),
     "invol": (
-        (("k", "m"), classes, "involution_avoider_count"),
-        (("m",), classes, "involution_count"),
+        (("k", "m"), "classes", "involution_avoider_count"),
+        (("m",), "classes", "involution_count"),
     ),
     "invol-odd": (
-        (("k", "m"), classes, "odd_involution_avoider_count"),
-        (("m",), classes, "odd_involution_count"),
+        (("k", "m"), "classes", "odd_involution_avoider_count"),
+        (("m",), "classes", "odd_involution_count"),
     ),
-    "fixed": ((("n", "k"), counting, "fixed_point_count"),),
+    "fixed": ((("n", "k"), "counting", "fixed_point_count"),),
     "total-words": (
-        (("k", "j"), counting, "avoiding_words_with_zeros"),
-        (("k",), counting, "total_avoiding_words"),
+        (("k", "j"), "counting", "avoiding_words_with_zeros"),
+        (("k",), "counting", "total_avoiding_words"),
     ),
-    "total-perms": ((("k",), counting, "total_avoiding_perms"),),
-    "total-odd": ((("k",), parity, "total_odd_avoiders"),),
+    "total-perms": ((("k",), "counting", "total_avoiding_perms"),),
+    "total-odd": ((("k",), "parity", "total_odd_avoiders"),),
 }
+
+# Each table's header and the (module, function, bound flag) whose rows it
+# prints; the function checks its own bound.
+TABLE_FORMS = {
+    "B": (("k", "m", "value"), "counting", "avoiding_word_table", "k_max"),
+    "A": (("k", "m", "value"), "counting", "alternating_word_table", "k_max"),
+    "parity": (("k", "m", "B", "O", "E"), "parity", "parity_table", "k_max"),
+    "classes": (("class", "m", "value"), "classes", "class_table", "m_max"),
+    "gf": (("n", "i", "count"), "series", "inversion_rows", "n_max"),
+}
+
+# ``verify.SUITES``, repeated here (like the ``verify.Options`` defaults
+# below) so that parsing argv does not import the harness; a test holds them
+# equal.
+VERIFY_SUITES = ("counting", "parity", "classes", "paths", "series", "identities")
 
 ENUMERATE_CAPS = {"words": 24, "avoiders": 14, "dyck": 12}
 
@@ -79,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="dump a table as CSV or JSON")
     p_table.add_argument(
-        "--quantity", required=True, choices=("B", "A", "parity", "classes", "gf")
+        "--quantity", required=True, choices=TABLE_FORMS
     )
     p_table.add_argument("--k-max", type=int, default=6)
     p_table.add_argument("--m-max", type=int, default=10)
@@ -115,11 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite",
         default="all",
-        choices=("all",) + tuple(verify.SUITES),
+        choices=("all",) + VERIFY_SUITES,
     )
-    p_verify.add_argument("--k-max", type=int, default=verify.Options.k_max)
-    p_verify.add_argument("--perm-cap", type=int, default=verify.Options.perm_cap)
-    p_verify.add_argument("--word-cap", type=int, default=verify.Options.word_cap)
+    p_verify.add_argument("--k-max", type=int, default=6)
+    p_verify.add_argument("--perm-cap", type=int, default=9)
+    p_verify.add_argument("--word-cap", type=int, default=20)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument(
         "--inject-fault",
@@ -133,53 +156,23 @@ def _cmd_count(parser: argparse.ArgumentParser, args) -> int:
     for flags, module, function in COUNT_FORMS[args.quantity]:
         values = [getattr(args, flag) for flag in flags]
         if None not in values:
-            print(getattr(module, function)(*values))
+            print(_function(module, function)(*values))
             return 0
     missing = ", ".join(f"--{flag}" for flag, v in zip(flags, values) if v is None)
     parser.error(f"--quantity {args.quantity} requires {missing}")
 
 
-def _table_rows(args) -> tuple[list[str], list[tuple]]:
-    """Header and fully built rows, so that a bad bound fails before any
-    output."""
-    q = args.quantity
-    if q == "B":
-        return ["k", "m", "value"], list(counting.avoiding_word_table(args.k_max))
-    if q == "A":
-        if args.k_max < 1:
-            raise DomainError("k_max must be positive")
-        return ["k", "m", "value"], [
-            (k, m, counting.avoiding_word_count_alternating(k, m))
-            for k in range(1, args.k_max + 1)
-            for m in range(2 * k - 1)
-        ]
-    if q == "parity":
-        return ["k", "m", "B", "O", "E"], list(parity.parity_table(args.k_max))
-    if q == "classes":
-        if args.m_max < 0:
-            raise DomainError("m_max must be nonnegative")
-        fns = {
-            "bigrass": classes.bigrassmannian_count,
-            "bigrass_odd": classes.odd_bigrassmannian_count,
-            "invol": classes.involution_count,
-            "invol_odd": classes.odd_involution_count,
-        }
-        return ["class", "m", "value"], [
-            (name, m, fn(m))
-            for name, fn in fns.items()
-            for m in range(args.m_max + 1)
-        ]
-    # gf
-    return ["n", "i", "count"], series.inversion_table(args.n_max).rows()
-
-
 def _cmd_table(args) -> int:
-    header, rows = _table_rows(args)
+    header, module, function, bound = TABLE_FORMS[args.quantity]
+    # Every row is built before any prints, so a bad bound leaves no output.
+    rows = list(_function(module, function)(getattr(args, bound)))
     if args.format == "csv":
         print(",".join(header))
         for row in rows:
             print(",".join(str(v) for v in row))
     else:
+        import json
+
         print(json.dumps([dict(zip(header, row)) for row in rows], indent=None))
     return 0
 
@@ -195,6 +188,8 @@ def _write_listing(names, stats: str | None, values) -> None:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import core, patterns
+
     if args.kind == "words":
         if args.m > args.cap:
             raise DomainError(f"word length {args.m} over cap {args.cap}")
@@ -211,6 +206,8 @@ def _cmd_enumerate(args) -> int:
             values = (core.inversion_count(core.canonical_word(p)) for p in perms)
         _write_listing(map(core.perm_to_str, perms), args.stats, values)
     else:  # dyck
+        from . import paths
+
         if args.n > args.cap:
             raise DomainError(f"semilength {args.n} over cap {args.cap}")
         dyck = paths.enumerate_dyck(args.n)
@@ -223,6 +220,8 @@ def _format_a_sequence(a: tuple[int, ...]) -> str:
 
 
 def _cmd_biject(parser: argparse.ArgumentParser, args) -> int:
+    from . import core, paths
+
     out_path = None
     if args.map == "word-to-dyck":
         if args.k is None:
@@ -295,6 +294,8 @@ def _parse_fault(parser: argparse.ArgumentParser, raw: str | None):
 
 
 def _cmd_verify(parser: argparse.ArgumentParser, args) -> int:
+    from . import verify
+
     if args.k_max < 1:
         parser.error("--k-max must be at least 1")
     if args.perm_cap < 0 or args.word_cap < 0:
@@ -317,6 +318,8 @@ def _cmd_verify(parser: argparse.ArgumentParser, args) -> int:
     results = verify.run_suites(names, opts)
     try:
         if args.format == "json":
+            import json
+
             print(
                 json.dumps(
                     [

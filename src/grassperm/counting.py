@@ -97,6 +97,20 @@ def avoiding_word_count_alternating(k: int, m: int) -> int:
     return _alternating_catalan_sum(2 * k - m, k, 1)
 
 
+def alternating_word_table(k_max: int) -> Iterator[tuple[int, int, int]]:
+    """Rows (k, m, count) for 1 <= k <= k_max, 0 <= m <= 2k - 2, row-major,
+    each by :func:`avoiding_word_count_alternating`.
+
+    >>> [c for k, m, c in alternating_word_table(3) if k == 3]
+    [1, 2, 4, 4, 2]
+    """
+    if k_max < 1:
+        raise DomainError("k_max must be positive")
+    for k in range(1, k_max + 1):
+        for m in range(2 * k - 1):
+            yield k, m, avoiding_word_count_alternating(k, m)
+
+
 def avoiding_word_count(k: int, m: int) -> int:
     """Number of length-m words avoiding every ``0^j 1^(k-j)``.
 

@@ -17,7 +17,6 @@ Here (a_0, ..., a_j) is the run-length sequence of the word, m its length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 from . import core, patterns
@@ -194,30 +193,42 @@ def dyck_to_word(k: int, p: str) -> Word:
     return w
 
 
-@dataclass(frozen=True)
 class LatticePath:
     """A U/D path from the origin staying weakly above y = zeros - k + 1.
 
     ``zeros`` up-steps stand for the word's 0-bits, the down-steps for its
-    1-bits, so the word length is len(steps).
+    1-bits, so the word length is len(steps).  Immutable; equal paths have
+    equal steps and k.
     """
 
-    steps: str
-    k: int
-    zeros: int = field(init=False)
+    __slots__ = ("steps", "k", "zeros")
 
-    def __post_init__(self):
-        check_steps(self.steps)
-        if self.k < 1:
+    def __init__(self, steps: str, k: int) -> None:
+        check_steps(steps)
+        if k < 1:
             raise DomainError("k must be positive")
-        object.__setattr__(self, "zeros", self.steps.count(UP))
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "zeros", steps.count(UP))
         h = 0
-        for c in self.steps:
+        for c in steps:
             h += 1 if c == UP else -1
             if h < self.floor:
-                raise DomainError(
-                    f"path {self.steps!r} falls below its floor y={self.floor}"
-                )
+                raise DomainError(f"path {steps!r} falls below its floor y={self.floor}")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to LatticePath.{name}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LatticePath):
+            return NotImplemented
+        return (self.steps, self.k) == (other.steps, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.steps, self.k))
+
+    def __repr__(self) -> str:
+        return f"LatticePath(steps={self.steps!r}, k={self.k}, zeros={self.zeros})"
 
     @property
     def length(self) -> int:

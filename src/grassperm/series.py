@@ -18,19 +18,21 @@ whose entries are {t-degree: integer coefficient} dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import DomainError
+from .errors import CapExceededError, DomainError
 
 Row = dict[int, int]
 
+# The largest size expanded: the 145,912 rows up to 120 take about 2.5 s to
+# print (2-vCPU VM, Python 3.11), and the cost grows with the fourth power.
+MAX_N = 120
 
-@dataclass(frozen=True)
+
 class InversionTable:
     """Counts of Grassmannian permutations by (size, inversion number)."""
 
-    max_n: int
-    entries: dict[tuple[int, int], int]
+    def __init__(self, max_n: int, entries: dict[tuple[int, int], int]) -> None:
+        self.max_n = max_n
+        self.entries = entries
 
     def row(self, n: int) -> Row:
         if not 0 <= n <= self.max_n:
@@ -43,13 +45,14 @@ class InversionTable:
 
 
 def _shift_multiply(series: list[Row], max_n: int, r: int) -> list[Row]:
-    """Multiply by x/(1 - x t^r) = sum_{i>=1} x^i t^(r(i-1)), truncated."""
-    out: list[Row] = [{} for _ in range(max_n + 1)]
-    for n, row in enumerate(series):
-        for inv, c in row.items():
-            for i in range(1, max_n - n + 1):
-                key = inv + r * (i - 1)
-                out[n + i][key] = out[n + i].get(key, 0) + c
+    """Multiply by x/(1 - x t^r), truncated, by the division recurrence
+    out[n] = series[n-1] + t^r out[n-1]."""
+    out: list[Row] = [{}]
+    for n in range(1, max_n + 1):
+        row = dict(series[n - 1])
+        for inv, c in out[n - 1].items():
+            row[inv + r] = row.get(inv + r, 0) + c
+        out.append(row)
     return out
 
 
@@ -61,6 +64,8 @@ def inversion_table(max_n: int) -> InversionTable:
     """
     if max_n < 0:
         raise DomainError("max_n must be nonnegative")
+    if max_n > MAX_N:
+        raise CapExceededError(f"inversion table serves sizes up to {MAX_N}, not {max_n}")
     acc: list[Row] = [{} for _ in range(max_n + 1)]
     acc[0][0] = 1
     prod: list[Row] = [{} for _ in range(max_n + 1)]
@@ -88,3 +93,8 @@ def inversion_table(max_n: int) -> InversionTable:
             if c:
                 entries[(n, inv)] = c
     return InversionTable(max_n, entries)
+
+
+def inversion_rows(max_n: int) -> list[tuple[int, int, int]]:
+    """The (n, inversions, count) rows of :func:`inversion_table`."""
+    return inversion_table(max_n).rows()

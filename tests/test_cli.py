@@ -158,6 +158,7 @@ class TestTable:
             ("--quantity", "parity", "--k-max", "-3"),
             ("--quantity", "classes", "--m-max", "-3"),
             ("--quantity", "gf", "--n-max", "-1"),
+            ("--quantity", "gf", "--n-max", "121"),
         ],
     )
     def test_bad_bound_exits_3_before_the_header(self, capsys, argv):

@@ -329,3 +329,10 @@ def test_table_rows_shape():
     assert rows[0] == (1, 0, 1)
     assert (3, 4, 2) in rows
     assert all(m <= 2 * k - 2 for k, m, _ in rows)
+
+
+def test_alternating_table_matches_the_recurrence():
+    alternating = list(counting.alternating_word_table(10))
+    assert alternating == list(counting.avoiding_word_table(10))
+    with pytest.raises(DomainError, match="k_max must be positive"):
+        list(counting.alternating_word_table(0))

@@ -208,6 +208,15 @@ class TestLattice:
         with pytest.raises(DomainError):
             paths.LatticePath("DDD", 2)
 
+    def test_value_semantics(self):
+        lp = paths.LatticePath("DDUUDD", 5)
+        assert (lp.zeros, lp.floor, lp.length) == (2, -2, 6)
+        assert lp == paths.word_to_lattice(5, "110011")
+        assert hash(lp) == hash(paths.LatticePath("DDUUDD", 5))
+        assert lp != paths.LatticePath("DDUUDD", 6)
+        with pytest.raises(AttributeError):
+            lp.k = 6
+
 
 class TestEnumeration:
     def test_counts_are_catalan(self):
