@@ -19,12 +19,17 @@ points, one-line entries).
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable
 
 from .errors import DomainError
 
 Word = str
 Permutation = tuple[int, ...]
+
+# Byte masks of a binary word: 1 where it has a 0-bit, and where a 1-bit.
+_ZERO_BITS = bytes.maketrans(b"01", b"\x01\x00")
+_ONE_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def check_word(w: Word) -> Word:
@@ -84,10 +89,12 @@ def grassmannian_of_word(w: Word) -> Permutation:
     >>> grassmannian_of_word("")
     ()
     """
-    check_word(w)
-    zeros = [i + 1 for i, c in enumerate(w) if c == "0"]
-    ones = [i + 1 for i, c in enumerate(w) if c == "1"]
-    return tuple(zeros + ones)
+    bits = check_word(w).encode()
+    positions = range(1, len(w) + 1)
+    return (
+        *compress(positions, bits.translate(_ZERO_BITS)),
+        *compress(positions, bits.translate(_ONE_BITS)),
+    )
 
 
 def identity_words(n: int) -> list[Word]:

@@ -17,14 +17,18 @@ Here (a_0, ..., a_j) is the run-length sequence of the word, m its length.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from typing import Iterator
 
-from . import core, patterns
+from . import patterns
 from .core import Word
 from .errors import DomainError
 
 UP = "U"
 DOWN = "D"
+# A word read backwards, 0 as an up and 1 as a down, is the lattice path
+# D^a0 U D^a1 ... U D^aj of its run-length sequence; and back.
+_WORD_TO_STEPS = str.maketrans("01", UP + DOWN)
+_STEPS_TO_WORD = str.maketrans(UP + DOWN, "01")
 
 
 def check_steps(p: str) -> str:
@@ -35,13 +39,21 @@ def check_steps(p: str) -> str:
 
 
 def is_dyck_path(p: str) -> bool:
-    """True iff ``p`` is balanced and no prefix has more downs than ups."""
+    """True iff ``p`` is a U/D string, balanced, and no prefix has more downs
+    than ups.
+
+    >>> is_dyck_path("UUDD"), is_dyck_path("UDD"), is_dyck_path("UX")
+    (True, False, False)
+    """
     h = 0
     for c in p:
-        h += 1 if c == UP else -1
-        if h < 0:
+        if c == UP:
+            h += 1
+        elif c == DOWN and h:
+            h -= 1
+        else:  # a foreign character, or a down step below the axis
             return False
-    return h == 0
+    return not h
 
 
 def check_dyck(p: str) -> str:
@@ -55,6 +67,19 @@ def semilength(p: str) -> int:
     return len(p) // 2
 
 
+def _turns(p: str) -> Iterator[tuple[int, str, int]]:
+    """The peaks and valleys of the U/D string ``p``, left to right, as
+    (i, kind, height), from one pass over its steps: each run but the last
+    ends in one."""
+    h = 0
+    run = p[:1]
+    for i, c in enumerate(p):
+        if c != run:
+            yield i - 1, "peak" if run == UP else "valley", h
+            run = c
+        h += 1 if c == UP else -1
+
+
 def extrema(p: str) -> list[tuple[int, str, int]]:
     """All peaks and valleys of a step string, left to right.
 
@@ -64,22 +89,7 @@ def extrema(p: str) -> list[tuple[int, str, int]]:
     >>> extrema("UDUUDD")
     [(0, 'peak', 1), (1, 'valley', 0), (3, 'peak', 2)]
     """
-    check_steps(p)
-    out = []
-    h = 0
-    for i, c in enumerate(p):
-        h += 1 if c == UP else -1
-        if i + 1 < len(p) and c != p[i + 1]:
-            out.append((i, "peak" if c == UP else "valley", h))
-    return out
-
-
-def _turn_heights(p: str, turn: str) -> list[int]:
-    """The height reached just before each factor ``turn`` of ``p``
-    (``UD`` or ``DU``, neither of which overlaps itself), left to right."""
-    check_steps(p)
-    pieces = p.split(turn)[:-1]
-    return list(accumulate(2 * piece.count(UP) - len(piece) for piece in pieces))
+    return list(_turns(check_steps(p)))
 
 
 def peaks(p: str) -> list[int]:
@@ -88,12 +98,29 @@ def peaks(p: str) -> list[int]:
     >>> peaks("UDUD")
     [1, 1]
     """
-    return [h + 1 for h in _turn_heights(p, UP + DOWN)]
+    return [h for _, kind, h in _turns(check_steps(p)) if kind == "peak"]
 
 
 def valleys(p: str) -> list[int]:
     """Valley heights in left-to-right order."""
-    return [h - 1 for h in _turn_heights(p, DOWN + UP)]
+    return [h for _, kind, h in _turns(check_steps(p)) if kind == "valley"]
+
+
+def all_extrema_odd(p: str) -> bool:
+    """True iff every peak and valley of the Dyck path ``p`` is at odd height.
+
+    >>> all_extrema_odd("UUUDDD"), all_extrema_odd("UUDD")
+    (True, False)
+    """
+    return _all_extrema_odd(check_dyck(p))
+
+
+def _all_extrema_odd(p: str) -> bool:
+    # The heights at the turns are all odd iff the first run is odd and
+    # every inner run even: iff, inside its first and last step, the path
+    # is a string of UU and DD pairs.
+    inner = p[1:-1]
+    return inner[::2] == inner[1::2]
 
 
 def peak_count(p: str) -> int:
@@ -108,24 +135,19 @@ def peak_count(p: str) -> int:
 def first_last_peak_sum(p: str) -> int:
     """Height of the first peak plus height of the last peak.
 
-    A single-peak path contributes twice its peak height.
+    A single-peak path contributes twice its peak height.  The first peak
+    ends the leading run of ups and the last one starts the trailing run of
+    downs, so the two heights are those runs' lengths.
     """
-    ps = peaks(check_dyck(p))
-    if not ps:
+    check_dyck(p)
+    if not p:
         raise DomainError("the empty path has no peaks")
-    return ps[0] + ps[-1]
+    return 2 * len(p) - len(p.lstrip(UP)) - len(p.rstrip(DOWN))
 
 
 def dyck_run_sequence(p: str) -> tuple[int, ...]:
     """(a_1, ..., a_n) where a_i is the number of downs right after the i-th up."""
-    check_dyck(p)
-    runs = []
-    for c in p:
-        if c == UP:
-            runs.append(0)
-        else:
-            runs[-1] += 1
-    return tuple(runs)
+    return tuple(map(len, check_dyck(p).split(UP)[1:]))
 
 
 def is_odd_dyck(p: str) -> bool:
@@ -138,8 +160,8 @@ def is_odd_dyck(p: str) -> bool:
     >>> is_odd_dyck("UDUD"), is_odd_dyck("UUDD")
     (True, False)
     """
-    a = dyck_run_sequence(p)
-    return sum(a[i] % 2 for i in range(0, len(a), 2)) % 2 == 1
+    # the number of odd terms has the parity of their sum
+    return sum(map(len, check_dyck(p).split(UP)[1::2])) % 2 == 1
 
 
 def word_to_dyck(k: int, w: Word) -> str:
@@ -152,16 +174,8 @@ def word_to_dyck(k: int, w: Word) -> str:
     """
     if not patterns.is_avoiding_word(k, w):
         raise DomainError(f"{w!r} is not an avoiding word for k={k}")
-    m = len(w)
-    a = core.a_sequence(w)
-    j = len(a) - 1
-    path = (
-        UP * (k - j)
-        + DOWN * (a[0] + 1)
-        + "".join(UP + DOWN * a[i] for i in range(1, j + 1))
-        + UP
-        + DOWN * (k + j - m)
-    )
+    j = w.count("0")
+    path = UP * (k - j) + DOWN + w[::-1].translate(_WORD_TO_STEPS) + UP + DOWN * (k + j - len(w))
     if not (is_dyck_path(path) and semilength(path) == k + 1):
         raise DomainError(f"image of {w!r} is not a Dyck path of semilength {k + 1}")
     return path
@@ -183,11 +197,9 @@ def dyck_to_word(k: int, p: str) -> Word:
     j = k - first_run
     if j < 0:
         raise DomainError("path outside the bijection image (first peak too high)")
-    blocks = dyck_run_sequence(p)[first_run - 1 :]
-    # blocks[0] is the down-run ending the first peak; then one entry per
-    # remaining up-step, j + 1 of them.
-    a = (blocks[0] - 1,) + blocks[1 : j + 1]
-    w = core.word_from_a_sequence(a)
+    # p is U^(k-j) D, then D^a0 U D^a1 ... U D^aj (the word read
+    # backwards), then U and a final run of downs.
+    w = p[first_run + 1 : p.rindex(UP)][::-1].translate(_STEPS_TO_WORD)
     if not patterns.is_avoiding_word(k, w):
         raise DomainError(f"preimage of {p!r} is not an avoiding word for k={k}")
     return w
@@ -241,19 +253,13 @@ class LatticePath:
 
 def lattice_run_sequence(path: LatticePath) -> tuple[int, ...]:
     """(a_0, ..., a_j): leading down-run, then the down-run after each up-step."""
-    runs = [0]
-    for c in path.steps:
-        if c == UP:
-            runs.append(0)
-        else:
-            runs[-1] += 1
-    return tuple(runs)
+    return tuple(map(len, path.steps.split(UP)))
 
 
 def is_odd_lattice(path: LatticePath) -> bool:
     """Same odd/even rule as for words: odd count of odd a_i at odd i."""
-    a = lattice_run_sequence(path)
-    return sum(a[i] % 2 for i in range(1, len(a), 2)) % 2 == 1
+    # the number of odd terms has the parity of their sum
+    return sum(map(len, path.steps.split(UP)[1::2])) % 2 == 1
 
 
 def word_to_lattice(k: int, w: Word) -> LatticePath:
@@ -264,14 +270,12 @@ def word_to_lattice(k: int, w: Word) -> LatticePath:
     """
     if not patterns.is_avoiding_word(k, w):
         raise DomainError(f"{w!r} is not an avoiding word for k={k}")
-    a = core.a_sequence(w)
-    steps = DOWN * a[0] + "".join(UP + DOWN * a[i] for i in range(1, len(a)))
-    return LatticePath(steps, k)
+    return LatticePath(w[::-1].translate(_WORD_TO_STEPS), k)
 
 
 def lattice_to_word(path: LatticePath) -> Word:
     """Inverse of :func:`word_to_lattice`."""
-    w = core.word_from_a_sequence(lattice_run_sequence(path))
+    w = path.steps[::-1].translate(_STEPS_TO_WORD)
     if not patterns.is_avoiding_word(path.k, w):
         raise DomainError(f"{w!r} is not an avoiding word for k={path.k}")
     return w
@@ -283,8 +287,7 @@ def _toggle(steps: str, i: int) -> str:
 
 def find_first_even_extremum(p: str) -> tuple[int, str, int]:
     """First peak or valley of a Dyck path at even height, as (index, kind, height)."""
-    check_dyck(p)
-    for item in extrema(p):
+    for item in _turns(check_dyck(p)):
         if item[2] % 2 == 0:
             return item
     raise DomainError(f"all peaks and valleys of {p!r} are at odd height")
@@ -310,8 +313,9 @@ def toggle_first_even_extremum(p: str) -> str:
 
 def find_first_floor_parity_extremum(path: LatticePath) -> tuple[int, str, int]:
     """First extremum whose height has the parity of the floor line."""
-    for item in extrema(path.steps):
-        if item[2] % 2 == path.floor % 2:
+    parity = path.floor % 2
+    for item in _turns(path.steps):
+        if item[2] % 2 == parity:
             return item
     raise DomainError(f"no peak or valley of {path.steps!r} matches the floor parity")
 
@@ -342,21 +346,11 @@ def halve_all_odd_path(p: str) -> str:
     check_dyck(p)
     if not p:
         raise DomainError("the empty path is not in the domain")
-    if any(h % 2 == 0 for _, _, h in extrema(p)):
+    if not _all_extrema_odd(p):
         raise DomainError(f"{p!r} has a peak or valley at even height")
-    if semilength(p) % 2 == 0:
-        raise DomainError(f"{p!r} has even semilength")
-    runs: list[list] = []
-    for c in p:
-        if runs and runs[-1][0] == c:
-            runs[-1][1] += 1
-        else:
-            runs.append([c, 1])
-    runs[0][1] -= 1
-    runs[-1][1] -= 1
-    if any(n % 2 for _, n in runs):
-        raise DomainError(f"{p!r} has an inner run of odd length")
-    out = "".join(c * (n // 2) for c, n in runs)
+    # Inside its first and last step the path is UU and DD pairs, so its
+    # semilength is odd, and one step of each pair halves every run.
+    out = p[1:-1:2]
     if not (is_dyck_path(out) and semilength(out) == (semilength(p) - 1) // 2):
         raise DomainError(f"halving {p!r} does not give a Dyck path")
     return out

@@ -159,7 +159,9 @@ def enumerate_avoiders(n: int, pattern: Permutation) -> list[Permutation]:
     The pattern must itself be Grassmannian.  The avoiding words are
     generated: for the identity of size k, those avoiding every
     ``0^j 1^(k-j)``; for any other pattern, those avoiding its word as a
-    subsequence.  Decoding merges the identity's words.
+    subsequence.  Every ``0^j 1^(n-j)`` decodes to the identity, so all but
+    ``0^n`` are dropped before decoding; the words come in lexicographic
+    order, which leaves the permutations nearly sorted.
     """
     pattern = core.check_permutation(pattern)
     if not core.is_grassmannian(pattern):
@@ -170,4 +172,5 @@ def enumerate_avoiders(n: int, pattern: Permutation) -> list[Permutation]:
         words = enumerate_avoiding_words(len(pattern), n)
     else:
         words = _words_avoiding(n, core.canonical_word(pattern))
-    return sorted({core.grassmannian_of_word(w) for w in words})
+    others = set(core.identity_words(n)[:-1])
+    return sorted(map(core.grassmannian_of_word, [w for w in words if w not in others]))

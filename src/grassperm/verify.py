@@ -14,37 +14,73 @@ wrong value turns the run red.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import classes, core, counting, oracle, parity, paths, patterns, series
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class Options:
-    k_max: int = 6
-    perm_cap: int = 9
-    word_cap: int = 20
-    fault: tuple[int, int] | None = None
+class _Record:
+    """An immutable record whose fields are its ``__slots__``: equal when
+    its class and fields are, hashed and shown by its fields in order."""
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    params: dict
-    expected: int
-    actual: int
+class Options(_Record):
+    __slots__ = ("k_max", "perm_cap", "word_cap", "fault")
+
+    def __init__(
+        self,
+        k_max: int = 6,
+        perm_cap: int = 9,
+        word_cap: int = 20,
+        fault: tuple[int, int] | None = None,
+    ) -> None:
+        self._fill(k_max, perm_cap, word_cap, fault)
+
+
+class Check(_Record):
+    __slots__ = ("name", "params", "expected", "actual")
+
+    def __init__(self, name: str, params: dict, expected: int, actual: int) -> None:
+        self._fill(name, params, expected, actual)
 
     @property
     def passed(self) -> bool:
         return self.expected == self.actual
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    suite: str
-    checks: list[Check]
+class SuiteResult(_Record):
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite: str, checks: list[Check]) -> None:
+        self._fill(suite, checks)
 
     @property
     def passed(self) -> bool:
@@ -111,6 +147,16 @@ def suite_counting(opts: Options) -> list[Check]:
         value = recurrence[(k, m)]
         return value + 1 if fault == (k, m) else value
 
+    # Two checks count the avoiders of 12...k in S_m; each (k, m) is
+    # enumerated once, and only its count is kept.
+    avoider_counts: dict[tuple[int, int], int] = {}
+
+    def identity_avoiders(k: int, m: int) -> int:
+        if (k, m) not in avoider_counts:
+            listing = patterns.enumerate_avoiders(m, core.identity_permutation(k))
+            avoider_counts[(k, m)] = len(listing)
+        return avoider_counts[(k, m)]
+
     checks = [
         _sweep(
             "recurrence_vs_word_oracle",
@@ -144,8 +190,7 @@ def suite_counting(opts: Options) -> list[Check]:
                 (
                     {"k": k, "m": m},
                     counting.avoiding_word_count(k, m),
-                    len(patterns.enumerate_avoiders(m, core.identity_permutation(k)))
-                    + (m if m < k else 0),
+                    identity_avoiders(k, m) + (m if m < k else 0),
                 )
                 for k in range(2, opts.k_max + 1)
                 for m in _word_m_range(k, opts.word_cap)
@@ -162,10 +207,7 @@ def suite_counting(opts: Options) -> list[Check]:
                 for m in range(min(2 * k - 2, opts.perm_cap) + 1)
                 for form, value in (
                     ("formula", counting.avoiding_perm_count(k, m)),
-                    (
-                        "enumeration",
-                        len(patterns.enumerate_avoiders(m, core.identity_permutation(k))),
-                    ),
+                    ("enumeration", identity_avoiders(k, m)),
                 )
             ),
         ),
@@ -432,33 +474,35 @@ def suite_classes(opts: Options) -> list[Check]:
 
 def suite_paths(opts: Options) -> list[Check]:
     k_top = min(opts.k_max, 7)
+    # Every semilength the checks below read (at most k_top + 1 = 8, and 9
+    # for halving), each enumerated and classified once.
+    dyck = [paths.enumerate_dyck(n) for n in range(10)]
+    all_odd = [[paths.all_extrema_odd(p) for p in ps] for ps in dyck]
 
     def bijection_cells():
         for k in range(1, k_top + 1):
             by_sum: dict[int, set[str]] = {}
-            for p in paths.enumerate_dyck(k + 1):
-                if paths.peaks(p):
-                    by_sum.setdefault(paths.first_last_peak_sum(p), set()).add(p)
+            for p in dyck[k + 1]:
+                by_sum.setdefault(paths.first_last_peak_sum(p), set()).add(p)
             for m in _word_m_range(k, opts.word_cap):
                 words = patterns.enumerate_avoiding_words(k, m)
-                images = {paths.word_to_dyck(k, w) for w in words}
+                images = [paths.word_to_dyck(k, w) for w in words]
                 round_trip = all(
-                    paths.dyck_to_word(k, paths.word_to_dyck(k, w)) == w for w in words
+                    paths.dyck_to_word(k, p) == w for w, p in zip(words, images)
                 )
+                image_set = set(images)
                 target = by_sum.get(2 * k - m, set())
                 yield (
                     {"k": k, "m": m, "aspect": "image_set"},
-                    int(images == target and len(images) == len(words)),
+                    int(image_set == target and len(image_set) == len(words)),
                     1,
                 )
                 yield ({"k": k, "m": m, "aspect": "round_trip"}, int(round_trip), 1)
 
     def toggle_cells():
         for n in range(1, 9):
-            all_odd = 0
-            for p in paths.enumerate_dyck(n):
-                if all(h % 2 == 1 for h in paths.peaks(p) + paths.valleys(p)):
-                    all_odd += 1
+            for p, odd in zip(dyck[n], all_odd[n]):
+                if odd:
                     continue
                 q = paths.toggle_first_even_extremum(p)
                 yield (
@@ -473,24 +517,17 @@ def suite_paths(opts: Options) -> list[Check]:
                 )
             yield (
                 {"n": n, "aspect": "all_odd_count"},
-                all_odd,
+                sum(all_odd[n]),
                 parity.all_odd_extrema_count(n),
             )
 
     def halving_cells():
         for n in range(1, 10, 2):
-            domain = [
-                p
-                for p in paths.enumerate_dyck(n)
-                if all(h % 2 == 1 for h in paths.peaks(p) + paths.valleys(p))
-            ]
+            domain = [p for p, odd in zip(dyck[n], all_odd[n]) if odd]
             images = {paths.halve_all_odd_path(p) for p in domain}
             yield (
                 {"n": n},
-                int(
-                    len(images) == len(domain)
-                    and images == set(paths.enumerate_dyck((n - 1) // 2))
-                ),
+                int(len(images) == len(domain) and images == set(dyck[(n - 1) // 2])),
                 1,
             )
             yield (
@@ -501,17 +538,14 @@ def suite_paths(opts: Options) -> list[Check]:
 
     def peak_formula_cells():
         for n in range(2, 8):
-            all_paths = paths.enumerate_dyck(n)
-            sums = [paths.first_last_peak_sum(p) for p in all_paths]
+            sums = [paths.first_last_peak_sum(p) for p in dyck[n]]
             for s in range(2, 2 * n - 1):
                 yield (
                     {"n": n, "s": s},
                     sums.count(s),
                     counting.dyck_peak_sum_count(n, s),
                 )
-            firsts_lasts = [
-                (paths.peaks(p)[0], paths.peaks(p)[-1]) for p in all_paths
-            ]
+            firsts_lasts = [(pk[0], pk[-1]) for pk in map(paths.peaks, dyck[n])]
             for a in range(1, n + 1):
                 for b in range(1, 2 * (n - 1) - a + 1):
                     yield (

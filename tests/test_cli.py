@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -386,6 +387,31 @@ class TestBiject:
 
 
 class TestVerify:
+    # Digests of the full reports as printed before the harness shared its
+    # enumerations between checks: the same checks, cells and bytes.
+    @pytest.mark.parametrize(
+        "argv,lines,digest",
+        [
+            ((), 31, "f18ca9ca71217af0e58805888ad4a32c526207d33cff99ed8d68404120c699a3"),
+            (
+                ("--k-max", "8", "--perm-cap", "9", "--word-cap", "14"),
+                31,
+                "06051e1d7cce416b8bdb9314f69408f1a212d6969dcc382fceeb29f10f41a5ce",
+            ),
+            (
+                ("--format", "json"),
+                1,
+                "64bdc5088c156c4b828b7c7481adc0328ed02339debb8bac3e4b23a84630bd85",
+            ),
+        ],
+        ids=["default", "raised", "json"],
+    )
+    def test_report_bytes_are_pinned(self, capsys, argv, lines, digest):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, err) == (0, "")
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_single_suite_passes(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "identities", "--k-max", "12"

@@ -11,6 +11,14 @@ words_up_to = lambda top: [
 ]
 
 
+def comprehension_decode(w):
+    """Decoding position by position: the reference for the byte-mask form."""
+    core.check_word(w)
+    zeros = [i + 1 for i, c in enumerate(w) if c == "0"]
+    ones = [i + 1 for i, c in enumerate(w) if c == "1"]
+    return tuple(zeros + ones)
+
+
 def direct_inversions(p):
     return sum(
         1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j]
@@ -46,6 +54,10 @@ class TestEncoding:
 
     def test_canonical_word_of_identity(self):
         assert core.canonical_word((1, 2, 3)) == "000"
+
+    def test_matches_the_comprehension_decode(self):
+        for w in words_up_to(14):
+            assert core.grassmannian_of_word(w) == comprehension_decode(w), w
 
     def test_round_trip_all_words(self):
         for w in words_up_to(12):
@@ -145,6 +157,18 @@ def test_check_word_rejects_exactly_foreign_characters(w):
     else:
         with pytest.raises(DomainError):
             core.check_word(w)
+
+
+@given(st.text(st.sampled_from("01") | st.sampled_from(FOREIGN), max_size=20))
+def test_decode_rejects_what_the_comprehension_rejects(w):
+    try:
+        expected = comprehension_decode(w)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as raised:
+            core.grassmannian_of_word(w)
+        assert str(raised.value) == str(exc)
+    else:
+        assert core.grassmannian_of_word(w) == expected
 
 
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=8))

@@ -30,9 +30,11 @@ with open(sys.argv[1], "w") as fh:
     json.dump(loaded, fh)
 """
 
-COUNTING = {"counting"}
-OBJECTS = {"core", "patterns", "paths"}
-EVERYTHING = {"classes", "core", "counting", "oracle", "parity", "paths", "patterns", "series", "verify"}
+# Module names are tuples, not sets, so that the test ids they spell do not
+# change with the interpreter's string hash seed.
+COUNTING = ("counting",)
+OBJECTS = ("patterns", "core", "paths")
+EVERYTHING = ("core", "oracle", "verify", "classes", "counting", "parity", "paths", "patterns", "series")
 
 
 def footprint(tmp_path, argv):
@@ -52,35 +54,35 @@ def footprint(tmp_path, argv):
     loaded = set(json.loads(out.read_text()))
     package = {m.split(".", 1)[1] for m in loaded if m.startswith("grassperm.")}
     assert {"cli", "errors"} <= package
-    return package - {"cli", "errors"}, loaded & {"json", "dataclasses"}
+    return package - {"cli", "errors"}, loaded & {"json", "dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(
     "argv,modules,stdlib",
     [
-        (("--help",), set(), set()),
-        (("count", "--quantity", "B", "--k", "3", "--m", "4"), COUNTING, set()),
-        (("count", "--quantity", "A", "--k", "3", "--m", "4"), COUNTING, set()),
-        (("count", "--quantity", "O", "--k", "3", "--m", "4"), {"counting", "parity"}, set()),
-        (("count", "--quantity", "bigrass", "--m", "4"), {"classes", "core", "counting"}, set()),
-        (("count", "--quantity", "B", "--k", "3"), set(), set()),
-        (("table", "--quantity", "B"), COUNTING, set()),
-        (("table", "--quantity", "B", "--format", "json"), COUNTING, {"json"}),
-        (("table", "--quantity", "parity"), {"counting", "parity"}, set()),
-        (("table", "--quantity", "classes"), {"classes", "core", "counting"}, set()),
-        (("table", "--quantity", "gf"), {"series"}, set()),
-        (("enumerate", "words", "--k", "3", "--m", "4"), {"core", "patterns"}, set()),
-        (("enumerate", "avoiders", "--n", "4", "--pattern", "123"), {"core", "patterns"}, set()),
-        (("enumerate", "dyck", "--n", "3", "--stats", "peaks"), OBJECTS, set()),
-        (("biject", "word-to-lattice", "--k", "5", "--input", "110011"), OBJECTS, set()),
-        (("biject", "halve", "--input", "UUUDDD"), OBJECTS, set()),
-        (("verify", "--suite", "identities"), EVERYTHING, {"dataclasses"}),
-        (("verify", "--suite", "identities", "--format", "json"), EVERYTHING, {"dataclasses", "json"}),
+        (("--help",), (), ()),
+        (("count", "--quantity", "B", "--k", "3", "--m", "4"), COUNTING, ()),
+        (("count", "--quantity", "A", "--k", "3", "--m", "4"), COUNTING, ()),
+        (("count", "--quantity", "O", "--k", "3", "--m", "4"), ("parity", "counting"), ()),
+        (("count", "--quantity", "bigrass", "--m", "4"), ("core", "counting", "classes"), ()),
+        (("count", "--quantity", "B", "--k", "3"), (), ()),
+        (("table", "--quantity", "B"), COUNTING, ()),
+        (("table", "--quantity", "B", "--format", "json"), COUNTING, ("json",)),
+        (("table", "--quantity", "parity"), ("parity", "counting"), ()),
+        (("table", "--quantity", "classes"), ("core", "counting", "classes"), ()),
+        (("table", "--quantity", "gf"), ("series",), ()),
+        (("enumerate", "words", "--k", "3", "--m", "4"), ("patterns", "core"), ()),
+        (("enumerate", "avoiders", "--n", "4", "--pattern", "123"), ("patterns", "core"), ()),
+        (("enumerate", "dyck", "--n", "3", "--stats", "peaks"), OBJECTS, ()),
+        (("biject", "word-to-lattice", "--k", "5", "--input", "110011"), OBJECTS, ()),
+        (("biject", "halve", "--input", "UUUDDD"), OBJECTS, ()),
+        (("verify", "--suite", "identities"), EVERYTHING, ()),
+        (("verify", "--suite", "identities", "--format", "json"), EVERYTHING, ("json",)),
     ],
     ids=" ".join,
 )
 def test_a_command_imports_only_what_it_runs(tmp_path, argv, modules, stdlib):
-    assert footprint(tmp_path, argv) == (modules, stdlib)
+    assert footprint(tmp_path, argv) == (set(modules), set(stdlib))
 
 
 def test_verify_choices_and_defaults_match_the_harness():

@@ -1,12 +1,233 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, strategies as st
 
 from grassperm import core, counting, parity, paths, patterns
 from grassperm.errors import DomainError
 
+FOREIGN = [" ", "\n", "\t", "\u00a0", "\u0663", "\uff11", "u", "d", "x", "0", "1"]
+STEP_STRINGS = st.text("UD", max_size=40) | st.text(
+    st.sampled_from("UD") | st.sampled_from(FOREIGN), max_size=40
+)
+ALL_DYCK = [p for n in range(11) for p in paths.enumerate_dyck(n)]
 
-def all_extrema_odd(p):
-    return all(h % 2 == 1 for h in paths.peaks(p) + paths.valleys(p))
+
+# Step-by-step walks and run-length constructions: the references that the
+# string forms in `paths` must match.
+
+
+def walked_is_dyck_path(p):
+    h = 0
+    for c in p:
+        h += 1 if c == "U" else -1
+        if h < 0:
+            return False
+    return h == 0
+
+
+def walked_extrema(p):
+    paths.check_steps(p)
+    out = []
+    h = 0
+    for i, c in enumerate(p):
+        h += 1 if c == "U" else -1
+        if i + 1 < len(p) and c != p[i + 1]:
+            out.append((i, "peak" if c == "U" else "valley", h))
+    return out
+
+
+def walked_turn_heights(p, turn):
+    paths.check_steps(p)
+    pieces = p.split(turn)[:-1]
+    return list(accumulate(2 * piece.count("U") - len(piece) for piece in pieces))
+
+
+def walked_peaks(p):
+    return [h + 1 for h in walked_turn_heights(p, "UD")]
+
+
+def walked_valleys(p):
+    return [h - 1 for h in walked_turn_heights(p, "DU")]
+
+
+def walked_dyck_run_sequence(p):
+    paths.check_dyck(p)
+    runs = []
+    for c in p:
+        if c == "U":
+            runs.append(0)
+        else:
+            runs[-1] += 1
+    return tuple(runs)
+
+
+def walked_is_odd_dyck(p):
+    a = walked_dyck_run_sequence(p)
+    return sum(a[i] % 2 for i in range(0, len(a), 2)) % 2 == 1
+
+
+def walked_first_last_peak_sum(p):
+    ps = walked_peaks(paths.check_dyck(p))
+    if not ps:
+        raise DomainError("the empty path has no peaks")
+    return ps[0] + ps[-1]
+
+
+def walked_all_extrema_odd(p):
+    paths.check_dyck(p)
+    return all(h % 2 == 1 for _, _, h in walked_extrema(p))
+
+
+def walked_first_even_extremum(p):
+    paths.check_dyck(p)
+    for item in walked_extrema(p):
+        if item[2] % 2 == 0:
+            return item
+    raise DomainError(f"all peaks and valleys of {p!r} are at odd height")
+
+
+def walked_halve(p):
+    paths.check_dyck(p)
+    if not p:
+        raise DomainError("the empty path is not in the domain")
+    if any(h % 2 == 0 for _, _, h in walked_extrema(p)):
+        raise DomainError(f"{p!r} has a peak or valley at even height")
+    if paths.semilength(p) % 2 == 0:
+        raise DomainError(f"{p!r} has even semilength")
+    runs = []
+    for c in p:
+        if runs and runs[-1][0] == c:
+            runs[-1][1] += 1
+        else:
+            runs.append([c, 1])
+    runs[0][1] -= 1
+    runs[-1][1] -= 1
+    if any(n % 2 for _, n in runs):
+        raise DomainError(f"{p!r} has an inner run of odd length")
+    return "".join(c * (n // 2) for c, n in runs)
+
+
+def built_word_to_dyck(k, w):
+    if not patterns.is_avoiding_word(k, w):
+        raise DomainError(f"{w!r} is not an avoiding word for k={k}")
+    a = core.a_sequence(w)
+    j = len(a) - 1
+    middle = "".join("U" + "D" * a[i] for i in range(1, j + 1))
+    return "U" * (k - j) + "D" * (a[0] + 1) + middle + "U" + "D" * (k + j - len(w))
+
+
+def built_dyck_to_word(k, p):
+    paths.check_dyck(p)
+    if paths.semilength(p) != k + 1:
+        raise DomainError(f"expected semilength {k + 1}, got {paths.semilength(p)}")
+    first_run = len(p) - len(p.lstrip("U"))
+    j = k - first_run
+    if j < 0:
+        raise DomainError("path outside the bijection image (first peak too high)")
+    blocks = walked_dyck_run_sequence(p)[first_run - 1 :]
+    w = core.word_from_a_sequence((blocks[0] - 1,) + blocks[1 : j + 1])
+    if not patterns.is_avoiding_word(k, w):
+        raise DomainError(f"preimage of {p!r} is not an avoiding word for k={k}")
+    return w
+
+
+def built_lattice_steps(k, w):
+    if not patterns.is_avoiding_word(k, w):
+        raise DomainError(f"{w!r} is not an avoiding word for k={k}")
+    a = core.a_sequence(w)
+    return "D" * a[0] + "".join("U" + "D" * a[i] for i in range(1, len(a)))
+
+
+def walked_lattice_run_sequence(steps):
+    runs = [0]
+    for c in steps:
+        if c == "U":
+            runs.append(0)
+        else:
+            runs[-1] += 1
+    return tuple(runs)
+
+
+def walked_floor_parity_extremum(path):
+    for item in walked_extrema(path.steps):
+        if item[2] % 2 == path.floor % 2:
+            return item
+    raise DomainError(f"no peak or valley of {path.steps!r} matches the floor parity")
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the message of the DomainError it raises."""
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+STEP_FORMS = [
+    (paths.extrema, walked_extrema),
+    (paths.peaks, walked_peaks),
+    (paths.valleys, walked_valleys),
+]
+DYCK_FORMS = [
+    (paths.dyck_run_sequence, walked_dyck_run_sequence),
+    (paths.is_odd_dyck, walked_is_odd_dyck),
+    (paths.first_last_peak_sum, walked_first_last_peak_sum),
+    (paths.all_extrema_odd, walked_all_extrema_odd),
+    (paths.find_first_even_extremum, walked_first_even_extremum),
+    (paths.halve_all_odd_path, walked_halve),
+]
+FORM_IDS = lambda forms: forms[0].__name__
+
+
+class TestAgainstTheWalks:
+    @pytest.mark.parametrize("forms", STEP_FORMS + DYCK_FORMS, ids=FORM_IDS)
+    def test_every_dyck_path_to_semilength_10(self, forms):
+        new, walked = forms
+        for p in ALL_DYCK:
+            assert outcome(new, p) == outcome(walked, p), p
+
+    @given(STEP_STRINGS)
+    def test_step_strings(self, p):
+        # foreign characters and non-Dyck strings raise the same DomainError
+        for new, walked in STEP_FORMS + DYCK_FORMS:
+            assert outcome(new, p) == outcome(walked, p), new.__name__
+
+    def test_word_dyck_bijection(self):
+        # every word of length <= 12 at k <= 7, avoiding or not, and every
+        # Dyck path of semilength k + 1
+        for k in range(1, 8):
+            for m in range(13):
+                for x in range(2**m):
+                    w = format(x, f"0{m}b") if m else ""
+                    assert outcome(paths.word_to_dyck, k, w) == outcome(built_word_to_dyck, k, w)
+            for p in paths.enumerate_dyck(k + 1):
+                assert outcome(paths.dyck_to_word, k, p) == outcome(built_dyck_to_word, k, p)
+
+    def test_lattice_encoding(self):
+        for k in range(1, 8):
+            for m in range(13):
+                for x in range(2**m):
+                    w = format(x, f"0{m}b") if m else ""
+                    steps = outcome(built_lattice_steps, k, w)
+                    lp = outcome(paths.word_to_lattice, k, w)
+                    if isinstance(steps, tuple):
+                        assert lp == steps
+                        continue
+                    assert lp.steps == steps
+                    assert paths.lattice_run_sequence(lp) == walked_lattice_run_sequence(steps)
+                    a = walked_lattice_run_sequence(steps)
+                    assert paths.is_odd_lattice(lp) == (
+                        sum(a[i] % 2 for i in range(1, len(a), 2)) % 2 == 1
+                    )
+                    assert paths.lattice_to_word(lp) == w
+                    assert outcome(paths.find_first_floor_parity_extremum, lp) == outcome(
+                        walked_floor_parity_extremum, lp
+                    )
+
+    @given(STEP_STRINGS)
+    def test_dyck_recognition(self, p):
+        assert paths.is_dyck_path(p) == (set(p) <= {"U", "D"} and walked_is_dyck_path(p))
 
 
 def assert_statistics_match_extrema(p):
@@ -75,6 +296,12 @@ class TestStatistics:
     def test_peak_sum_rejects_empty(self):
         with pytest.raises(DomainError):
             paths.first_last_peak_sum("")
+
+    @pytest.mark.parametrize("p", ["UX", "U1", "UDX", "XUD", " UD", "UD\n", "UuDD", "U\u0663D"])
+    def test_is_dyck_path_rejects_foreign_characters(self, p):
+        assert not paths.is_dyck_path(p)
+        with pytest.raises(DomainError, match="not a U/D step string"):
+            paths.check_dyck(p)
 
     def test_rejects_invalid_paths(self):
         with pytest.raises(DomainError):
@@ -165,7 +392,7 @@ class TestHalving:
         # all-odd counts for n <= 8, halving images for odd n <= 9
         assert harness("paths.even_extremum_toggle", n_max=8).passed
         assert harness("paths.all_odd_halving", n_max=9).passed
-        domain = [p for p in paths.enumerate_dyck(9) if all_extrema_odd(p)]
+        domain = [p for p in paths.enumerate_dyck(9) if walked_all_extrema_odd(p)]
         assert len(domain) == parity.all_odd_extrema_count(9)
 
     def test_all_odd_paths_are_odd(self, harness):
@@ -277,9 +504,6 @@ def test_lattice_bijection_on_random_words(kw):
     lp = paths.word_to_lattice(k, w)
     assert paths.lattice_to_word(lp) == w
     assert paths.is_odd_lattice(lp) == core.is_odd_word(w)
-
-
-FOREIGN = [" ", "\n", "\t", "\u00a0", "\u0663", "\uff11", "u", "d", "x", "0", "1"]
 
 
 @given(st.text(st.sampled_from("UD") | st.sampled_from(FOREIGN) | st.characters()))

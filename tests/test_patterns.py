@@ -17,6 +17,16 @@ def filtered_avoiders(n, pattern):
     return sorted(avoiders)
 
 
+def merged_avoiders(n, pattern):
+    """The avoiders as the generated words, decoded into a set and sorted:
+    the reference for dropping the identity's extra words before decoding."""
+    if core.is_identity(pattern):
+        words = patterns.enumerate_avoiding_words(len(pattern), n)
+    else:
+        words = patterns._words_avoiding(n, core.canonical_word(pattern))
+    return sorted({core.grassmannian_of_word(w) for w in words})
+
+
 class TestWordContainment:
     def test_scattered_match(self):
         assert patterns.word_contains("01001101100", "1100")
@@ -135,6 +145,14 @@ class TestEnumerateAvoiders:
         for n in range(11):
             for pat in pats:
                 assert patterns.enumerate_avoiders(n, pat) == filtered_avoiders(n, pat), (n, pat)
+
+    def test_matches_the_set_merge(self):
+        # every Grassmannian pattern of size <= 5, on hosts up to 12; the
+        # identity's n + 1 words all avoid whenever n < k
+        pats = [p for n in range(6) for p in core.grassmannian_permutations(n)]
+        for n in range(13):
+            for pat in pats:
+                assert patterns.enumerate_avoiders(n, pat) == merged_avoiders(n, pat), (n, pat)
 
     def test_rejects_negative_size(self):
         with pytest.raises(DomainError):
