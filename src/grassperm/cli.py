@@ -82,6 +82,8 @@ TABLE_FORMS = {
 # equal.
 VERIFY_SUITES = ("counting", "parity", "classes", "paths", "series", "identities")
 
+# The largest word length, size and semilength each listing serves; a larger
+# one is refused as a cap error.
 ENUMERATE_CAPS = {"words": 24, "avoiders": 14, "dyck": 12}
 
 
@@ -115,16 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     e_words.add_argument("--k", type=int, required=True)
     e_words.add_argument("--m", type=int, required=True)
     e_words.add_argument("--stats", choices=("inversions",))
-    e_words.add_argument("--cap", type=int, default=ENUMERATE_CAPS["words"])
     e_avoid = enum_sub.add_parser("avoiders", help="avoider permutations")
     e_avoid.add_argument("--n", type=int, required=True)
     e_avoid.add_argument("--pattern", required=True)
     e_avoid.add_argument("--stats", choices=("inversions", "fixed-points"))
-    e_avoid.add_argument("--cap", type=int, default=ENUMERATE_CAPS["avoiders"])
     e_dyck = enum_sub.add_parser("dyck", help="Dyck paths")
     e_dyck.add_argument("--n", type=int, required=True)
     e_dyck.add_argument("--stats", choices=("peaks",))
-    e_dyck.add_argument("--cap", type=int, default=ENUMERATE_CAPS["dyck"])
 
     p_biject = sub.add_parser("biject", help="trace a bijection on one input")
     p_biject.add_argument(
@@ -190,14 +189,15 @@ def _write_listing(names, stats: str | None, values) -> None:
 def _cmd_enumerate(args) -> int:
     from . import core, patterns
 
+    cap = ENUMERATE_CAPS[args.kind]
     if args.kind == "words":
-        if args.m > args.cap:
-            raise DomainError(f"word length {args.m} over cap {args.cap}")
+        if args.m > cap:
+            raise DomainError(f"word length {args.m} over cap {cap}")
         words = patterns.enumerate_avoiding_words(args.k, args.m)
         _write_listing(words, args.stats, map(core.inversion_count, words))
     elif args.kind == "avoiders":
-        if args.n > args.cap:
-            raise DomainError(f"size {args.n} over cap {args.cap}")
+        if args.n > cap:
+            raise DomainError(f"size {args.n} over cap {cap}")
         pattern = core.perm_from_str(args.pattern)
         perms = patterns.enumerate_avoiders(args.n, pattern)
         if args.stats == "fixed-points":
@@ -208,8 +208,8 @@ def _cmd_enumerate(args) -> int:
     else:  # dyck
         from . import paths
 
-        if args.n > args.cap:
-            raise DomainError(f"semilength {args.n} over cap {args.cap}")
+        if args.n > cap:
+            raise DomainError(f"semilength {args.n} over cap {cap}")
         dyck = paths.enumerate_dyck(args.n)
         _write_listing(dyck, args.stats, map(paths.peak_count, dyck))
     return 0
@@ -320,26 +320,11 @@ def _cmd_verify(parser: argparse.ArgumentParser, args) -> int:
         if args.format == "json":
             import json
 
-            print(
-                json.dumps(
-                    [
-                        {
-                            "suite": r.suite,
-                            "checks": [
-                                {
-                                    "name": c.name,
-                                    "params": c.params,
-                                    "expected": c.expected,
-                                    "actual": c.actual,
-                                    "pass": c.passed,
-                                }
-                                for c in r.checks
-                            ],
-                        }
-                        for r in results
-                    ]
-                )
-            )
+            report = [
+                {"suite": r.suite, "checks": [{**c._asdict(), "pass": c.passed} for c in r.checks]}
+                for r in results
+            ]
+            print(json.dumps(report))
         else:
             for r in results:
                 for c in r.checks:

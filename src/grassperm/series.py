@@ -27,23 +27,6 @@ Row = dict[int, int]
 MAX_N = 120
 
 
-class InversionTable:
-    """Counts of Grassmannian permutations by (size, inversion number)."""
-
-    def __init__(self, max_n: int, entries: dict[tuple[int, int], int]) -> None:
-        self.max_n = max_n
-        self.entries = entries
-
-    def row(self, n: int) -> Row:
-        if not 0 <= n <= self.max_n:
-            raise DomainError(f"row {n} outside table (max_n={self.max_n})")
-        return {i: c for (size, i), c in self.entries.items() if size == n}
-
-    def rows(self) -> list[tuple[int, int, int]]:
-        """(n, inversions, count) triples in row-major order."""
-        return sorted((n, i, c) for (n, i), c in self.entries.items())
-
-
 def _shift_multiply(series: list[Row], max_n: int, r: int) -> list[Row]:
     """Multiply by x/(1 - x t^r), truncated, by the division recurrence
     out[n] = series[n-1] + t^r out[n-1]."""
@@ -56,45 +39,41 @@ def _shift_multiply(series: list[Row], max_n: int, r: int) -> list[Row]:
     return out
 
 
-def inversion_table(max_n: int) -> InversionTable:
-    """Expand the generating function up to size ``max_n``.
+def inversion_table(max_n: int) -> list[Row]:
+    """Expand the generating function up to size ``max_n``: row n maps each
+    inversion number to its count, in ascending order, zero counts dropped.
 
-    >>> inversion_table(3).row(3)
+    >>> inversion_table(3)[3]
     {0: 1, 1: 2, 2: 2}
     """
     if max_n < 0:
         raise DomainError("max_n must be nonnegative")
     if max_n > MAX_N:
         raise CapExceededError(f"inversion table serves sizes up to {MAX_N}, not {max_n}")
-    acc: list[Row] = [{} for _ in range(max_n + 1)]
-    acc[0][0] = 1
-    prod: list[Row] = [{} for _ in range(max_n + 1)]
-    prod[0][0] = 1
+    acc: list[Row] = [{0: 1}] + [{} for _ in range(max_n)]
+    prod: list[Row] = [{0: 1}] + [{} for _ in range(max_n)]
     for k in range(1, max_n + 1):
         prod = _shift_multiply(prod, max_n, k)
         for n, row in enumerate(prod):
             for inv, c in row.items():
                 acc[n][inv] = acc[n].get(inv, 0) + c
-    # Multiply by 1/(1-x): running sum over x-degrees.
+    # Multiply by 1/(1-x): running sum over x-degrees, less the n extra
+    # zero-inversion (identity) words at each size n >= 1.
     running: Row = {}
     table: list[Row] = []
     for n in range(max_n + 1):
         for inv, c in acc[n].items():
             running[inv] = running.get(inv, 0) + c
-        table.append(dict(running))
-    # Remove the identity multiplicity: n extra zero-inversion words at size n.
-    entries: dict[tuple[int, int], int] = {}
-    for n, row in enumerate(table):
-        if n >= 1:
-            row[0] -= n
-        for inv, c in sorted(row.items()):
+        row = dict(sorted(running.items()))
+        row[0] -= n
+        for inv, c in row.items():
             if c < 0:
                 raise DomainError(f"negative coefficient at (n={n}, inv={inv})")
-            if c:
-                entries[(n, inv)] = c
-    return InversionTable(max_n, entries)
+        table.append({inv: c for inv, c in row.items() if c})
+    return table
 
 
 def inversion_rows(max_n: int) -> list[tuple[int, int, int]]:
-    """The (n, inversions, count) rows of :func:`inversion_table`."""
-    return inversion_table(max_n).rows()
+    """The (n, inversions, count) rows of :func:`inversion_table`, in
+    row-major order."""
+    return [(n, i, c) for n, row in enumerate(inversion_table(max_n)) for i, c in row.items()]

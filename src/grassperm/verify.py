@@ -14,73 +14,33 @@ wrong value turns the run red.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import classes, core, counting, oracle, parity, paths, patterns, series
 from .errors import DomainError
 
 
-class _Record:
-    """An immutable record whose fields are its ``__slots__``: equal when
-    its class and fields are, hashed and shown by its fields in order."""
-
-    __slots__ = ()
-
-    def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+class Options(NamedTuple):
+    k_max: int = 6
+    perm_cap: int = 9
+    word_cap: int = 20
+    fault: tuple[int, int] | None = None
 
 
-class Options(_Record):
-    __slots__ = ("k_max", "perm_cap", "word_cap", "fault")
-
-    def __init__(
-        self,
-        k_max: int = 6,
-        perm_cap: int = 9,
-        word_cap: int = 20,
-        fault: tuple[int, int] | None = None,
-    ) -> None:
-        self._fill(k_max, perm_cap, word_cap, fault)
-
-
-class Check(_Record):
-    __slots__ = ("name", "params", "expected", "actual")
-
-    def __init__(self, name: str, params: dict, expected: int, actual: int) -> None:
-        self._fill(name, params, expected, actual)
+class Check(NamedTuple):
+    name: str
+    params: dict
+    expected: int
+    actual: int
 
     @property
     def passed(self) -> bool:
         return self.expected == self.actual
 
 
-class SuiteResult(_Record):
-    __slots__ = ("suite", "checks")
-
-    def __init__(self, suite: str, checks: list[Check]) -> None:
-        self._fill(suite, checks)
+class SuiteResult(NamedTuple):
+    suite: str
+    checks: list[Check]
 
     @property
     def passed(self) -> bool:
@@ -157,7 +117,7 @@ def suite_counting(opts: Options) -> list[Check]:
             avoider_counts[(k, m)] = len(listing)
         return avoider_counts[(k, m)]
 
-    checks = [
+    return [
         _sweep(
             "recurrence_vs_word_oracle",
             {"k_max": opts.k_max, "word_cap": opts.word_cap},
@@ -292,7 +252,6 @@ def suite_counting(opts: Options) -> list[Check]:
             ),
         ),
     ]
-    return checks
 
 
 def suite_parity(opts: Options) -> list[Check]:
@@ -619,27 +578,23 @@ def suite_series(opts: Options) -> list[Check]:
         for key, count in oracle.grassmannian_statistics(n).items():
             hist[key.inversions] = hist.get(key.inversions, 0) + count
         hists.append(hist)
-    table = series.inversion_table(opts.perm_cap)
+    # A row is exact at any truncation past its size, so the row-sum table
+    # also serves the histogram check.
+    table = series.inversion_table(max(opts.perm_cap, 12))
 
     def histogram_cells():
-        for n, hist in enumerate(hists):
-            row = table.row(n)
-            keys = sorted(set(hist) | set(row))
-            for i in keys:
+        for n, (hist, row) in enumerate(zip(hists, table)):
+            for i in sorted(set(hist) | set(row)):
                 yield ({"n": n, "inversions": i}, hist.get(i, 0), row.get(i, 0))
 
-    big = series.inversion_table(max(opts.perm_cap, 12))
     return [
         _sweep(
             "coefficients_vs_oracle", {"perm_cap": opts.perm_cap}, histogram_cells()
         ),
         _sweep(
             "row_sums",
-            {"n_max": big.max_n},
-            (
-                ({"n": n}, 2**n - n, sum(big.row(n).values()))
-                for n in range(1, big.max_n + 1)
-            ),
+            {"n_max": len(table) - 1},
+            (({"n": n}, 2**n - n, sum(table[n].values())) for n in range(1, len(table))),
         ),
     ]
 

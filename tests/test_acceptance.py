@@ -96,7 +96,7 @@ def test_criterion_07_special_classes(harness):
     report(7, "all eight class formulas vs oracle (m <= 9, k <= 6)", ok)
 
 
-def test_criterion_08_all_odd_extrema_and_toggle():
+def test_criterion_08_all_odd_extrema_and_toggle(harness):
     ok = True
     for n in range(1, 12):
         observed = sum(
@@ -105,13 +105,7 @@ def test_criterion_08_all_odd_extrema_and_toggle():
             if all(h % 2 == 1 for h in paths.peaks(p) + paths.valleys(p))
         )
         ok = ok and observed == parity.all_odd_extrema_count(n)
-    for n in range(1, 9):
-        for p in paths.enumerate_dyck(n):
-            if all(h % 2 == 1 for h in paths.peaks(p) + paths.valleys(p)):
-                continue
-            q = paths.toggle_first_even_extremum(p)
-            ok = ok and paths.toggle_first_even_extremum(q) == p
-            ok = ok and paths.is_odd_dyck(q) != paths.is_odd_dyck(p)
+    ok = ok and harness("paths.even_extremum_toggle", n_max=8).passed
     report(8, "all-odd-extrema counts (n <= 11) and toggle involution (n <= 8)", ok)
 
 

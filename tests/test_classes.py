@@ -1,6 +1,6 @@
 import pytest
 
-from grassperm import classes, core, patterns
+from grassperm import classes, core
 from grassperm.errors import DomainError
 
 
@@ -27,19 +27,11 @@ class TestPredicates:
         with pytest.raises(DomainError):
             classes.is_grassmannian_involution((3, 2, 1))
 
-    def test_bigrassmannian_is_2413_avoidance(self):
-        for n in range(9):
-            for p in core.grassmannian_permutations(n):
-                assert classes.is_bigrassmannian(p) == (
-                    not patterns.permutation_contains(p, (2, 4, 1, 3))
-                )
+    def test_bigrassmannian_is_2413_avoidance(self, harness):
+        assert harness("classes.bigrassmannian_iff_avoids_2413", n_max=8).passed
 
-    def test_involution_word_form(self):
-        for n in range(9):
-            for p in core.grassmannian_permutations(n):
-                assert classes.is_grassmannian_involution(p) == (
-                    classes.has_involution_word_form(core.canonical_word(p))
-                )
+    def test_involution_word_form(self, harness):
+        assert harness("classes.involution_iff_word_form", n_max=8).passed
 
 
 class TestBigrassmannianCounts:
@@ -103,11 +95,8 @@ class TestOddInvolutions:
     def test_totals_vs_oracle(self, harness):
         assert harness("classes.class_totals_vs_oracle", perm_cap=7).passed
 
-    def test_shift_relation(self):
-        for m in range(5, 41):
-            assert classes.odd_involution_count(m) == classes.odd_involution_count(
-                m - 4
-            ) + m - 1
+    def test_shift_relation(self, harness):
+        assert harness("classes.odd_involution_shift_relation", m_max=40).passed
 
     def test_avoiders_vs_oracle(self, harness):
         assert harness("classes.class_avoiders_vs_oracle", k_max=6, perm_cap=7).passed

@@ -225,6 +225,13 @@ class TestEnumerate:
         assert code == 3
         assert "cap" in err
 
+    def test_cap_is_not_a_flag(self, capsys):
+        # the caps are fixed: no flag lifts the refusal above
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["enumerate", "dyck", "--n", "13", "--cap", "13"])
+        assert exc.value.code == 2
+        assert "--cap" in capsys.readouterr().err
+
 
 def _subsequence(u, w):
     it = iter(w)

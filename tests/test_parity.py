@@ -65,18 +65,6 @@ class TestMaxLengthClosedForm:
     def test_spots(self, k, value):
         assert parity.odd_word_count_max_length(k) == value
 
-    def test_matches_general_formula(self):
-        for k in range(2, 21):
-            assert parity.odd_word_count_max_length(k) == parity.odd_word_count(
-                k, 2 * k - 2
-            )
-
-    def test_one_shorter_is_twice_even(self):
-        for k in range(2, 21):
-            assert parity.odd_word_count(k, 2 * k - 3) == 2 * parity.even_word_count(
-                k, 2 * k - 2
-            )
-
     def test_odd_k_split_is_even(self):
         for k in range(3, 21, 2):
             assert parity.odd_word_count(k, 2 * k - 2) == parity.even_word_count(

@@ -101,3 +101,23 @@ def test_no_sign_powers(path):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and is_minus_one(node.left)
     ]
     assert powers == [], f"(-1) ** ... in {path.name} at lines {powers}"
+
+
+RECORD_METHODS = {"__eq__", "__hash__", "__setattr__", "__delattr__"}
+# A lattice path validates its floor on construction, which a NamedTuple
+# cannot, so it writes its own value methods.
+RECORD_METHODS_ALLOWED = {("paths.py", "LatticePath")}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_records_are_named_tuples(path):
+    # One record idiom: a value type is a typing.NamedTuple, not a class
+    # that writes its own equality, hashing or immutability.
+    written = [
+        (node.name, item.name)
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ClassDef) and (path.name, node.name) not in RECORD_METHODS_ALLOWED
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in RECORD_METHODS
+    ]
+    assert written == [], f"hand-written record methods in {path.name}: {written}"
