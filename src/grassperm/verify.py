@@ -570,16 +570,16 @@ def suite_paths(opts: Options) -> list[Check]:
 
 
 def suite_series(opts: Options) -> list[Check]:
-    # The oracle goes first, so that it refuses a perm_cap past its own
-    # before any table is expanded to that size.
+    # The oracle goes first, so that a perm_cap past its own is refused with
+    # the oracle's message, not the table's.
     hists: list[dict[int, int]] = []
     for n in range(opts.perm_cap + 1):
         hist: dict[int, int] = {}
         for key, count in oracle.grassmannian_statistics(n).items():
             hist[key.inversions] = hist.get(key.inversions, 0) + count
         hists.append(hist)
-    # A row is exact at any truncation past its size, so the row-sum table
-    # also serves the histogram check.
+    # Row n does not depend on the bound it is computed to, so the row-sum
+    # table also serves the histogram check.
     table = series.inversion_table(max(opts.perm_cap, 12))
 
     def histogram_cells():

@@ -20,6 +20,61 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def cli_env():
+    """The environment of a CLI subprocess that imports this source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+# Whole outputs pinned as (argv, line count, sha256). The verify reports are
+# as printed before the harness shared its enumerations between checks; the
+# gf tables as printed by the generating-function expansion, before the
+# Goldman-Rota recurrence replaced it.
+PINNED_VERIFY = {
+    "default": ((), 31, "f18ca9ca71217af0e58805888ad4a32c526207d33cff99ed8d68404120c699a3"),
+    "raised": (
+        ("--k-max", "8", "--perm-cap", "9", "--word-cap", "14"),
+        31,
+        "06051e1d7cce416b8bdb9314f69408f1a212d6969dcc382fceeb29f10f41a5ce",
+    ),
+    "json": (
+        ("--format", "json"),
+        1,
+        "64bdc5088c156c4b828b7c7481adc0328ed02339debb8bac3e4b23a84630bd85",
+    ),
+}
+PINNED_GF = {
+    "40": (
+        ("--n-max", "40"),
+        5572,
+        "d177b64231537412013bf1cb829197497195b8fe42be1fa43e5c4922facd62ee",
+    ),
+    "120": (
+        ("--n-max", "120"),
+        145912,
+        "b0ff54213ec8b20152fc1808fde88ce1706acb6400aa6f2877566f3db3dad963",
+    ),
+    "12-json": (
+        ("--n-max", "12", "--format", "json"),
+        1,
+        "c17f4b075d0c0a9ec5ad89462049460ce569210456c431ebfbe30364ce954b1a",
+    ),
+}
+
+
+def pinned(cases):
+    return pytest.mark.parametrize(
+        "argv,lines,digest", list(cases.values()), ids=list(cases)
+    )
+
+
+def assert_pinned(code, out, err, lines, digest):
+    assert (code, err) == (0, "")
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestCount:
     @pytest.mark.parametrize(
         "argv,value",
@@ -150,6 +205,10 @@ class TestTable:
         lines = out.strip().splitlines()
         assert lines[0] == "n,i,count"
         assert "3,1,2" in lines
+
+    @pinned(PINNED_GF)
+    def test_gf_bytes_are_pinned(self, capsys, argv, lines, digest):
+        assert_pinned(*run(capsys, "table", "--quantity", "gf", *argv), lines, digest)
 
     @pytest.mark.parametrize(
         "argv",
@@ -394,30 +453,9 @@ class TestBiject:
 
 
 class TestVerify:
-    # Digests of the full reports as printed before the harness shared its
-    # enumerations between checks: the same checks, cells and bytes.
-    @pytest.mark.parametrize(
-        "argv,lines,digest",
-        [
-            ((), 31, "f18ca9ca71217af0e58805888ad4a32c526207d33cff99ed8d68404120c699a3"),
-            (
-                ("--k-max", "8", "--perm-cap", "9", "--word-cap", "14"),
-                31,
-                "06051e1d7cce416b8bdb9314f69408f1a212d6969dcc382fceeb29f10f41a5ce",
-            ),
-            (
-                ("--format", "json"),
-                1,
-                "64bdc5088c156c4b828b7c7481adc0328ed02339debb8bac3e4b23a84630bd85",
-            ),
-        ],
-        ids=["default", "raised", "json"],
-    )
+    @pinned(PINNED_VERIFY)
     def test_report_bytes_are_pinned(self, capsys, argv, lines, digest):
-        code, out, err = run(capsys, "verify", *argv)
-        assert (code, err) == (0, "")
-        assert out.count("\n") == lines
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert_pinned(*run(capsys, "verify", *argv), lines, digest)
 
     def test_single_suite_passes(self, capsys):
         code, out, _ = run(
@@ -575,13 +613,11 @@ class TestVerify:
 def test_reader_closing_early(argv, lines, code):
     # The reader takes `lines` lines and closes the pipe; the dyck listing
     # overflows the pipe buffer, so the writer meets the closed pipe.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "grassperm.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": path},
+        env=cli_env(),
     )
     for _ in range(lines):
         proc.stdout.readline()
@@ -590,6 +626,22 @@ def test_reader_closing_early(argv, lines, code):
     proc.stderr.close()
     assert proc.wait(timeout=60) == code
     assert err == b""
+
+
+def test_optimized_interpreter_prints_the_pinned_bytes():
+    # python -O strips every assert statement, so it must change no result.
+    for command, (argv, lines, digest) in [
+        (("table", "--quantity", "gf"), PINNED_GF["40"]),
+        (("verify",), PINNED_VERIFY["default"]),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "grassperm.cli", *command, *argv],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+            timeout=60,
+        )
+        assert_pinned(proc.returncode, proc.stdout, proc.stderr, lines, digest)
 
 
 SMALL = st.integers(-3, 6).map(str)

@@ -9,12 +9,6 @@ def test_small_rows():
     assert table == [{0: 1}, {0: 1}, {0: 1, 1: 1}, {0: 1, 1: 2, 2: 2}]
 
 
-def test_row_sums():
-    table = series.inversion_table(12)
-    for n in range(1, 13):
-        assert sum(table[n].values()) == 2**n - n
-
-
 def test_single_zero_inversion_permutation_per_size():
     table = series.inversion_table(10)
     for n in range(1, 11):
@@ -38,8 +32,8 @@ def test_rows_are_row_major():
 
 
 def shift_multiply_by_convolution(series_rows, max_n, r):
-    """x/(1 - x t^r) = sum_{i>=1} x^i t^(r(i-1)), term by term: the reference
-    for the division recurrence."""
+    """Multiply by x/(1 - x t^r) = sum_{i>=1} x^i t^(r(i-1)), term by term,
+    truncated past x^max_n."""
     out = [{} for _ in range(max_n + 1)]
     for n, row in enumerate(series_rows):
         for inv, c in row.items():
@@ -51,8 +45,47 @@ def shift_multiply_by_convolution(series_rows, max_n, r):
 
 @pytest.mark.parametrize("r", [1, 2, 5])
 def test_shift_multiply_matches_the_convolution(r):
+    # The reference must invert multiplication by (1 - x t^r)/x: that is the
+    # division recurrence out[n] = series[n-1] + t^r out[n-1].
     rows = [{0: 1}, {}, {1: 2, 3: -1}, {0: 4}, {}, {2: 7}, {}, {}]
-    assert series._shift_multiply(rows, 7, r) == shift_multiply_by_convolution(rows, 7, r)
+    out = shift_multiply_by_convolution(rows, 7, r)
+    assert out[0] == {}
+    for n in range(1, 8):
+        row = dict(rows[n - 1])
+        for inv, c in out[n - 1].items():
+            row[inv + r] = row.get(inv + r, 0) + c
+        assert out[n] == row
+
+
+def inversion_table_by_expansion(max_n):
+    """The generating function of the series docstring, expanded term by
+    term up to x^max_n, as rows sorted by inversion number."""
+    acc = [{0: 1}] + [{} for _ in range(max_n)]
+    prod = [{0: 1}] + [{} for _ in range(max_n)]
+    for k in range(1, max_n + 1):
+        prod = shift_multiply_by_convolution(prod, max_n, k)
+        for n, row in enumerate(prod):
+            for inv, c in row.items():
+                acc[n][inv] = acc[n].get(inv, 0) + c
+    # 1/(1-x) is a running sum over x-degrees; x/(1-x)^2 takes n at x^n t^0.
+    running, table = {}, []
+    for n in range(max_n + 1):
+        for inv, c in acc[n].items():
+            running[inv] = running.get(inv, 0) + c
+        row = dict(sorted(running.items()))
+        row[0] -= n
+        table.append({inv: c for inv, c in row.items() if c})
+    return table
+
+
+def test_recurrence_matches_the_expansion():
+    expansion = inversion_table_by_expansion(40)
+    for max_n in range(41):
+        table = series.inversion_table(max_n)
+        # items, not dicts: the key order is part of the contract
+        assert [list(row.items()) for row in table] == [
+            list(row.items()) for row in expansion[: max_n + 1]
+        ]
 
 
 def test_size_past_the_cap_refused():
