@@ -15,6 +15,11 @@ cap error.  A reader that closes the output early is not an error: the
 command exits 0, or with its verdict for ``verify``.  All output is
 deterministic for fixed flags.
 
+Each handler takes ``(parser, args)``, computes and validates everything,
+and returns its exit code and its output lines; only ``main`` writes them.
+So a refused command (exit 2 or 3) prints nothing to stdout, and a closed
+pipe is handled in one place.
+
 A command imports only the modules it runs, because a one-value query is
 mostly start-up: the form tables name modules by string, and each handler
 imports what it calls.  ``count --quantity B`` loads ``counting`` alone.
@@ -25,6 +30,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
 from importlib import import_module
 
 from .errors import DomainError
@@ -151,136 +157,118 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_count(parser: argparse.ArgumentParser, args) -> int:
+def _cmd_count(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[str]]:
     for flags, module, function in COUNT_FORMS[args.quantity]:
         values = [getattr(args, flag) for flag in flags]
         if None not in values:
-            print(_function(module, function)(*values))
-            return 0
+            return 0, [f"{_function(module, function)(*values)}\n"]
     missing = ", ".join(f"--{flag}" for flag, v in zip(flags, values) if v is None)
     parser.error(f"--quantity {args.quantity} requires {missing}")
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[str]]:
     header, module, function, bound = TABLE_FORMS[args.quantity]
-    # Every row is built before any prints, so a bad bound leaves no output.
+    # Every row is built before the lines are, so a bad bound prints nothing.
     rows = list(_function(module, function)(getattr(args, bound)))
     if args.format == "csv":
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(v) for v in row))
-    else:
-        import json
+        return 0, (",".join(map(str, row)) + "\n" for row in (header, *rows))
+    import json
 
-        print(json.dumps([dict(zip(header, row)) for row in rows], indent=None))
-    return 0
+    return 0, [json.dumps([dict(zip(header, row)) for row in rows], indent=None) + "\n"]
 
 
-def _write_listing(names, stats: str | None, values) -> None:
-    """One line per object: its name, then `` stats=value`` when asked for.
-    ``values`` is lazy, so a statistic no one asked for is never computed."""
-    if stats is None:
-        lines = (f"{name}\n" for name in names)
-    else:
-        lines = (f"{name} {stats}={value}\n" for name, value in zip(names, values))
-    sys.stdout.writelines(lines)
-
-
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[str]]:
     from . import core, patterns
 
     cap = ENUMERATE_CAPS[args.kind]
     if args.kind == "words":
         if args.m > cap:
             raise DomainError(f"word length {args.m} over cap {cap}")
-        words = patterns.enumerate_avoiding_words(args.k, args.m)
-        _write_listing(words, args.stats, map(core.inversion_count, words))
+        names = patterns.enumerate_avoiding_words(args.k, args.m)
+        values = map(core.inversion_count, names)
     elif args.kind == "avoiders":
         if args.n > cap:
             raise DomainError(f"size {args.n} over cap {cap}")
         pattern = core.perm_from_str(args.pattern)
         perms = patterns.enumerate_avoiders(args.n, pattern)
+        names = map(core.perm_to_str, perms)
         if args.stats == "fixed-points":
             values = (len(core.fixed_points(p)) for p in perms)
         else:
             values = (core.inversion_count(core.canonical_word(p)) for p in perms)
-        _write_listing(map(core.perm_to_str, perms), args.stats, values)
     else:  # dyck
         from . import paths
 
         if args.n > cap:
             raise DomainError(f"semilength {args.n} over cap {cap}")
-        dyck = paths.enumerate_dyck(args.n)
-        _write_listing(dyck, args.stats, map(paths.peak_count, dyck))
-    return 0
+        names = paths.enumerate_dyck(args.n)
+        values = map(paths.peak_count, names)
+    # One line per object; ``values`` is lazy, so a statistic no one asked
+    # for is never computed.
+    if args.stats is None:
+        return 0, (f"{name}\n" for name in names)
+    return 0, (f"{name} {args.stats}={value}\n" for name, value in zip(names, values))
 
 
 def _format_a_sequence(a: tuple[int, ...]) -> str:
     return ",".join(str(x) for x in a)
 
 
-def _cmd_biject(parser: argparse.ArgumentParser, args) -> int:
+def _cmd_biject(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[str]]:
     from . import core, paths
 
-    out_path = None
+    if args.map in ("word-to-dyck", "word-to-lattice"):
+        if args.k is None:
+            parser.error(f"{args.map} requires --k")
+        w = core.check_word(args.input)
+        lines = [f"word={w}", f"a={_format_a_sequence(core.a_sequence(w))}"]
     if args.map == "word-to-dyck":
-        if args.k is None:
-            parser.error("word-to-dyck requires --k")
-        w = core.check_word(args.input)
-        out_path = paths.word_to_dyck(args.k, w)
-        print(f"word={w}")
-        print(f"a={_format_a_sequence(core.a_sequence(w))}")
-        print(f"dyck={out_path}")
-        print(f"peak_sum={paths.first_last_peak_sum(out_path)}")
+        out_path, floor = paths.word_to_dyck(args.k, w), 0
+        lines += [f"dyck={out_path}", f"peak_sum={paths.first_last_peak_sum(out_path)}"]
     elif args.map == "word-to-lattice":
-        if args.k is None:
-            parser.error("word-to-lattice requires --k")
-        w = core.check_word(args.input)
         lp = paths.word_to_lattice(args.k, w)
-        out_path = lp.steps
-        print(f"word={w}")
-        print(f"a={_format_a_sequence(core.a_sequence(w))}")
-        print(f"lattice={lp.steps}")
-        print(f"floor={lp.floor}")
+        out_path, floor = lp.steps, lp.floor
+        lines += [f"lattice={lp.steps}", f"floor={lp.floor}"]
         try:
             i, kind, height = paths.find_first_floor_parity_extremum(lp)
             partner = paths.toggle_lattice_path(lp)
-            print(f"toggle_position={i + 1} toggle_kind={kind} toggle_height={height}")
-            print(f"toggle={partner.steps}")
-            print(f"toggle_word={paths.lattice_to_word(partner)}")
+            lines.append(f"toggle_position={i + 1} toggle_kind={kind} toggle_height={height}")
+            lines.append(f"toggle={partner.steps}")
+            lines.append(f"toggle_word={paths.lattice_to_word(partner)}")
         except DomainError:
-            print("toggle=none (no peak or valley at floor parity)")
+            lines.append("toggle=none (no peak or valley at floor parity)")
     elif args.map == "toggle":
         steps = paths.check_steps(args.input)
         if args.k is not None:
             lp = paths.LatticePath(steps, args.k)
             run_seq = paths.lattice_run_sequence(lp)
             i, kind, height = paths.find_first_floor_parity_extremum(lp)
-            out_path = paths.toggle_lattice_path(lp).steps
+            out_path, floor = paths.toggle_lattice_path(lp).steps, lp.floor
         else:
             run_seq = paths.dyck_run_sequence(steps)
             i, kind, height = paths.find_first_even_extremum(steps)
-            out_path = paths.toggle_first_even_extremum(steps)
-        print(f"path={steps}")
-        print(f"a={_format_a_sequence(run_seq)}")
-        print(f"position={i + 1} kind={kind} height={height}")
-        print(f"toggled={out_path}")
+            out_path, floor = paths.toggle_first_even_extremum(steps), 0
+        lines = [
+            f"path={steps}",
+            f"a={_format_a_sequence(run_seq)}",
+            f"position={i + 1} kind={kind} height={height}",
+            f"toggled={out_path}",
+        ]
     else:  # halve
-        out_path = paths.halve_all_odd_path(args.input)
-        print(f"path={args.input}")
-        print(f"a={_format_a_sequence(paths.dyck_run_sequence(args.input))}")
-        print(f"halved={out_path}")
-    if args.svg and out_path is not None:
-        floor = 0
-        if args.map == "word-to-lattice":
-            floor = paths.LatticePath(out_path, args.k).floor
+        out_path, floor = paths.halve_all_odd_path(args.input), 0
+        lines = [
+            f"path={args.input}",
+            f"a={_format_a_sequence(paths.dyck_run_sequence(args.input))}",
+            f"halved={out_path}",
+        ]
+    if args.svg:
         try:
             with open(args.svg, "w", encoding="ascii") as fh:
                 fh.write(paths.path_svg(out_path, floor))
         except OSError as exc:
             raise DomainError(f"cannot write {args.svg}: {exc.strerror}") from None
-        print(f"svg={args.svg}")
-    return 0
+        lines.append(f"svg={args.svg}")
+    return 0, [f"{line}\n" for line in lines]
 
 
 def _parse_fault(parser: argparse.ArgumentParser, raw: str | None):
@@ -293,7 +281,7 @@ def _parse_fault(parser: argparse.ArgumentParser, raw: str | None):
     return (k, m)
 
 
-def _cmd_verify(parser: argparse.ArgumentParser, args) -> int:
+def _cmd_verify(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[str]]:
     from . import verify
 
     if args.k_max < 1:
@@ -316,39 +304,36 @@ def _cmd_verify(parser: argparse.ArgumentParser, args) -> int:
         )
         parser.exit(2, f"{parser.prog}: error: {message}\n")
     results = verify.run_suites(names, opts)
-    try:
-        if args.format == "json":
-            import json
+    code = 0 if all(r.passed for r in results) else 1
+    if args.format == "json":
+        import json
 
-            report = [
-                {"suite": r.suite, "checks": [{**c._asdict(), "pass": c.passed} for c in r.checks]}
-                for r in results
-            ]
-            print(json.dumps(report))
-        else:
-            for r in results:
-                for c in r.checks:
-                    status = "PASS" if c.passed else "FAIL"
-                    line = f"{status} {r.suite}.{c.name} {c.actual}/{c.expected} cells"
-                    mismatch = c.params.get("first_mismatch")
-                    if mismatch is not None:
-                        where = " ".join(
-                            f"{key}={val}"
-                            for key, val in mismatch.items()
-                            if key not in ("expected", "actual")
-                        )
-                        line += (
-                            f" (first mismatch at {where}: expected "
-                            f"{mismatch['expected']}, actual {mismatch['actual']})"
-                        )
-                    print(line)
-            total = sum(len(r.checks) for r in results)
-            bad = sum(1 for r in results for c in r.checks if not c.passed)
-            print(f"{total - bad}/{total} checks passed")
-        sys.stdout.flush()
-    except BrokenPipeError:
-        _discard_stdout()
-    return 0 if all(r.passed for r in results) else 1
+        report = [
+            {"suite": r.suite, "checks": [{**c._asdict(), "pass": c.passed} for c in r.checks]}
+            for r in results
+        ]
+        return code, [json.dumps(report) + "\n"]
+    lines = []
+    for r in results:
+        for c in r.checks:
+            status = "PASS" if c.passed else "FAIL"
+            line = f"{status} {r.suite}.{c.name} {c.actual}/{c.expected} cells"
+            mismatch = c.params.get("first_mismatch")
+            if mismatch is not None:
+                where = " ".join(
+                    f"{key}={val}"
+                    for key, val in mismatch.items()
+                    if key not in ("expected", "actual")
+                )
+                line += (
+                    f" (first mismatch at {where}: expected "
+                    f"{mismatch['expected']}, actual {mismatch['actual']})"
+                )
+            lines.append(f"{line}\n")
+    total = sum(len(r.checks) for r in results)
+    bad = sum(1 for r in results for c in r.checks if not c.passed)
+    lines.append(f"{total - bad}/{total} checks passed\n")
+    return code, lines
 
 
 def _discard_stdout() -> None:
@@ -357,6 +342,15 @@ def _discard_stdout() -> None:
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, sys.stdout.fileno())
     os.close(devnull)
+
+
+HANDLERS = {
+    "count": _cmd_count,
+    "table": _cmd_table,
+    "enumerate": _cmd_enumerate,
+    "biject": _cmd_biject,
+    "verify": _cmd_verify,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -368,26 +362,18 @@ def main(argv: list[str] | None = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        if args.command == "count":
-            code = _cmd_count(parser, args)
-        elif args.command == "table":
-            code = _cmd_table(args)
-        elif args.command == "enumerate":
-            code = _cmd_enumerate(args)
-        elif args.command == "biject":
-            code = _cmd_biject(parser, args)
-        else:
-            code = _cmd_verify(parser, args)
-        sys.stdout.flush()
+        code, lines = HANDLERS[args.command](parser, args)
+        try:
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # e.g. `grassperm enumerate dyck --n 10 | head -1`: the reader
+            # has what it wanted, so the command keeps its code.
+            _discard_stdout()
         return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except BrokenPipeError:
-        # e.g. `grassperm enumerate dyck --n 10 | head -1`; verify catches
-        # its own, to keep its verdict.
-        _discard_stdout()
-        return 0
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

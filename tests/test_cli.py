@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from grassperm import cli, counting, verify
+from grassperm import cli, counting, paths, verify
 
 
 def run(capsys, *argv):
@@ -437,7 +437,7 @@ class TestBiject:
 
     def test_unwritable_svg_exits_3(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.svg"
-        code, _, err = run(
+        code, out, err = run(
             capsys,
             "biject",
             "word-to-dyck",
@@ -448,8 +448,16 @@ class TestBiject:
             "--svg",
             str(target),
         )
-        assert code == 3
+        assert (code, out) == (3, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_toggle_svg_draws_the_lattice_floor(self, capsys, tmp_path):
+        # DDUUDD for k = 5 has floor y = -2, and its toggle keeps that floor
+        target = tmp_path / "toggle.svg"
+        argv = ("biject", "toggle", "--k", "5", "--input", "DDUUDD", "--svg", str(target))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "toggled=DUDUDD" in out
+        assert target.read_text() == paths.path_svg("DUDUDD", -2)
 
 
 class TestVerify:
@@ -608,11 +616,13 @@ class TestVerify:
         (("enumerate", "dyck", "--n", "10"), 1, 0),
         (("count", "--quantity", "B", "--k", "3", "--m", "4"), 0, 0),
         (("verify", "--suite", "counting", "--k-max", "4", "--inject-fault", "3,4"), 0, 1),
+        (("table", "--quantity", "gf", "--n-max", "120"), 1, 0),
     ],
 )
 def test_reader_closing_early(argv, lines, code):
     # The reader takes `lines` lines and closes the pipe; the dyck listing
-    # overflows the pipe buffer, so the writer meets the closed pipe.
+    # and the gf table overflow the pipe buffer, so the writer meets the
+    # closed pipe.
     proc = subprocess.Popen(
         [sys.executable, "-m", "grassperm.cli", *argv],
         stdout=subprocess.PIPE,
@@ -655,9 +665,11 @@ OPTIONAL = {
     "--stats": st.sampled_from(["inversions", "fixed-points", "peaks"]),
     "--format": st.sampled_from(["csv", "json", "text"]),
     "--inject-fault": st.sampled_from(["3,4", "9,9", "1", "a,b"]) | TEXT,
+    # a file under the null device can never be written
+    "--svg": st.just(os.path.join(os.devnull, "x.svg")),
 }
 ENUMERATE = ("--stats", "--cap")
-BIJECT = ({"--input": TEXT}, ("--k",))
+BIJECT = ({"--input": TEXT}, ("--k", "--svg"))
 # each command with the flags it needs and the flags it may take
 COMMANDS = {
     "count": (
@@ -708,3 +720,6 @@ def test_every_argv_ends_in_a_documented_exit(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code in (2, 3):
+        # a refused command prints nothing to stdout
+        assert out.getvalue() == "", argv

@@ -121,3 +121,40 @@ def test_records_are_named_tuples(path):
         if isinstance(item, ast.FunctionDef) and item.name in RECORD_METHODS
     ]
     assert written == [], f"hand-written record methods in {path.name}: {written}"
+
+
+# The one writer of stdout, and the function that silences it after a
+# closed pipe.
+STDOUT_WRITERS = {("cli.py", "main"), ("cli.py", "_discard_stdout")}
+
+
+def stdout_uses(tree):
+    """(function, line) of each use of ``print`` or ``sys.stdout``, naming
+    the innermost function it is in, or ``<module>``."""
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Name) and node.id == "print") or (
+            isinstance(node, ast.Attribute)
+            and node.attr == "stdout"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "sys"
+        ):
+            yield function, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return visit(tree, "<module>")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_main_writes_stdout(path):
+    # Handlers return their lines and `cli.main` writes them, so a refused
+    # command prints nothing and a closed pipe is handled in one place.
+    uses = [
+        (function, line)
+        for function, line in stdout_uses(parse(path))
+        if (path.name, function) not in STDOUT_WRITERS
+    ]
+    assert uses == [], f"print or sys.stdout in {path.name}: {uses}"
