@@ -52,7 +52,7 @@ def has_involution_word_form(w: str) -> bool:
     n = len(w)
     a = n - len(w.lstrip("0"))
     c = n - len(w.rstrip("1"))
-    middle = w[a : n - c] if a + c <= n else ""
+    middle = w[a : n - c]  # the leading zeros and trailing ones never overlap
     b2 = len(middle)
     return b2 % 2 == 0 and middle == "1" * (b2 // 2) + "0" * (b2 // 2)
 

@@ -74,7 +74,7 @@ COUNT_FORMS = {
 }
 
 # Each table's header and the (module, function, bound flag) whose rows it
-# prints; the function checks its own bound.
+# prints; the function checks that its bound is in its domain.
 TABLE_FORMS = {
     "B": (("k", "m", "value"), "counting", "avoiding_word_table", "k_max"),
     "A": (("k", "m", "value"), "counting", "alternating_word_table", "k_max"),
@@ -91,6 +91,10 @@ VERIFY_SUITES = ("counting", "parity", "classes", "paths", "series", "identities
 # The largest word length, size and semilength each listing serves; a larger
 # one is refused as a cap error.
 ENUMERATE_CAPS = {"words": 24, "avoiders": 14, "dyck": 12}
+
+# The largest bound each table serves in about a second of CPU; a larger one
+# is refused as a cap error.  The gf table keeps its own, ``series.MAX_N``.
+TABLE_CAPS = {"B": 300, "A": 150, "parity": 300, "classes": 100_000}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,8 +172,11 @@ def _cmd_count(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[str
 
 def _cmd_table(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[str]]:
     header, module, function, bound = TABLE_FORMS[args.quantity]
+    value, cap = getattr(args, bound), TABLE_CAPS.get(args.quantity)
+    if cap is not None and value > cap:
+        raise DomainError(f"{bound} {value} over cap {cap}")
     # Every row is built before the lines are, so a bad bound prints nothing.
-    rows = list(_function(module, function)(getattr(args, bound)))
+    rows = list(_function(module, function)(value))
     if args.format == "csv":
         return 0, (",".join(map(str, row)) + "\n" for row in (header, *rows))
     import json

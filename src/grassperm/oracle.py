@@ -1,31 +1,32 @@
 """
 Brute-force ground truth used to certify every closed form in the package.
 
-One tally per size, shared with nothing.  ``word_statistics(m)`` reads
-all 2^m words one letter at a time, but aggregated: it counts the words
-that share a state (zeros, longest ``0*1*`` subsequence, ones and
-inversions mod 2) instead of visiting each word, the transfer-matrix
-method (Stanley, *EC1* 4.7), O(m^3) steps in all.
+Each call runs its own walk and returns a fresh ``Counter``; the module
+keeps no state.  ``word_statistics(m)`` reads all 2^m words one letter at
+a time, but aggregated: it counts the words that share a state (zeros,
+longest ``0*1*`` subsequence, ones and inversions mod 2) instead of
+visiting each word, the transfer-matrix method (Stanley, *EC1* 4.7),
+O(m^3) steps in all.
 ``grassmannian_statistics(n)`` filters S_n by descent count, never through
-the binary-word encoding: a depth-first walk over the permutations of
-[n] that drops a prefix at its second descent, so it visits about 3^n
-prefixes instead of n! leaves.  Each tally counts its objects by the
+the binary-word encoding: a depth-first walk over the permutations of [n]
+that extends a prefix only while it can still end with at most one
+descent, so every prefix it visits completes and its cost follows the
+2^n - n permutations it lists.  Each tally counts its objects by the
 statistics the paper refines by, so a question about avoiders is a sum
 over one tally: a word avoids every ``0^j 1^(k-j)`` iff its longest
 ``0*1*`` subsequence is shorter than k, and a permutation avoids
 ``12...k`` iff its longest increasing subsequence is (Schensted 1961).
 The module imports nothing from the package but its error types.  Sizes
-past ``PERM_CAP`` and ``WORD_CAP`` are refused; the permutation cap is the
-largest size the walk serves in about a second.
+past ``PERM_CAP`` and ``WORD_CAP`` are refused.  Both walks serve more in
+a second, but a cap is in ``verify``'s refusals, so raising one changes
+the CLI's bytes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import CapExceededError, DomainError
 
@@ -54,8 +55,17 @@ def _check_size(size: int, cap: int, what: str) -> None:
         raise CapExceededError(f"oracle serves {what}s up to {cap}, not {size}")
 
 
-@lru_cache(maxsize=None)
-def _word_tally(m: int) -> Counter[WordKey]:
+def word_statistics(m: int) -> Counter[WordKey]:
+    """How many length-m binary words have each (longest ``0*1*``
+    subsequence, zero count, inversion parity).
+
+    >>> tally = word_statistics(4)
+    >>> sum(c for key, c in tally.items() if key.longest < 3)
+    2
+    >>> sum(c for key, c in tally.items() if key.longest < 3 and key.odd)
+    1
+    """
+    _check_size(m, WORD_CAP, "word length")
     # How many words read so far end in each (zeros, longest, ones mod 2,
     # inversions mod 2).  longest is that of the prefix read so far: a 1
     # extends every 0*1* subsequence, a 0 only the one made of all the
@@ -71,20 +81,6 @@ def _word_tally(m: int) -> Counter[WordKey]:
     for (zeros, longest, _, i), count in states.items():
         tally[WordKey(longest, zeros, i == 1)] += count
     return tally
-
-
-def word_statistics(m: int) -> Mapping[WordKey, int]:
-    """How many length-m binary words have each (longest ``0*1*``
-    subsequence, zero count, inversion parity).
-
-    >>> tally = word_statistics(4)
-    >>> sum(c for key, c in tally.items() if key.longest < 3)
-    2
-    >>> sum(c for key, c in tally.items() if key.longest < 3 and key.odd)
-    1
-    """
-    _check_size(m, WORD_CAP, "word length")
-    return MappingProxyType(_word_tally(m))
 
 
 def _descents(p: list[int]) -> int:
@@ -104,8 +100,18 @@ def _longest_increasing(p: list[int]) -> int:
     return len(tops)
 
 
-@lru_cache(maxsize=None)
-def _grassmannian_tally(n: int) -> Counter[PermKey]:
+def grassmannian_statistics(n: int) -> Counter[PermKey]:
+    """How many Grassmannian permutations of [n], found by filtering S_n
+    by descent count, have each (longest increasing subsequence,
+    biGrassmannian, involution, inversions, fixed points).
+
+    >>> tally = grassmannian_statistics(4)
+    >>> sum(tally.values())
+    12
+    >>> sum(c for key, c in tally.items() if key.longest < 3)
+    2
+    """
+    _check_size(n, PERM_CAP, "permutation size")
     tally: Counter[PermKey] = Counter()
     prefix: list[int] = []
 
@@ -125,11 +131,14 @@ def _grassmannian_tally(n: int) -> Counter[PermKey]:
             )
             tally[key] += 1
             return
-        # past its descent a prefix may only rise: a value below the last
-        # would be its second descent
-        for v in range(last + 1 if descended else 1, n + 1):
-            if used >> v & 1:
-                continue
+        # The least unused value always fits: below the last it is the
+        # descent, and the rest rise from it.  Before the descent any unused
+        # value above both may follow too; past it, that would force a second.
+        least = (~used & (used + 2)).bit_length() - 1  # lowest clear bit past 0
+        choices = [least]
+        if not descended:
+            choices += [v for v in range(max(last, least) + 1, n + 1) if not used >> v & 1]
+        for v in choices:
             prefix.append(v)
             extend(
                 used | 1 << v,
@@ -142,18 +151,3 @@ def _grassmannian_tally(n: int) -> Counter[PermKey]:
 
     extend(0, 0, False, 0, 0)
     return tally
-
-
-def grassmannian_statistics(n: int) -> Mapping[PermKey, int]:
-    """How many Grassmannian permutations of [n], found by filtering S_n
-    by descent count, have each (longest increasing subsequence,
-    biGrassmannian, involution, inversions, fixed points).
-
-    >>> tally = grassmannian_statistics(4)
-    >>> sum(tally.values())
-    12
-    >>> sum(c for key, c in tally.items() if key.longest < 3)
-    2
-    """
-    _check_size(n, PERM_CAP, "permutation size")
-    return MappingProxyType(_grassmannian_tally(n))

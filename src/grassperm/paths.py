@@ -374,19 +374,22 @@ def enumerate_dyck(n: int) -> list[str]:
     return out
 
 
-def path_svg(steps: str, floor: int = 0, unit: int = 24) -> str:
+SVG_UNIT = 24  # pixels per step, across and up
+
+
+def path_svg(steps: str, floor: int = 0) -> str:
     """Minimal SVG rendering of a path, with its floor line when below 0."""
     check_steps(steps)
     hs = [0]
     for c in steps:
         hs.append(hs[-1] + (1 if c == UP else -1))
     top, bot = max(hs + [0]), min(hs + [floor])
-    width, height = unit * (len(steps) + 2), unit * (top - bot + 2)
-    y = lambda v: height - unit * (v - bot + 1)
-    pts = " ".join(f"{unit * (i + 1)},{y(v)}" for i, v in enumerate(hs))
+    width, height = SVG_UNIT * (len(steps) + 2), SVG_UNIT * (top - bot + 2)
+    y = lambda v: height - SVG_UNIT * (v - bot + 1)
+    pts = " ".join(f"{SVG_UNIT * (i + 1)},{y(v)}" for i, v in enumerate(hs))
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<line x1="{unit}" y1="{y(floor)}" x2="{width - unit}" y2="{y(floor)}" '
+        f'<line x1="{SVG_UNIT}" y1="{y(floor)}" x2="{width - SVG_UNIT}" y2="{y(floor)}" '
         'stroke="#999" stroke-dasharray="4"/>',
         f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="2"/>',
         "</svg>",

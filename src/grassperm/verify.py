@@ -74,16 +74,8 @@ def word_oracle_cells(opts: Options) -> list[tuple[int, int]]:
     return [(k, m) for k in ks for m in _word_m_range(k, opts.word_cap)]
 
 
-def _words(m: int, keep: Callable[[oracle.WordKey], bool]) -> int:
-    """How many length-m words have statistics that pass ``keep``."""
-    tally = oracle.word_statistics(m)
-    return sum(count for key, count in tally.items() if keep(key))
-
-
-def _perms(n: int, keep: Callable[[oracle.PermKey], bool]) -> int:
-    """How many Grassmannian permutations of [n] have statistics that pass
-    ``keep``."""
-    tally = oracle.grassmannian_statistics(n)
+def _count(tally: dict[tuple, int], keep: Callable) -> int:
+    """How many objects of one oracle tally have statistics passing ``keep``."""
     return sum(count for key, count in tally.items() if keep(key))
 
 
@@ -99,6 +91,10 @@ def _capped_k(opts: Options) -> tuple[range, dict]:
 
 
 def suite_counting(opts: Options) -> list[Check]:
+    # The word tallies come first, so that a cap past both oracles' is
+    # refused with the word oracle's message.
+    words = [oracle.word_statistics(m) for m in _word_m_range(opts.k_max, opts.word_cap)]
+    perms = [oracle.grassmannian_statistics(n) for n in range(opts.perm_cap + 1)]
     fault = opts.fault
     capped_ks, capped_params = _capped_k(opts)
     recurrence = {(k, m): c for k, m, c in counting.avoiding_word_table(opts.k_max)}
@@ -122,7 +118,7 @@ def suite_counting(opts: Options) -> list[Check]:
             "recurrence_vs_word_oracle",
             {"k_max": opts.k_max, "word_cap": opts.word_cap},
             (
-                ({"k": k, "m": m}, _words(m, lambda w: w.longest < k), table(k, m))
+                ({"k": k, "m": m}, _count(words[m], lambda w: w.longest < k), table(k, m))
                 for k, m in word_oracle_cells(opts)
             ),
         ),
@@ -162,7 +158,7 @@ def suite_counting(opts: Options) -> list[Check]:
             "perm_counts_vs_perm_oracle",
             {"k_max": opts.k_max, "perm_cap": opts.perm_cap},
             (
-                ({"k": k, "m": m, "form": form}, _perms(m, lambda p: p.longest < k), value)
+                ({"k": k, "m": m, "form": form}, _count(perms[m], lambda p: p.longest < k), value)
                 for k in range(1, opts.k_max + 1)
                 for m in range(min(2 * k - 2, opts.perm_cap) + 1)
                 for form, value in (
@@ -217,7 +213,7 @@ def suite_counting(opts: Options) -> list[Check]:
                 (
                     {"k": k, "j": j},
                     sum(
-                        _words(m, lambda w: w.longest < k and w.zeros == j)
+                        _count(words[m], lambda w: w.longest < k and w.zeros == j)
                         for m in _word_m_range(k, opts.word_cap)
                     ),
                     counting.avoiding_words_with_zeros(k, j),
@@ -232,7 +228,7 @@ def suite_counting(opts: Options) -> list[Check]:
             (
                 (
                     {"n": n, "k": k},
-                    _perms(n, lambda p: p.fixed_points == k),
+                    _count(perms[n], lambda p: p.fixed_points == k),
                     counting.fixed_point_count(n, k),
                 )
                 for n in range(opts.perm_cap + 1)
@@ -255,6 +251,7 @@ def suite_counting(opts: Options) -> list[Check]:
 
 
 def suite_parity(opts: Options) -> list[Check]:
+    words = [oracle.word_statistics(m) for m in _word_m_range(opts.k_max, opts.word_cap)]
     capped_ks, capped_params = _capped_k(opts)
     return [
         _sweep(
@@ -263,7 +260,7 @@ def suite_parity(opts: Options) -> list[Check]:
             (
                 (
                     {"k": k, "m": m},
-                    _words(m, lambda w: w.longest < k and w.odd),
+                    _count(words[m], lambda w: w.longest < k and w.odd),
                     parity.odd_word_count(k, m),
                 )
                 for k, m in word_oracle_cells(opts)
@@ -313,7 +310,7 @@ def suite_parity(opts: Options) -> list[Check]:
                 (
                     {"k": k, "j": j},
                     sum(
-                        _words(m, lambda w: w.longest < k and w.odd and w.zeros == j)
+                        _count(words[m], lambda w: w.longest < k and w.odd and w.zeros == j)
                         for m in _word_m_range(k, opts.word_cap)
                     ),
                     parity.odd_avoiding_words_with_zeros(k, j),
@@ -352,16 +349,17 @@ _CLASSES = (
 )
 
 
-def _oracle_class(n: int, k: int, member: str, odd: bool) -> int:
-    """Members of one class among the Grassmannian permutations of [n] that
-    avoid 12...k; every one avoids 12...(n + 1)."""
-    return _perms(
-        n,
+def _oracle_class(tally: dict[tuple, int], k: int, member: str, odd: bool) -> int:
+    """Members of one class among the Grassmannian permutations of one
+    tally that avoid 12...k; those of [n] all avoid 12...(n + 1)."""
+    return _count(
+        tally,
         lambda p: p.longest < k and getattr(p, member) and (not odd or p.inversions % 2),
     )
 
 
 def suite_classes(opts: Options) -> list[Check]:
+    perms = [oracle.grassmannian_statistics(n) for n in range(opts.perm_cap + 1)]
     return [
         _sweep(
             "class_totals_vs_oracle",
@@ -369,7 +367,7 @@ def suite_classes(opts: Options) -> list[Check]:
             (
                 (
                     {"class": name, "m": m},
-                    _oracle_class(m, m + 1, member, odd),
+                    _oracle_class(perms[m], m + 1, member, odd),
                     total(m),
                 )
                 for m in range(opts.perm_cap + 1)
@@ -382,7 +380,7 @@ def suite_classes(opts: Options) -> list[Check]:
             (
                 (
                     {"class": name, "k": k, "m": m},
-                    _oracle_class(m, k, member, odd),
+                    _oracle_class(perms[m], k, member, odd),
                     avoiders(k, m),
                 )
                 for k in range(2, opts.k_max + 1)

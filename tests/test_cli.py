@@ -219,6 +219,11 @@ class TestTable:
             ("--quantity", "classes", "--m-max", "-3"),
             ("--quantity", "gf", "--n-max", "-1"),
             ("--quantity", "gf", "--n-max", "121"),
+            # one past each cap, refused before a row is built
+            ("--quantity", "B", "--k-max", "301"),
+            ("--quantity", "A", "--k-max", "151"),
+            ("--quantity", "parity", "--k-max", "301"),
+            ("--quantity", "classes", "--m-max", "100001"),
         ],
     )
     def test_bad_bound_exits_3_before_the_header(self, capsys, argv):

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import sys
 from collections import Counter
@@ -76,6 +77,23 @@ class TestPermutationOracle:
     @pytest.mark.parametrize("n", range(10))
     def test_walk_equals_filter(self, n):
         assert oracle.grassmannian_statistics(n) == brute_grassmannian_tally(n)
+
+    # sha256 of repr(sorted((tuple(key), count) ...)) over the tally, for
+    # sizes whose n! filter is too slow to run here.  Taken from the walk
+    # that visited every prefix with at most one descent, before it was
+    # pruned to the prefixes that complete.
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (10, "b7b356c435a8399b35fe10ef4bc2e1bf19ded32afad459a275b50f481953b400"),
+            (11, "998cfb09799e89c2b4c2ab818f0699e83a99e1fd679ccab381245c93382831fe"),
+            (12, "c4c882394108dbddce39c862a1903e809017136e20af848325bc0ccb09b05ceb"),
+        ],
+    )
+    def test_walk_beyond_the_filter_is_pinned(self, n, digest):
+        tally = oracle.grassmannian_statistics(n)
+        items = sorted((tuple(key), count) for key, count in tally.items())
+        assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
 
     def test_count_examples(self):
         tally = oracle.grassmannian_statistics(4)

@@ -11,6 +11,7 @@ SOURCES = sorted(Path(grassperm.__file__).parent.glob("*.py"))
 CONTAINER_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 CONTAINER_CALLS = {"dict", "list", "set"}
 CACHES = {"cache", "lru_cache"}
+PROXY = "MappingProxyType"
 
 
 def parse(path):
@@ -68,18 +69,23 @@ def decorator_name(dec):
     return getattr(target, "id", getattr(target, "attr", None))
 
 
+def keeps_a_cache(node):
+    """A function decorated as a cache, or a use of ``MappingProxyType``,
+    the read-only view that hands a cached value out."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return any(decorator_name(dec) in CACHES for dec in node.decorator_list)
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == PROXY for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr == PROXY
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_caches_only_in_the_oracle(path):
-    # The oracle's per-size tallies are the one cache the package keeps.
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    cached = [
-        node.lineno
-        for node in ast.walk(parse(path))
-        if isinstance(node, functions)
-        and any(decorator_name(dec) in CACHES for dec in node.decorator_list)
-    ]
-    if path.name != "oracle.py":
-        assert cached == [], f"cache decorators in {path.name} at lines {cached}"
+    # No module keeps a cache, the oracle included: a memo is state shared
+    # by every caller in the process.  The name dates from when the
+    # oracle's tallies were the one exception.
+    cached = [node.lineno for node in ast.walk(parse(path)) if keeps_a_cache(node)]
+    assert cached == [], f"caches in {path.name} at lines {cached}"
 
 
 def is_minus_one(node):
