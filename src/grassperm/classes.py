@@ -14,13 +14,6 @@ from .counting import binomial
 from .errors import DomainError
 
 
-def _check_grassmannian(p: Permutation) -> Permutation:
-    p = core.check_permutation(p)
-    if not core.is_grassmannian(p):
-        raise DomainError(f"not Grassmannian: {p!r}")
-    return p
-
-
 def _inverse(p: Permutation) -> Permutation:
     inv = [0] * len(p)
     for i, v in enumerate(p):
@@ -36,13 +29,13 @@ def is_bigrassmannian(p: Permutation) -> bool:
     >>> is_bigrassmannian((2, 4, 1, 3))
     False
     """
-    p = _check_grassmannian(p)
+    p = core.check_grassmannian(p)
     return core.is_grassmannian(_inverse(p))
 
 
 def is_grassmannian_involution(p: Permutation) -> bool:
     """True iff p composed with itself is the identity."""
-    p = _check_grassmannian(p)
+    p = core.check_grassmannian(p)
     return _inverse(p) == p
 
 

@@ -72,6 +72,13 @@ def is_grassmannian(p: Permutation) -> bool:
     return descent_count(p) <= 1
 
 
+def check_grassmannian(p: Iterable[int]) -> Permutation:
+    p = check_permutation(p)
+    if not is_grassmannian(p):
+        raise DomainError(f"not Grassmannian: {p!r}")
+    return p
+
+
 def is_identity(p: Permutation) -> bool:
     return all(v == i + 1 for i, v in enumerate(p))
 
@@ -110,10 +117,7 @@ def words_of_permutation(p: Permutation) -> set[Word]:
     >>> sorted(words_of_permutation((1, 2)))
     ['00', '01', '11']
     """
-    p = check_permutation(p)
-    d = descent_count(p)
-    if d > 1:
-        raise DomainError(f"not Grassmannian (has {d} descents): {p!r}")
+    p = check_grassmannian(p)
     if is_identity(p):
         return set(identity_words(len(p)))
     return {canonical_word(p)}
@@ -125,9 +129,7 @@ def canonical_word(p: Permutation) -> Word:
     A non-identity Grassmannian permutation has its single descent at some
     position d, and its word has 0-bits exactly at positions p[0..d-1].
     """
-    p = check_permutation(p)
-    if descent_count(p) > 1:
-        raise DomainError(f"not Grassmannian: {p!r}")
+    p = check_grassmannian(p)
     n = len(p)
     if is_identity(p):
         return "0" * n

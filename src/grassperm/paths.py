@@ -6,18 +6,19 @@ Paths are strings over {'U', 'D'}.  A Dyck path of semilength n has n of
 each step and never dips below height 0.  A word with j zeros in the
 avoiding set for parameter k maps two ways:
 
-- to a Dyck path of semilength k + 1 of the form
-  ``U^(k-j) D^(a0+1) U D^a1 ... U D^aj U D^(k+j-m)``
-  whose first and last peak heights sum to 2k - m, and
 - to a lattice path ``D^a0 U D^a1 ... U D^aj`` staying weakly above the
-  line y = j - k + 1 (used for the odd/even counts).
+  line y = j - k + 1 from the origin on (used for the odd/even counts);
+  that floor is exactly the avoidance condition, and
+- to that lattice path framed by ``U^(k-j) D`` and ``U D^(k+j-m)``, a
+  Dyck path of semilength k + 1 whose first and last peak heights sum to
+  2k - m.
 
 Here (a_0, ..., a_j) is the run-length sequence of the word, m its length.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import patterns
 from .core import Word
@@ -167,18 +168,17 @@ def is_odd_dyck(p: str) -> bool:
 def word_to_dyck(k: int, w: Word) -> str:
     """Encode an avoiding word as a Dyck path of semilength k + 1.
 
-    The first and last peak heights of the image sum to 2k - len(w).
+    The image is the word's lattice path framed by ``U^(k-j) D`` and
+    ``U D^(k+j-m)``.  The path starts at height k - j - 1, which raises its
+    floor j - k + 1 to the axis, so the image is a Dyck path as it stands.
+    Its first and last peak heights sum to 2k - len(w).
 
     >>> word_to_dyck(3, "1100")
     'UDUUDDUD'
     """
-    if not patterns.is_avoiding_word(k, w):
-        raise DomainError(f"{w!r} is not an avoiding word for k={k}")
-    j = w.count("0")
-    path = UP * (k - j) + DOWN + w[::-1].translate(_WORD_TO_STEPS) + UP + DOWN * (k + j - len(w))
-    if not (is_dyck_path(path) and semilength(path) == k + 1):
-        raise DomainError(f"image of {w!r} is not a Dyck path of semilength {k + 1}")
-    return path
+    lp = word_to_lattice(k, w)
+    j = lp.zeros
+    return UP * (k - j) + DOWN + lp.steps + UP + DOWN * (k + j - len(w))
 
 
 def dyck_to_word(k: int, p: str) -> Word:
@@ -194,61 +194,61 @@ def dyck_to_word(k: int, p: str) -> Word:
     if semilength(p) != k + 1:
         raise DomainError(f"expected semilength {k + 1}, got {semilength(p)}")
     first_run = len(p) - len(p.lstrip(UP))
-    j = k - first_run
-    if j < 0:
+    if first_run > k:
         raise DomainError("path outside the bijection image (first peak too high)")
-    # p is U^(k-j) D, then D^a0 U D^a1 ... U D^aj (the word read
-    # backwards), then U and a final run of downs.
-    w = p[first_run + 1 : p.rindex(UP)][::-1].translate(_STEPS_TO_WORD)
-    if not patterns.is_avoiding_word(k, w):
-        raise DomainError(f"preimage of {p!r} is not an avoiding word for k={k}")
-    return w
+    # p is U^(k-j) D, then the lattice path of the word, then U and a final
+    # run of downs; p stays above the axis, so that path above its floor.
+    return lattice_to_word(LatticePath(p[first_run + 1 : p.rindex(UP)], k))
 
 
-class LatticePath:
+class _LatticeFields(NamedTuple):
+    steps: str
+    k: int
+
+
+class LatticePath(_LatticeFields):
     """A U/D path from the origin staying weakly above y = zeros - k + 1.
 
     ``zeros`` up-steps stand for the word's 0-bits, the down-steps for its
-    1-bits, so the word length is len(steps).  Immutable; equal paths have
-    equal steps and k.
+    1-bits, so the word length is len(steps).  Equal paths have equal steps
+    and k.  ``_make`` and ``_replace`` build a tuple without this check.
+
+    The floor, checked from the origin on, is exactly avoidance.  A word w
+    with j zeros, read backwards with 0 as U and 1 as D, is the path, and
+    the height after a suffix of w is that suffix's zeros minus its ones.
+    So the height stays at least j - k + 1 iff, at every split of w, the
+    prefix's zeros plus the suffix's ones stay below k (the empty suffix
+    gives j < k at the origin), iff w has no ``0*1*`` subsequence of
+    length k, iff w avoids every ``0^j 1^(k-j)``.
     """
 
-    __slots__ = ("steps", "k", "zeros")
+    __slots__ = ()
 
-    def __init__(self, steps: str, k: int) -> None:
+    def __new__(cls, steps: str, k: int) -> LatticePath:
         check_steps(steps)
         if k < 1:
             raise DomainError("k must be positive")
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "zeros", steps.count(UP))
+        floor = steps.count(UP) - k + 1
         h = 0
-        for c in steps:
+        for c in steps:  # the height at the origin and after every step
+            if h < floor:
+                break
             h += 1 if c == UP else -1
-            if h < self.floor:
-                raise DomainError(f"path {steps!r} falls below its floor y={self.floor}")
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to LatticePath.{name}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LatticePath):
-            return NotImplemented
-        return (self.steps, self.k) == (other.steps, other.k)
-
-    def __hash__(self) -> int:
-        return hash((self.steps, self.k))
-
-    def __repr__(self) -> str:
-        return f"LatticePath(steps={self.steps!r}, k={self.k}, zeros={self.zeros})"
+        if h < floor:
+            raise DomainError(f"path {steps!r} falls below its floor y={floor}")
+        return super().__new__(cls, steps, k)
 
     @property
-    def length(self) -> int:
-        return len(self.steps)
+    def zeros(self) -> int:
+        return self.steps.count(UP)
 
     @property
     def floor(self) -> int:
         return self.zeros - self.k + 1
+
+    @property
+    def length(self) -> int:
+        return len(self.steps)
 
 
 def lattice_run_sequence(path: LatticePath) -> tuple[int, ...]:
@@ -275,10 +275,7 @@ def word_to_lattice(k: int, w: Word) -> LatticePath:
 
 def lattice_to_word(path: LatticePath) -> Word:
     """Inverse of :func:`word_to_lattice`."""
-    w = path.steps[::-1].translate(_STEPS_TO_WORD)
-    if not patterns.is_avoiding_word(path.k, w):
-        raise DomainError(f"{w!r} is not an avoiding word for k={path.k}")
-    return w
+    return path.steps[::-1].translate(_STEPS_TO_WORD)
 
 
 def _toggle(steps: str, i: int) -> str:

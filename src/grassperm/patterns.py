@@ -71,23 +71,28 @@ def grassmannian_contains(wprime: Word, w: Word) -> bool:
     core.check_word(w)
     if "10" in w:
         return word_contains(wprime, w)
+    return _longest_01(wprime) >= len(w)
+
+
+def _longest_01(w: Word) -> int:
+    """Length of the longest ``0*1*`` subsequence of the binary word ``w``."""
     longest = zeros = 0
-    for c in wprime:  # longest 0*1* subsequence of the prefix read so far
+    for c in w:  # longest 0*1* subsequence of the prefix read so far
         zeros += c == "0"
         longest = max(longest + (c == "1"), zeros)
-    return longest >= len(w)
+    return longest
 
 
 def is_avoiding_word(k: int, w: Word) -> bool:
     """True iff ``w`` avoids every word ``0^j 1^(k-j)``, j in [0, k].
 
     These are exactly the words whose permutation avoids the identity of
-    size k.  No word does for k = 0, and every word shorter than k does, so
-    the identity tested is cut at len(w) + 1 to cost O(len(w)), not O(k).
+    size k: those whose longest ``0*1*`` subsequence is shorter than k.  No
+    word does for k = 0.
     """
     if k < 0:
         raise DomainError("k must be nonnegative")
-    return not grassmannian_contains(w, "0" * min(k, len(w) + 1))
+    return _longest_01(core.check_word(w)) < k
 
 
 def enumerate_avoiding_words(k: int, m: int) -> list[Word]:

@@ -17,7 +17,12 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple
 
 from . import classes, core, counting, oracle, parity, paths, patterns, series
-from .errors import DomainError
+from .errors import CapExceededError, DomainError
+
+# The most avoiders the counting suite lists in one run, summed over its
+# cells (1,921,283 at ``--k-max 13``); a run that would list more is
+# refused as a cap error.
+LISTING_CAP = 2_000_000
 
 
 class Options(NamedTuple):
@@ -95,6 +100,17 @@ def suite_counting(opts: Options) -> list[Check]:
     # refused with the word oracle's message.
     words = [oracle.word_statistics(m) for m in _word_m_range(opts.k_max, opts.word_cap)]
     perms = [oracle.grassmannian_statistics(n) for n in range(opts.perm_cap + 1)]
+    # The (k, m) whose avoiders of 12...k in S_m two checks list, each
+    # (k, m) once; a listing holds avoiding_perm_count(k, m) of them.
+    word_cells = [
+        (k, m) for k in range(2, opts.k_max + 1) for m in _word_m_range(k, opts.word_cap)
+    ]
+    perm_cells = [
+        (k, m) for k in range(1, opts.k_max + 1) for m in range(min(2 * k - 2, opts.perm_cap) + 1)
+    ]
+    listed = sum(counting.avoiding_perm_count(k, m) for k, m in {*word_cells, *perm_cells})
+    if listed > LISTING_CAP:
+        raise CapExceededError(f"counting suite lists up to {LISTING_CAP} avoiders, not {listed}")
     fault = opts.fault
     capped_ks, capped_params = _capped_k(opts)
     recurrence = {(k, m): c for k, m, c in counting.avoiding_word_table(opts.k_max)}
@@ -103,8 +119,6 @@ def suite_counting(opts: Options) -> list[Check]:
         value = recurrence[(k, m)]
         return value + 1 if fault == (k, m) else value
 
-    # Two checks count the avoiders of 12...k in S_m; each (k, m) is
-    # enumerated once, and only its count is kept.
     avoider_counts: dict[tuple[int, int], int] = {}
 
     def identity_avoiders(k: int, m: int) -> int:
@@ -148,8 +162,7 @@ def suite_counting(opts: Options) -> list[Check]:
                     counting.avoiding_word_count(k, m),
                     identity_avoiders(k, m) + (m if m < k else 0),
                 )
-                for k in range(2, opts.k_max + 1)
-                for m in _word_m_range(k, opts.word_cap)
+                for k, m in word_cells
             ),
         ),
         # enumerate_avoiders decides containment by the same word rule as
@@ -159,8 +172,7 @@ def suite_counting(opts: Options) -> list[Check]:
             {"k_max": opts.k_max, "perm_cap": opts.perm_cap},
             (
                 ({"k": k, "m": m, "form": form}, _count(perms[m], lambda p: p.longest < k), value)
-                for k in range(1, opts.k_max + 1)
-                for m in range(min(2 * k - 2, opts.perm_cap) + 1)
+                for k, m in perm_cells
                 for form, value in (
                     ("formula", counting.avoiding_perm_count(k, m)),
                     ("enumeration", identity_avoiders(k, m)),

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from grassperm import cli, counting, paths, verify
+from grassperm import cli, core, counting, paths, patterns, verify
+from grassperm.errors import CapExceededError
 
 
 def run(capsys, *argv):
@@ -160,6 +161,26 @@ class TestCount:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (
+                "--quantity",
+                quantity,
+                *(arg for flag in flags for arg in (f"--{flag}", "-1" if flag == bad else "3")),
+            )
+            for quantity, forms in cli.COUNT_FORMS.items()
+            for flags, _, _ in forms
+            for bad in flags
+        ],
+        ids=" ".join,
+    )
+    def test_negative_flag_exits_3(self, capsys, argv):
+        # each form of each quantity, one of its flags negative
+        code, out, err = run(capsys, "count", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestTable:
     def test_csv_header_and_spot_row(self, capsys):
@@ -288,6 +309,16 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "dyck", "--n", "13")
         assert code == 3
         assert "cap" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("words", "--k", "3", "--m", "25"), ("avoiders", "--n", "15", "--pattern", "123")],
+        ids=["words", "avoiders"],
+    )
+    def test_over_cap_prints_one_line(self, capsys, argv):
+        code, out, err = run(capsys, "enumerate", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "over cap" in err and err.count("\n") == 1
 
     def test_cap_is_not_a_flag(self, capsys):
         # the caps are fixed: no flag lifts the refusal above
@@ -423,6 +454,13 @@ class TestBiject:
         code, _, err = run(capsys, "biject", "word-to-dyck", "--k", "2", "--input", "01")
         assert code == 3
         assert "avoiding" in err
+
+    def test_toggle_refuses_a_path_below_its_floor(self, capsys):
+        # UUUD has 3 zeros, so for k = 3 its floor y = 1 is above the origin:
+        # its word 1000 contains 000
+        code, out, err = run(capsys, "biject", "toggle", "--k", "3", "--input", "UUUD")
+        assert (code, out) == (3, "")
+        assert err == "error: path 'UUUD' falls below its floor y=1\n"
 
     def test_svg_output(self, capsys, tmp_path):
         target = tmp_path / "path.svg"
@@ -578,6 +616,41 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert err.startswith("error: oracle serves") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,listed",
+        [(("--k-max", "14"), 3453826), (("--suite", "counting", "--k-max", "20"), 15683998)],
+    )
+    def test_listing_past_the_cap_exits_3(self, capsys, argv, listed):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: counting suite lists up to 2000000 avoiders, not {listed}\n"
+
+    def test_listing_cap_bounds_what_is_listed(self, monkeypatch):
+        # the refusal counts exactly the identity avoiders the suite lists
+        opts = verify.Options(k_max=5, perm_cap=7, word_cap=6)
+        listed = []
+        enumerate_avoiders = patterns.enumerate_avoiders
+
+        def counted(n, pattern):
+            out = enumerate_avoiders(n, pattern)
+            if core.is_identity(pattern):
+                listed.append(len(out))
+            return out
+
+        monkeypatch.setattr(patterns, "enumerate_avoiders", counted)
+        monkeypatch.setattr(verify, "LISTING_CAP", 0)
+        with pytest.raises(CapExceededError):
+            verify.suite_counting(opts)
+        assert listed == []
+        monkeypatch.setattr(verify, "LISTING_CAP", 10**9)
+        verify.suite_counting(opts)
+        total = sum(listed)
+        monkeypatch.setattr(verify, "LISTING_CAP", total)
+        assert all(c.passed for c in verify.suite_counting(opts))
+        monkeypatch.setattr(verify, "LISTING_CAP", total - 1)
+        with pytest.raises(CapExceededError):
+            verify.suite_counting(opts)
 
     @pytest.mark.parametrize(
         "flags", [("--word-cap", "-1"), ("--perm-cap", "-1"), ("--k-max", "0")]

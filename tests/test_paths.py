@@ -1,4 +1,4 @@
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -434,6 +434,22 @@ class TestLattice:
     def test_floor_violation_rejected(self):
         with pytest.raises(DomainError):
             paths.LatticePath("DDD", 2)
+
+    def test_floor_is_avoidance(self):
+        # every U/D string of length <= 12 at 1 <= k <= 7: the path is
+        # accepted iff its word, read backwards with U as 0 and D as 1,
+        # avoids every 0^j 1^(k-j)
+        for k in range(1, 8):
+            for n in range(13):
+                for letters in product("UD", repeat=n):
+                    steps = "".join(letters)
+                    w = steps[::-1].translate(str.maketrans("UD", "01"))
+                    try:
+                        paths.LatticePath(steps, k)
+                        accepted = True
+                    except DomainError:
+                        accepted = False
+                    assert accepted == patterns.is_avoiding_word(k, w), (steps, k)
 
     def test_value_semantics(self):
         lp = paths.LatticePath("DDUUDD", 5)

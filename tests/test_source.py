@@ -110,9 +110,6 @@ def test_no_sign_powers(path):
 
 
 RECORD_METHODS = {"__eq__", "__hash__", "__setattr__", "__delattr__"}
-# A lattice path validates its floor on construction, which a NamedTuple
-# cannot, so it writes its own value methods.
-RECORD_METHODS_ALLOWED = {("paths.py", "LatticePath")}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -122,7 +119,7 @@ def test_records_are_named_tuples(path):
     written = [
         (node.name, item.name)
         for node in ast.walk(parse(path))
-        if isinstance(node, ast.ClassDef) and (path.name, node.name) not in RECORD_METHODS_ALLOWED
+        if isinstance(node, ast.ClassDef)
         for item in node.body
         if isinstance(item, ast.FunctionDef) and item.name in RECORD_METHODS
     ]
