@@ -18,7 +18,10 @@ deterministic for fixed flags.
 Each handler takes ``(parser, args)``, computes and validates everything,
 and returns its exit code and its output lines; only ``main`` writes them.
 So a refused command (exit 2 or 3) prints nothing to stdout, and a closed
-pipe is handled in one place.
+pipe is handled in one place.  ``main`` writes the lines in blocks, not
+one by one: under ``python -u`` or ``PYTHONUNBUFFERED`` stdout writes
+through, so each write is a system call, and a listing of 58,786 Dyck paths
+made 58,815 of them.  A lazy listing is still consumed one block at a time.
 
 A command imports only the modules it runs, because a one-value query is
 mostly start-up: the form tables name modules by string, and each handler
@@ -343,6 +346,15 @@ def _cmd_verify(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[st
     return code, lines
 
 
+# ``main`` joins the lines WRITE_BLOCK at a time and writes each block in
+# slices of at most WRITE_CHARS characters: PIPE_BUF bytes on Linux, as all
+# output but a ``--svg`` file name is ASCII.  A pipe takes such a write whole;
+# a larger one is cut short when a signal stops the writer (Ctrl-Z), and
+# under ``-u`` the text layer drops the rest of a short write.
+WRITE_BLOCK = 2048
+WRITE_CHARS = 4096
+
+
 def _discard_stdout() -> None:
     """Point stdout at the null device once the reader has gone, so the
     interpreter's final flush cannot raise BrokenPipeError again."""
@@ -370,8 +382,14 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         code, lines = HANDLERS[args.command](parser, args)
+        from itertools import islice
+
+        lines = iter(lines)
         try:
-            sys.stdout.writelines(lines)
+            while block := list(islice(lines, WRITE_BLOCK)):
+                text = "".join(block)
+                for start in range(0, len(text), WRITE_CHARS):
+                    sys.stdout.write(text[start : start + WRITE_CHARS])
             sys.stdout.flush()
         except BrokenPipeError:
             # e.g. `grassperm enumerate dyck --n 10 | head -1`: the reader

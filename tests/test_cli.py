@@ -4,14 +4,16 @@ import io
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from grassperm import cli, core, counting, paths, patterns, verify
+from grassperm import cli, core, counting, paths, patterns, series, verify
 from grassperm.errors import CapExceededError
 
 
@@ -688,6 +690,82 @@ class TestVerify:
         assert exc.value.code == 2
 
 
+class RecordedStdout:
+    """A stdout stub that keeps the text of each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def recorded_writes(monkeypatch, *argv):
+    stub = RecordedStdout()
+    monkeypatch.setattr(sys, "stdout", stub)
+    assert cli.main(list(argv)) == 0
+    return stub.writes
+
+
+class TestBlockWriter:
+    """`cli.main` writes its lines in blocks, each in slices of at most
+    WRITE_CHARS characters, and writes nothing more."""
+
+    @pytest.mark.parametrize(
+        "argv,text",
+        [
+            (
+                ("enumerate", "dyck", "--n", "11"),
+                lambda: "".join(f"{p}\n" for p in paths.enumerate_dyck(11)),
+            ),
+            (
+                ("table", "--quantity", "gf", "--n-max", "30", "--format", "json"),
+                lambda: json.dumps(
+                    [dict(zip(("n", "i", "count"), row)) for row in series.inversion_rows(30)]
+                )
+                + "\n",
+            ),
+        ],
+        ids=["dyck-11", "one-long-line"],
+    )
+    def test_bytes_and_write_count(self, monkeypatch, argv, text):
+        writes = recorded_writes(monkeypatch, *argv)
+        expected = text()
+        assert "".join(writes) == expected
+        assert all(0 < len(w) <= cli.WRITE_CHARS for w in writes)
+        # at most one short slice per block besides the full ones
+        blocks = -(-expected.count("\n") // cli.WRITE_BLOCK)
+        assert len(writes) <= blocks + len(expected) // cli.WRITE_CHARS
+
+    def test_no_lines_no_write(self, monkeypatch):
+        assert recorded_writes(monkeypatch, "enumerate", "words", "--k", "0", "--m", "0") == []
+
+    def test_one_empty_line(self, monkeypatch):
+        assert recorded_writes(monkeypatch, "enumerate", "dyck", "--n", "0") == ["\n"]
+
+    def test_final_partial_block_is_written(self, monkeypatch):
+        # 14 paths in blocks of 4: three full blocks and one of 2
+        monkeypatch.setattr(cli, "WRITE_BLOCK", 4)
+        lines = [f"{p}\n" for p in paths.enumerate_dyck(4)]
+        writes = recorded_writes(monkeypatch, "enumerate", "dyck", "--n", "4")
+        assert writes == ["".join(lines[i : i + 4]) for i in (0, 4, 8, 12)]
+
+
+# Under PYTHONUNBUFFERED stdout writes through, so each write is a system
+# call on the pipe; without it the writes go through an 8 KiB buffer.
+STDOUT_MODES = {"unbuffered": True, "buffered": False}
+
+
+def stdout_mode_env(unbuffered):
+    env = cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
 @pytest.mark.parametrize(
     "argv,lines,code",
     [
@@ -695,17 +773,21 @@ class TestVerify:
         (("count", "--quantity", "B", "--k", "3", "--m", "4"), 0, 0),
         (("verify", "--suite", "counting", "--k-max", "4", "--inject-fault", "3,4"), 0, 1),
         (("table", "--quantity", "gf", "--n-max", "120"), 1, 0),
+        # 208,012 lines, many blocks; 3000 falls inside the second block
+        (("enumerate", "dyck", "--n", "12"), 1, 0),
+        (("enumerate", "dyck", "--n", "12"), 3000, 0),
     ],
 )
-def test_reader_closing_early(argv, lines, code):
-    # The reader takes `lines` lines and closes the pipe; the dyck listing
+@pytest.mark.parametrize("unbuffered", STDOUT_MODES.values(), ids=STDOUT_MODES)
+def test_reader_closing_early(unbuffered, argv, lines, code):
+    # The reader takes `lines` lines and closes the pipe; the dyck listings
     # and the gf table overflow the pipe buffer, so the writer meets the
     # closed pipe.
     proc = subprocess.Popen(
         [sys.executable, "-m", "grassperm.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=cli_env(),
+        env=stdout_mode_env(unbuffered),
     )
     for _ in range(lines):
         proc.stdout.readline()
@@ -714,6 +796,49 @@ def test_reader_closing_early(argv, lines, code):
     proc.stderr.close()
     assert proc.wait(timeout=60) == code
     assert err == b""
+
+
+def test_unbuffered_pipe_gets_every_byte(capsys):
+    # Read to the end through a pipe; under PYTHONUNBUFFERED the text layer
+    # would drop the rest of a short write.
+    def piped(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "grassperm.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=stdout_mode_env(True),
+            timeout=60,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    argv, lines, digest = PINNED_GF["120"]
+    assert_pinned(*piped("table", "--quantity", "gf", *argv), lines, digest)
+    dyck = ("enumerate", "dyck", "--n", "11", "--stats", "peaks")
+    assert piped(*dyck) == run(capsys, *dyck)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs job-control signals")
+def test_writer_stopped_on_a_full_pipe_loses_no_bytes(capsys):
+    # A write larger than PIPE_BUF to a full pipe returns short when a stop
+    # signal (Ctrl-Z) reaches the writer, and under PYTHONUNBUFFERED the text
+    # layer drops the rest.  The output is one 0.4 MB JSON line.
+    argv = ("table", "--quantity", "gf", "--n-max", "50", "--format", "json")
+    _, expected, _ = run(capsys, *argv)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grassperm.cli", *argv],
+        stdout=subprocess.PIPE,
+        env=stdout_mode_env(True),
+    )
+    chunks = []
+    while chunk := proc.stdout.read1(16384):
+        chunks.append(chunk)
+        proc.send_signal(signal.SIGSTOP)
+        time.sleep(0.001)
+        proc.send_signal(signal.SIGCONT)
+        time.sleep(0.002)
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert b"".join(chunks).decode() == expected
 
 
 def test_optimized_interpreter_prints_the_pinned_bytes():
