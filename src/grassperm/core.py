@@ -166,13 +166,6 @@ def a_sequence(w: Word) -> tuple[int, ...]:
     return tuple(reversed(runs))
 
 
-def word_from_a_sequence(a: tuple[int, ...]) -> Word:
-    """Inverse of :func:`a_sequence`."""
-    if not a or any(x < 0 for x in a):
-        raise DomainError(f"invalid run-length sequence: {a!r}")
-    return "0".join("1" * x for x in reversed(a))
-
-
 def inversion_count(w: Word) -> int:
     """Number of occurrences of the subsequence ``10`` in ``w``.
 

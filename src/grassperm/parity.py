@@ -4,7 +4,10 @@ Odd/even refinements of the avoiding-word counts.
 A word is odd when its permutation has an odd number of inversions.  The
 counts split the avoiding-word table into odd and even halves; all closed
 forms below reduce to the plain counts at roughly half the parameters, with
-a separate shape when both k and m are even.
+a separate shape when both k and m are even.  Single values come from the
+binomial difference; :func:`parity_table` reads whole tables off one
+recurrence grid, and ``verify``'s parity suite holds each of its rows to
+the single values.
 
 All divisions by 2 (and the 1/4, 1/24 in the sibling module) are checked
 exact; an inexact division means a formula was applied off its domain.

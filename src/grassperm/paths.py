@@ -1,6 +1,7 @@
 """
 Dyck paths, the shifted lattice paths used for the parity arguments, their
-peak/valley statistics, and the constructive bijections with avoiding words.
+peak statistics and peak/valley toggles, and the constructive bijections
+with avoiding words.
 
 Paths are strings over {'U', 'D'}.  A Dyck path of semilength n has n of
 each step and never dips below height 0.  A word with j zeros in the
@@ -71,7 +72,8 @@ def semilength(p: str) -> int:
 def _turns(p: str) -> Iterator[tuple[int, str, int]]:
     """The peaks and valleys of the U/D string ``p``, left to right, as
     (i, kind, height), from one pass over its steps: each run but the last
-    ends in one."""
+    ends in one.  The turn occupies steps i and i + 1 (0-based) and
+    ``height`` is the y-coordinate at the turning point."""
     h = 0
     run = p[:1]
     for i, c in enumerate(p):
@@ -81,18 +83,6 @@ def _turns(p: str) -> Iterator[tuple[int, str, int]]:
         h += 1 if c == UP else -1
 
 
-def extrema(p: str) -> list[tuple[int, str, int]]:
-    """All peaks and valleys of a step string, left to right.
-
-    Returns triples (i, kind, height): the factor occupies steps i and i+1
-    (0-based) and ``height`` is the y-coordinate at the turning point.
-
-    >>> extrema("UDUUDD")
-    [(0, 'peak', 1), (1, 'valley', 0), (3, 'peak', 2)]
-    """
-    return list(_turns(check_steps(p)))
-
-
 def peaks(p: str) -> list[int]:
     """Peak heights in left-to-right order.
 
@@ -100,11 +90,6 @@ def peaks(p: str) -> list[int]:
     [1, 1]
     """
     return [h for _, kind, h in _turns(check_steps(p)) if kind == "peak"]
-
-
-def valleys(p: str) -> list[int]:
-    """Valley heights in left-to-right order."""
-    return [h for _, kind, h in _turns(check_steps(p)) if kind == "valley"]
 
 
 def all_extrema_odd(p: str) -> bool:
@@ -245,10 +230,6 @@ class LatticePath(_LatticeFields):
     @property
     def floor(self) -> int:
         return self.zeros - self.k + 1
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
 
 
 def lattice_run_sequence(path: LatticePath) -> tuple[int, ...]:

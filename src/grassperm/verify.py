@@ -14,6 +14,7 @@ wrong value turns the run red.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Iterable, NamedTuple
 
 from . import classes, core, counting, oracle, parity, paths, patterns, series
@@ -113,6 +114,7 @@ def suite_counting(opts: Options) -> list[Check]:
         raise CapExceededError(f"counting suite lists up to {LISTING_CAP} avoiders, not {listed}")
     fault = opts.fault
     capped_ks, capped_params = _capped_k(opts)
+    all_words = sum(words, Counter())
     recurrence = {(k, m): c for k, m, c in counting.avoiding_word_table(opts.k_max)}
 
     def table(k: int, m: int) -> int:
@@ -224,10 +226,7 @@ def suite_counting(opts: Options) -> list[Check]:
             (
                 (
                     {"k": k, "j": j},
-                    sum(
-                        _count(words[m], lambda w: w.longest < k and w.zeros == j)
-                        for m in _word_m_range(k, opts.word_cap)
-                    ),
+                    _count(all_words, lambda w: w.longest < k and w.zeros == j),
                     counting.avoiding_words_with_zeros(k, j),
                 )
                 for k in capped_ks
@@ -265,6 +264,7 @@ def suite_counting(opts: Options) -> list[Check]:
 def suite_parity(opts: Options) -> list[Check]:
     words = [oracle.word_statistics(m) for m in _word_m_range(opts.k_max, opts.word_cap)]
     capped_ks, capped_params = _capped_k(opts)
+    all_words = sum(words, Counter())
     return [
         _sweep(
             "odd_vs_word_oracle",
@@ -278,6 +278,7 @@ def suite_parity(opts: Options) -> list[Check]:
                 for k, m in word_oracle_cells(opts)
             ),
         ),
+        # The table's odd column, read off its own grid, against the point forms.
         _sweep(
             "odd_plus_even_is_total",
             {"k_max": opts.k_max},
@@ -285,10 +286,9 @@ def suite_parity(opts: Options) -> list[Check]:
                 (
                     {"k": k, "m": m},
                     counting.avoiding_word_count(k, m),
-                    parity.odd_word_count(k, m) + parity.even_word_count(k, m),
+                    odd + parity.even_word_count(k, m),
                 )
-                for k in range(1, opts.k_max + 1)
-                for m in range(2 * k - 1)
+                for k, m, _, odd, _ in parity.parity_table(opts.k_max)
             ),
         ),
         _sweep(
@@ -321,10 +321,7 @@ def suite_parity(opts: Options) -> list[Check]:
             (
                 (
                     {"k": k, "j": j},
-                    sum(
-                        _count(words[m], lambda w: w.longest < k and w.odd and w.zeros == j)
-                        for m in _word_m_range(k, opts.word_cap)
-                    ),
+                    _count(all_words, lambda w: w.longest < k and w.odd and w.zeros == j),
                     parity.odd_avoiding_words_with_zeros(k, j),
                 )
                 for k in capped_ks
@@ -348,17 +345,14 @@ def suite_parity(opts: Options) -> list[Check]:
     ]
 
 
-_CLASSES = (
-    # (name, member field, odd only, total formula, avoider formula)
-    ("bigrass", "bigrass", False, classes.bigrassmannian_count,
-     classes.bigrassmannian_avoider_count),
-    ("bigrass_odd", "bigrass", True, classes.odd_bigrassmannian_count,
-     classes.odd_bigrassmannian_avoider_count),
-    ("invol", "involution", False, classes.involution_count,
-     classes.involution_avoider_count),
-    ("invol_odd", "involution", True, classes.odd_involution_count,
-     classes.odd_involution_avoider_count),
-)
+# name -> (member field, odd only, avoider formula); the totals are
+# classes.class_table's rows.
+_CLASSES = {
+    "bigrass": ("bigrass", False, classes.bigrassmannian_avoider_count),
+    "bigrass_odd": ("bigrass", True, classes.odd_bigrassmannian_avoider_count),
+    "invol": ("involution", False, classes.involution_avoider_count),
+    "invol_odd": ("involution", True, classes.odd_involution_avoider_count),
+}
 
 
 def _oracle_class(tally: dict[tuple, int], k: int, member: str, odd: bool) -> int:
@@ -379,11 +373,10 @@ def suite_classes(opts: Options) -> list[Check]:
             (
                 (
                     {"class": name, "m": m},
-                    _oracle_class(perms[m], m + 1, member, odd),
-                    total(m),
+                    _oracle_class(perms[m], m + 1, *_CLASSES[name][:2]),
+                    total,
                 )
-                for m in range(opts.perm_cap + 1)
-                for name, member, odd, total, _ in _CLASSES
+                for name, m, total in classes.class_table(opts.perm_cap)
             ),
         ),
         _sweep(
@@ -397,7 +390,7 @@ def suite_classes(opts: Options) -> list[Check]:
                 )
                 for k in range(2, opts.k_max + 1)
                 for m in range(opts.perm_cap + 1)
-                for name, member, odd, _, avoiders in _CLASSES
+                for name, (member, odd, avoiders) in _CLASSES.items()
             ),
         ),
         _sweep(

@@ -3,6 +3,7 @@ printing one PASS/FAIL line per criterion (run with ``pytest -v -s``).
 Ranges that ``verify`` sweeps are read from the session's harness run."""
 
 import time
+from itertools import accumulate
 
 from grassperm import cli, counting, parity, paths, verify
 
@@ -97,13 +98,14 @@ def test_criterion_07_special_classes(harness):
 
 
 def test_criterion_08_all_odd_extrema_and_toggle(harness):
+    def all_turns_odd(p):
+        # the height after each step, kept where the next step turns
+        heights = list(accumulate(1 if c == "U" else -1 for c in p))
+        return all(h % 2 for h, c, d in zip(heights, p, p[1:]) if c != d)
+
     ok = True
     for n in range(1, 12):
-        observed = sum(
-            1
-            for p in paths.enumerate_dyck(n)
-            if all(h % 2 == 1 for h in paths.peaks(p) + paths.valleys(p))
-        )
+        observed = sum(1 for p in paths.enumerate_dyck(n) if all_turns_odd(p))
         ok = ok and observed == parity.all_odd_extrema_count(n)
     ok = ok and harness("paths.even_extremum_toggle", n_max=8).passed
     report(8, "all-odd-extrema counts (n <= 11) and toggle involution (n <= 8)", ok)

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 
 from grassperm import counting, parity, paths
@@ -84,11 +86,13 @@ class TestAllOddExtrema:
     def test_matches_enumeration(self, harness):
         # the harness counts the all-odd paths up to n = 8
         assert harness("paths.even_extremum_toggle", n_max=8).passed
-        observed = sum(
-            1
-            for p in paths.enumerate_dyck(9)
-            if all(h % 2 == 1 for h in paths.peaks(p) + paths.valleys(p))
-        )
+
+        def all_turns_odd(p):
+            # the height after each step, kept where the next step turns
+            heights = list(accumulate(1 if c == "U" else -1 for c in p))
+            return all(h % 2 for h, c, d in zip(heights, p, p[1:]) if c != d)
+
+        observed = sum(1 for p in paths.enumerate_dyck(9) if all_turns_odd(p))
         assert observed == parity.all_odd_extrema_count(9)
 
 

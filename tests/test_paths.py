@@ -47,10 +47,6 @@ def walked_peaks(p):
     return [h + 1 for h in walked_turn_heights(p, "UD")]
 
 
-def walked_valleys(p):
-    return [h - 1 for h in walked_turn_heights(p, "DU")]
-
-
 def walked_dyck_run_sequence(p):
     paths.check_dyck(p)
     runs = []
@@ -126,7 +122,8 @@ def built_dyck_to_word(k, p):
     if j < 0:
         raise DomainError("path outside the bijection image (first peak too high)")
     blocks = walked_dyck_run_sequence(p)[first_run - 1 :]
-    w = core.word_from_a_sequence((blocks[0] - 1,) + blocks[1 : j + 1])
+    a = (blocks[0] - 1,) + blocks[1 : j + 1]
+    w = "0".join("1" * x for x in reversed(a))  # the word of run lengths a
     if not patterns.is_avoiding_word(k, w):
         raise DomainError(f"preimage of {p!r} is not an avoiding word for k={k}")
     return w
@@ -164,11 +161,7 @@ def outcome(f, *args):
         return ("DomainError", str(exc))
 
 
-STEP_FORMS = [
-    (paths.extrema, walked_extrema),
-    (paths.peaks, walked_peaks),
-    (paths.valleys, walked_valleys),
-]
+STEP_FORMS = [(paths.peaks, walked_peaks)]
 DYCK_FORMS = [
     (paths.dyck_run_sequence, walked_dyck_run_sequence),
     (paths.is_odd_dyck, walked_is_odd_dyck),
@@ -230,11 +223,9 @@ class TestAgainstTheWalks:
         assert paths.is_dyck_path(p) == (set(p) <= {"U", "D"} and walked_is_dyck_path(p))
 
 
-def assert_statistics_match_extrema(p):
-    found = paths.extrema(p)
-    peak_heights = [h for _, kind, h in found if kind == "peak"]
+def assert_peak_statistics_match_the_walk(p):
+    peak_heights = walked_peaks(p)
     assert paths.peaks(p) == peak_heights
-    assert paths.valleys(p) == [h for _, kind, h in found if kind == "valley"]
     assert paths.peak_count(p) == len(peak_heights)
 
 
@@ -254,7 +245,7 @@ def avoiding_words(draw, k_max=12):
         budget = (k - j) + i - 1 - total
         a.append(draw(st.integers(0, budget)))
         total += a[-1]
-    return k, core.word_from_a_sequence(tuple(a))
+    return k, "0".join("1" * x for x in reversed(a))
 
 
 class TestStatistics:
@@ -268,16 +259,17 @@ class TestStatistics:
     )
     def test_peaks_and_valleys(self, p, pk, vl):
         assert paths.peaks(p) == pk
-        assert paths.valleys(p) == vl
+        # the valleys are read by the toggles, through the one pass
+        assert [h for _, kind, h in paths._turns(p) if kind == "valley"] == vl
 
     def test_match_the_extrema_on_dyck_paths(self):
         for n in range(11):
             for p in paths.enumerate_dyck(n):
-                assert_statistics_match_extrema(p)
+                assert_peak_statistics_match_the_walk(p)
 
     @given(st.text(alphabet="UD", max_size=40))
     def test_match_the_extrema_on_step_strings(self, p):
-        assert_statistics_match_extrema(p)
+        assert_peak_statistics_match_the_walk(p)
 
     def test_peak_count_rejects_invalid_steps(self):
         with pytest.raises(DomainError):
@@ -453,7 +445,7 @@ class TestLattice:
 
     def test_value_semantics(self):
         lp = paths.LatticePath("DDUUDD", 5)
-        assert (lp.zeros, lp.floor, lp.length) == (2, -2, 6)
+        assert (lp.zeros, lp.floor) == (2, -2)
         assert lp == paths.word_to_lattice(5, "110011")
         assert hash(lp) == hash(paths.LatticePath("DDUUDD", 5))
         assert lp != paths.LatticePath("DDUUDD", 6)

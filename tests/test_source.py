@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -161,3 +162,37 @@ def test_only_main_writes_stdout(path):
         if (path.name, function) not in STDOUT_WRITERS
     ]
     assert uses == [], f"print or sys.stdout in {path.name}: {uses}"
+
+
+def name_uses(node):
+    """Each name that ``node`` and its children use: names, attributes,
+    imported names, and strings equal to a name, as the tables that name
+    functions by string hold them (a docstring is never one)."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.alias):
+            yield child.name
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            if child.value.isidentifier():
+                yield child.value
+
+
+def test_every_public_name_is_reached():
+    # A module-level function or class that nothing in the package names
+    # outside its own definition is dead code that every command still
+    # compiles: the package writes no bytecode where PYTHONDONTWRITEBYTECODE
+    # is set.  A test of such a name keeps nothing alive.
+    trees = {path.stem: parse(path) for path in SOURCES}
+    used = Counter(name for tree in trees.values() for name in name_uses(tree))
+    unreached = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and used[node.name] == Counter(name_uses(node))[node.name]
+    ]
+    assert unreached == [], f"public names nothing in the package reaches: {unreached}"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from grassperm import core, paths, patterns, verify
+from grassperm import classes, core, parity, paths, patterns, verify
 
 RAISED = verify.Options(k_max=8, perm_cap=9, word_cap=14)
 
@@ -44,6 +44,36 @@ def test_suite_counting_lists_each_identity_cell_once(monkeypatch):
     word_cells = {(k, m) for k in range(2, 9) for m in range(min(2 * k - 2, 14) + 1)}
     perm_cells = {(k, m) for k in range(1, 9) for m in range(min(2 * k - 2, 9) + 1)}
     assert set(calls) == word_cells | perm_cells
+
+
+def test_suite_parity_certifies_the_parity_table(monkeypatch):
+    # A table cell moved from the even column to the odd one keeps its row
+    # summing to B, so only the comparison with the point forms sees it.
+    table = parity.parity_table
+
+    def mutant(k_max):
+        for k, m, total, odd, even in table(k_max):
+            if (k, m) == (5, 4):
+                odd, even = odd + 1, even - 1
+            yield k, m, total, odd, even
+
+    monkeypatch.setattr(parity, "parity_table", mutant)
+    check = {c.name: c for c in verify.suite_parity(verify.Options())}["odd_plus_even_is_total"]
+    assert (check.expected, check.actual) == (36, 35)
+    assert (check.params["first_mismatch"]["k"], check.params["first_mismatch"]["m"]) == (5, 4)
+
+
+def test_suite_classes_certifies_the_class_table(monkeypatch):
+    # The totals are checked under the names the table prints them by.
+    table = classes.class_table
+    swap = {"invol": "invol_odd", "invol_odd": "invol"}
+
+    def mutant(m_max):
+        return [(swap.get(name, name), m, total) for name, m, total in table(m_max)]
+
+    monkeypatch.setattr(classes, "class_table", mutant)
+    check = verify.suite_classes(verify.Options())[0]
+    assert check.name == "class_totals_vs_oracle" and not check.passed
 
 
 def test_options_are_values():
