@@ -90,6 +90,8 @@ TABLE_FORMS = {
 # below) so that parsing argv does not import the harness; a test holds them
 # equal.
 VERIFY_SUITES = ("counting", "parity", "classes", "paths", "series", "identities")
+# The largest --k-max verify serves: about 10 s of CPU at --word-cap 0 --perm-cap 0.
+VERIFY_K_MAX = 200
 
 # The largest word length, size and semilength each listing serves; a larger
 # one is refused as a cap error.
@@ -116,9 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--j", type=int)
 
     p_table = sub.add_parser("table", help="dump a table as CSV or JSON")
-    p_table.add_argument(
-        "--quantity", required=True, choices=TABLE_FORMS
-    )
+    p_table.add_argument("--quantity", required=True, choices=TABLE_FORMS)
     p_table.add_argument("--k-max", type=int, default=6)
     p_table.add_argument("--m-max", type=int, default=10)
     p_table.add_argument("--n-max", type=int, default=10)
@@ -147,12 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_biject.add_argument("--svg", metavar="FILE", help="also write the output path as SVG")
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument(
-        "--suite",
-        default="all",
-        choices=("all",) + VERIFY_SUITES,
-    )
-    p_verify.add_argument("--k-max", type=int, default=6)
+    p_verify.add_argument("--suite", default="all", choices=("all",) + VERIFY_SUITES)
+    p_verify.add_argument("--k-max", type=int, default=6, help=f"at most {VERIFY_K_MAX}")
     p_verify.add_argument("--perm-cap", type=int, default=9)
     p_verify.add_argument("--word-cap", type=int, default=20)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
@@ -296,6 +292,8 @@ def _cmd_verify(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[st
 
     if args.k_max < 1:
         parser.error("--k-max must be at least 1")
+    if args.k_max > VERIFY_K_MAX:
+        raise DomainError(f"k_max {args.k_max} over cap {VERIFY_K_MAX}")
     if args.perm_cap < 0 or args.word_cap < 0:
         parser.error("--perm-cap and --word-cap must be nonnegative")
     opts = verify.Options(

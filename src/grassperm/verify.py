@@ -7,6 +7,12 @@ passes iff every cell does, and the first disagreeing cell is kept in the
 check's params so failures name the exact spot.  Suites run in a fixed
 declared order and all output is deterministic.
 
+``run_suites`` walks each oracle tally that the selected suites read once
+per run and passes the ``Tallies`` to every suite as an argument, so a run
+pays for each walk once and keeps nothing after it.  The paths suite
+toggles and classifies each path once and reads both checks of a toggle off
+that table; a toggled path outside the table is still followed directly.
+
 ``Options.fault`` perturbs one cell of the recurrence table as seen by the
 oracle-agreement check; it exists so the harness can prove that a single
 wrong value turns the run red.
@@ -80,6 +86,16 @@ def word_oracle_cells(opts: Options) -> list[tuple[int, int]]:
     return [(k, m) for k in ks for m in _word_m_range(k, opts.word_cap)]
 
 
+class Tallies(NamedTuple):
+    """The oracle tallies of one run, built once and passed to every suite:
+    ``words[m]`` counts the words of length m <= min(2 k_max - 2, word_cap),
+    ``perms[n]`` the Grassmannian permutations of [n], n <= perm_cap.  A
+    list is empty when no selected suite reads it."""
+
+    words: list[Counter[oracle.WordKey]]
+    perms: list[Counter[oracle.PermKey]]
+
+
 def _count(tally: dict[tuple, int], keep: Callable) -> int:
     """How many objects of one oracle tally have statistics passing ``keep``."""
     return sum(count for key, count in tally.items() if keep(key))
@@ -96,11 +112,8 @@ def _capped_k(opts: Options) -> tuple[range, dict]:
     return range(1, top + 1), params
 
 
-def suite_counting(opts: Options) -> list[Check]:
-    # The word tallies come first, so that a cap past both oracles' is
-    # refused with the word oracle's message.
-    words = [oracle.word_statistics(m) for m in _word_m_range(opts.k_max, opts.word_cap)]
-    perms = [oracle.grassmannian_statistics(n) for n in range(opts.perm_cap + 1)]
+def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
+    words, perms = tallies
     # The (k, m) whose avoiders of 12...k in S_m two checks list, each
     # (k, m) once; a listing holds avoiding_perm_count(k, m) of them.
     word_cells = [
@@ -261,8 +274,8 @@ def suite_counting(opts: Options) -> list[Check]:
     ]
 
 
-def suite_parity(opts: Options) -> list[Check]:
-    words = [oracle.word_statistics(m) for m in _word_m_range(opts.k_max, opts.word_cap)]
+def suite_parity(opts: Options, tallies: Tallies) -> list[Check]:
+    words = tallies.words
     capped_ks, capped_params = _capped_k(opts)
     all_words = sum(words, Counter())
     return [
@@ -364,8 +377,8 @@ def _oracle_class(tally: dict[tuple, int], k: int, member: str, odd: bool) -> in
     )
 
 
-def suite_classes(opts: Options) -> list[Check]:
-    perms = [oracle.grassmannian_statistics(n) for n in range(opts.perm_cap + 1)]
+def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
+    perms = tallies.perms
     return [
         _sweep(
             "class_totals_vs_oracle",
@@ -434,7 +447,14 @@ def suite_classes(opts: Options) -> list[Check]:
     ]
 
 
-def suite_paths(opts: Options) -> list[Check]:
+def _looked_up(table: dict, key, compute: Callable):
+    """``table[key]``, or ``compute(key)`` for a key the table lacks or maps
+    to None: a map that leaves its listed domain is still followed."""
+    value = table.get(key)
+    return compute(key) if value is None else value
+
+
+def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
     k_top = min(opts.k_max, 7)
     # Every semilength the checks below read (at most k_top + 1 = 8, and 9
     # for halving), each enumerated and classified once.
@@ -462,19 +482,22 @@ def suite_paths(opts: Options) -> list[Check]:
                 yield ({"k": k, "m": m, "aspect": "round_trip"}, int(round_trip), 1)
 
     def toggle_cells():
+        toggle, is_odd = paths.toggle_first_even_extremum, paths.is_odd_dyck
         for n in range(1, 9):
-            for p, odd in zip(dyck[n], all_odd[n]):
-                if odd:
-                    continue
-                q = paths.toggle_first_even_extremum(p)
+            # Each path with an even extremum is toggled and classified once.
+            domain = [p for p, odd in zip(dyck[n], all_odd[n]) if not odd]
+            image = {p: toggle(p) for p in domain}
+            odd = {p: is_odd(p) for p in domain}
+            for p in domain:
+                q = image[p]
                 yield (
                     {"n": n, "path": p, "aspect": "involution"},
-                    int(paths.toggle_first_even_extremum(q) == p),
+                    int(_looked_up(image, q, toggle) == p),
                     1,
                 )
                 yield (
                     {"n": n, "path": p, "aspect": "parity_flip"},
-                    int(paths.is_odd_dyck(q) != paths.is_odd_dyck(p)),
+                    int(_looked_up(odd, q, is_odd) != odd[p]),
                     1,
                 )
             yield (
@@ -517,11 +540,22 @@ def suite_paths(opts: Options) -> list[Check]:
                     )
 
     def lattice_cells():
+        toggle, is_odd = paths.toggle_lattice_path, paths.is_odd_lattice
         for k in range(1, min(opts.k_max, 6) + 1):
             for m in _word_m_range(k, opts.word_cap):
+                # Each path is toggled and classified once; None marks a
+                # path with no extremum to toggle.
+                words = patterns.enumerate_avoiding_words(k, m)
+                lps = [paths.word_to_lattice(k, w) for w in words]
+                odd = {lp: is_odd(lp) for lp in lps}
+                partners = {}
+                for lp in lps:
+                    try:
+                        partners[lp] = toggle(lp)
+                    except DomainError:
+                        partners[lp] = None
                 untoggleable_balance = 0
-                for w in patterns.enumerate_avoiding_words(k, m):
-                    lp = paths.word_to_lattice(k, w)
+                for w, lp in zip(words, lps):
                     yield (
                         {"k": k, "m": m, "word": w, "aspect": "round_trip"},
                         int(paths.lattice_to_word(lp) == w),
@@ -529,20 +563,18 @@ def suite_paths(opts: Options) -> list[Check]:
                     )
                     yield (
                         {"k": k, "m": m, "word": w, "aspect": "parity_transport"},
-                        int(paths.is_odd_lattice(lp) == core.is_odd_word(w)),
+                        int(odd[lp] == core.is_odd_word(w)),
                         1,
                     )
-                    try:
-                        partner = paths.toggle_lattice_path(lp)
-                    except DomainError:
-                        untoggleable_balance += -1 if paths.is_odd_lattice(lp) else 1
+                    partner = partners[lp]
+                    if partner is None:
+                        untoggleable_balance += -1 if odd[lp] else 1
                         continue
                     yield (
                         {"k": k, "m": m, "word": w, "aspect": "toggle"},
                         int(
-                            paths.toggle_lattice_path(partner) == lp
-                            and paths.is_odd_lattice(partner)
-                            != paths.is_odd_lattice(lp)
+                            _looked_up(partners, partner, toggle) == lp
+                            and _looked_up(odd, partner, is_odd) != odd[lp]
                         ),
                         1,
                     )
@@ -572,13 +604,11 @@ def suite_paths(opts: Options) -> list[Check]:
     ]
 
 
-def suite_series(opts: Options) -> list[Check]:
-    # The oracle goes first, so that a perm_cap past its own is refused with
-    # the oracle's message, not the table's.
+def suite_series(opts: Options, tallies: Tallies) -> list[Check]:
     hists: list[dict[int, int]] = []
-    for n in range(opts.perm_cap + 1):
+    for tally in tallies.perms:
         hist: dict[int, int] = {}
-        for key, count in oracle.grassmannian_statistics(n).items():
+        for key, count in tally.items():
             hist[key.inversions] = hist.get(key.inversions, 0) + count
         hists.append(hist)
     # Row n does not depend on the bound it is computed to, so the row-sum
@@ -602,7 +632,7 @@ def suite_series(opts: Options) -> list[Check]:
     ]
 
 
-def suite_identities(opts: Options) -> list[Check]:
+def suite_identities(opts: Options, tallies: Tallies) -> list[Check]:
     a_max = max(opts.k_max, 6)
 
     def concluding_cells():
@@ -635,7 +665,7 @@ def suite_identities(opts: Options) -> list[Check]:
     ]
 
 
-SUITES: dict[str, Callable[[Options], list[Check]]] = {
+SUITES: dict[str, Callable[[Options, Tallies], list[Check]]] = {
     "counting": suite_counting,
     "parity": suite_parity,
     "classes": suite_classes,
@@ -645,11 +675,27 @@ SUITES: dict[str, Callable[[Options], list[Check]]] = {
 }
 
 
+# The suites that read each oracle tally.
+_WORD_READERS = frozenset({"counting", "parity"})
+_PERM_READERS = frozenset({"counting", "classes", "series"})
+
+
 def run_suites(names: Iterable[str] | None = None, opts: Options | None = None) -> list[SuiteResult]:
-    """Run the named suites (all of them by default) in declared order."""
+    """Run the named suites (all of them by default) in declared order.
+
+    First the oracle tallies that the selected suites read are built, each
+    once: the words, then the permutations, so a cap past both oracles' is
+    refused with the word oracle's message, and before any suite's own
+    refusal."""
     opts = opts or Options()
     selected = list(SUITES) if names is None else list(names)
     for name in selected:
         if name not in SUITES:
             raise DomainError(f"unknown suite {name!r}")
-    return [SuiteResult(name, SUITES[name](opts)) for name in selected]
+    words, perms = [], []
+    if _WORD_READERS.intersection(selected):
+        words = oracle.word_statistics(min(2 * opts.k_max - 2, opts.word_cap))
+    if _PERM_READERS.intersection(selected):
+        perms = [oracle.grassmannian_statistics(n) for n in range(opts.perm_cap + 1)]
+    tallies = Tallies(words, perms)
+    return [SuiteResult(name, SUITES[name](opts, tallies)) for name in selected]

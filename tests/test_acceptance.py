@@ -48,7 +48,7 @@ def test_criterion_03_dyck_bijection_certified(harness):
 
 
 def test_criterion_04_ballot_catalan_identity():
-    ballots, _ = verify.suite_identities(verify.Options(k_max=30))
+    ballots, _ = verify.run_suites(["identities"], verify.Options(k_max=30))[0].checks
     ok = ballots.passed and ballots.params == {"a_max": 30}
     ok = ok and ballots.expected == sum(a + 1 for a in range(31))
     report(4, "ballot number as alternating Catalan sum, a <= 30", ok)
@@ -120,7 +120,7 @@ def test_criterion_09_inversion_generating_table(harness):
 
 
 def test_criterion_10_concluding_identities():
-    _, concluding = verify.suite_identities(verify.Options(k_max=25))
+    _, concluding = verify.run_suites(["identities"], verify.Options(k_max=25))[0].checks
     ok = concluding.passed and concluding.params == {"k_max": 25}
     ok = ok and concluding.expected == sum(k + 1 for k in range(1, 26))
     ok = ok and counting.avoiding_word_count_alternating(3, 3) == 4 == 2**3 - 3 - 1

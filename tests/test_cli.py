@@ -31,8 +31,10 @@ def cli_env():
 
 
 # Whole outputs pinned as (argv, line count, sha256). The verify reports are
-# as printed before the harness shared its enumerations between checks; the
-# gf tables as printed by the generating-function expansion, before the
+# as printed before the harness shared its enumerations between checks (the
+# raised JSON report, which holds every check's params at raised caps, as
+# printed before a run shared its oracle tallies between suites); the gf
+# tables as printed by the generating-function expansion, before the
 # Goldman-Rota recurrence replaced it.
 PINNED_VERIFY = {
     "default": ((), 31, "f18ca9ca71217af0e58805888ad4a32c526207d33cff99ed8d68404120c699a3"),
@@ -45,6 +47,11 @@ PINNED_VERIFY = {
         ("--format", "json"),
         1,
         "64bdc5088c156c4b828b7c7481adc0328ed02339debb8bac3e4b23a84630bd85",
+    ),
+    "raised-json": (
+        ("--k-max", "8", "--perm-cap", "9", "--word-cap", "14", "--format", "json"),
+        1,
+        "d3b0ecc59b4496455a274bea0ba4ad291177f5a7839c1c6059b7827d2092644d",
     ),
 }
 PINNED_GF = {
@@ -602,7 +609,8 @@ class TestVerify:
             check = checks[name]
             assert check.params == {"k_max": 4, "word_cap": 6, "skipped_k": [5, 6]}
             assert check.passed and check.expected == sum(k + 1 for k in range(1, 5))
-        uncut = {c.name: c for c in verify.suite_counting(verify.Options(k_max=6, word_cap=10))}
+        [uncut] = verify.run_suites(["counting"], verify.Options(k_max=6, word_cap=10))
+        uncut = {c.name: c for c in uncut.checks}
         assert uncut["words_by_zero_count"].params == {"k_max": 6, "word_cap": 10}
 
     @pytest.mark.parametrize(
@@ -618,6 +626,38 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert err.startswith("error: oracle serves") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # the word oracle refuses first, naming the first length past it
+            (("--perm-cap", "13", "--word-cap", "30", "--k-max", "20"), "word lengths up to 24, not 25"),
+            # then the permutation oracle, before the listing cap
+            (("--perm-cap", "13", "--k-max", "20"), "permutation sizes up to 12, not 13"),
+        ],
+    )
+    def test_oracle_refusals_come_in_order(self, capsys, argv, message):
+        assert run(capsys, "verify", *argv) == (3, "", f"error: oracle serves {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv", [("--suite", "classes", "--word-cap", "30"), ("--suite", "parity", "--perm-cap", "13")]
+    )
+    def test_a_suite_builds_no_tally_it_does_not_read(self, capsys, argv):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0 and "FAIL" not in out
+
+    def test_k_max_past_the_cap_exits_3_before_any_cell(self, capsys, monkeypatch):
+        # verify --k-max 100000 built 2.1M word-oracle cells before any check
+        def reached(opts):
+            raise RuntimeError(f"cells built at k_max {opts.k_max}")
+
+        monkeypatch.setattr(verify, "word_oracle_cells", reached)
+        for k_max in (cli.VERIFY_K_MAX + 1, 10**7):
+            for suite in ("all", "identities"):
+                argv = ("verify", "--suite", suite, "--k-max", str(k_max))
+                assert run(capsys, *argv) == (3, "", f"error: k_max {k_max} over cap 200\n")
+        with pytest.raises(RuntimeError, match="at k_max 200$"):
+            cli.main(["verify", "--k-max", "200"])
 
     @pytest.mark.parametrize(
         "argv,listed",
@@ -643,16 +683,16 @@ class TestVerify:
         monkeypatch.setattr(patterns, "enumerate_avoiders", counted)
         monkeypatch.setattr(verify, "LISTING_CAP", 0)
         with pytest.raises(CapExceededError):
-            verify.suite_counting(opts)
+            verify.run_suites(["counting"], opts)
         assert listed == []
         monkeypatch.setattr(verify, "LISTING_CAP", 10**9)
-        verify.suite_counting(opts)
+        verify.run_suites(["counting"], opts)
         total = sum(listed)
         monkeypatch.setattr(verify, "LISTING_CAP", total)
-        assert all(c.passed for c in verify.suite_counting(opts))
+        assert verify.run_suites(["counting"], opts)[0].passed
         monkeypatch.setattr(verify, "LISTING_CAP", total - 1)
         with pytest.raises(CapExceededError):
-            verify.suite_counting(opts)
+            verify.run_suites(["counting"], opts)
 
     @pytest.mark.parametrize(
         "flags", [("--word-cap", "-1"), ("--perm-cap", "-1"), ("--k-max", "0")]
@@ -846,6 +886,7 @@ def test_optimized_interpreter_prints_the_pinned_bytes():
     for command, (argv, lines, digest) in [
         (("table", "--quantity", "gf"), PINNED_GF["40"]),
         (("verify",), PINNED_VERIFY["default"]),
+        (("verify",), PINNED_VERIFY["raised-json"]),
     ]:
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "grassperm.cli", *command, *argv],

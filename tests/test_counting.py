@@ -59,7 +59,7 @@ class TestBallot:
             for m in range(k, 2 * k - 1):
                 observed = sum(
                     count
-                    for key, count in oracle.word_statistics(m - 1).items()
+                    for key, count in oracle.word_statistics(m - 1)[m - 1].items()
                     if key.longest < k and key.zeros == k - 1
                 )
                 assert observed == counting.ballot(k - 1, m - k), (k, m)
@@ -295,7 +295,7 @@ class TestIdentities:
             return counting.ballot(a, b) + ((a, b) == (4, 2))
 
         monkeypatch.setattr(counting, "ballot_alternating", off_at_4_2)
-        ballots, _ = verify.suite_identities(verify.Options(k_max=6))
+        ballots, _ = verify.run_suites(["identities"], verify.Options(k_max=6))[0].checks
         assert not ballots.passed
         value = counting.ballot(4, 2)
         assert ballots.params["first_mismatch"] == {

@@ -108,15 +108,15 @@ class TestPermutationOracle:
 
 class TestWordOracle:
     def test_example(self):
-        assert avoiders(oracle.word_statistics(4), 3) == 2
+        assert avoiders(oracle.word_statistics(4)[4], 3) == 2
 
     def test_summed_sweep(self):
-        total = sum(avoiders(oracle.word_statistics(m), 3) for m in range(5))
+        total = sum(avoiders(oracle.word_statistics(m)[m], 3) for m in range(5))
         assert total == 13
 
     def test_zero_count_refinement(self):
         total = sum(
-            avoiders(oracle.word_statistics(m), 3, lambda key: key.zeros == 2)
+            avoiders(oracle.word_statistics(m)[m], 3, lambda key: key.zeros == 2)
             for m in range(5)
         )
         assert total == 5
@@ -124,12 +124,17 @@ class TestWordOracle:
     def test_cap_refusal(self):
         with pytest.raises(CapExceededError):
             oracle.word_statistics(25)
+        # the walk passes every length, so it names the first past the cap
+        with pytest.raises(CapExceededError, match="up to 24, not 25$"):
+            oracle.word_statistics(30)
         with pytest.raises(DomainError):
             oracle.word_statistics(-1)
 
     @pytest.mark.parametrize("m", range(17))
     def test_aggregated_walk_equals_word_loop(self, m):
-        assert oracle.word_statistics(m) == brute_word_tally(m)
+        tallies = oracle.word_statistics(m)
+        assert len(tallies) == m + 1
+        assert tallies[m] == brute_word_tally(m)
 
 
 def test_oracle_module_stays_independent():

@@ -2,9 +2,15 @@
 
 import pytest
 
-from grassperm import classes, core, parity, paths, patterns, verify
+from grassperm import classes, core, oracle, parity, paths, patterns, verify
 
 RAISED = verify.Options(k_max=8, perm_cap=9, word_cap=14)
+
+
+def checks_of(suite, opts):
+    """The checks of one suite, run through the harness, by name."""
+    [result] = verify.run_suites([suite], opts)
+    return {c.name: c for c in result.checks}
 
 
 def counting_calls(monkeypatch, module, name, key):
@@ -25,7 +31,7 @@ def counting_calls(monkeypatch, module, name, key):
 
 def test_suite_paths_enumerates_each_semilength_once(monkeypatch):
     calls = counting_calls(monkeypatch, paths, "enumerate_dyck", lambda n: n)
-    assert all(c.passed for c in verify.suite_paths(RAISED))
+    assert all(c.passed for c in checks_of("paths", RAISED).values())
     assert sorted(calls) == list(range(10))
 
 
@@ -36,7 +42,7 @@ def test_suite_counting_lists_each_identity_cell_once(monkeypatch):
         "enumerate_avoiders",
         lambda n, p: (len(p), n) if core.is_identity(p) else None,
     )
-    checks = {c.name: c for c in verify.suite_counting(RAISED)}
+    checks = checks_of("counting", RAISED)
     assert checks["word_count_vs_permutation_count"].passed
     assert checks["perm_counts_vs_perm_oracle"].passed
     assert len(calls) == len(set(calls))
@@ -58,7 +64,7 @@ def test_suite_parity_certifies_the_parity_table(monkeypatch):
             yield k, m, total, odd, even
 
     monkeypatch.setattr(parity, "parity_table", mutant)
-    check = {c.name: c for c in verify.suite_parity(verify.Options())}["odd_plus_even_is_total"]
+    check = checks_of("parity", verify.Options())["odd_plus_even_is_total"]
     assert (check.expected, check.actual) == (36, 35)
     assert (check.params["first_mismatch"]["k"], check.params["first_mismatch"]["m"]) == (5, 4)
 
@@ -72,8 +78,93 @@ def test_suite_classes_certifies_the_class_table(monkeypatch):
         return [(swap.get(name, name), m, total) for name, m, total in table(m_max)]
 
     monkeypatch.setattr(classes, "class_table", mutant)
-    check = verify.suite_classes(verify.Options())[0]
-    assert check.name == "class_totals_vs_oracle" and not check.passed
+    assert not checks_of("classes", verify.Options())["class_totals_vs_oracle"].passed
+
+
+def oracle_walks(monkeypatch):
+    """Count the oracle walks: the largest word length of each word walk,
+    and the size of each permutation walk."""
+    words = counting_calls(monkeypatch, oracle, "word_statistics", lambda m_max: m_max)
+    perms = counting_calls(monkeypatch, oracle, "grassmannian_statistics", lambda n: n)
+    return words, perms
+
+
+def test_a_run_walks_each_oracle_tally_once(monkeypatch):
+    words, perms = oracle_walks(monkeypatch)
+    assert all(r.passed for r in verify.run_suites())
+    assert words == [10]  # min(2 * k_max - 2, word_cap) at the defaults
+    assert perms == list(range(10))
+
+
+@pytest.mark.parametrize(
+    "suite,reads_words,reads_perms",
+    [
+        ("counting", True, True),
+        ("parity", True, False),
+        ("classes", False, True),
+        ("paths", False, False),
+        ("series", False, True),
+        ("identities", False, False),
+    ],
+)
+def test_a_run_walks_only_the_tallies_it_reads(monkeypatch, suite, reads_words, reads_perms):
+    words, perms = oracle_walks(monkeypatch)
+    assert verify.run_suites([suite])[0].passed
+    assert words == ([10] if reads_words else [])
+    assert perms == (list(range(10)) if reads_perms else [])
+
+
+# A path with an even extremum, its toggle, and another path of its
+# semilength with one; a word, its toggle and another word of its cell.
+PATH, PATH_TOGGLED, OTHER_PATH = "UUDUDD", "UDUUDD", "UUDDUD"
+WORD, WORD_TOGGLED, OTHER_WORD = "0110", "0101", "1010"
+
+
+def leaving_toggle(monkeypatch, name, target, image):
+    """Make ``paths.name`` send ``target`` to ``image(toggled target)``."""
+    toggle = getattr(paths, name)
+    monkeypatch.setattr(
+        paths, name, lambda p: image(toggle(p)) if p == target else toggle(p)
+    )
+
+
+@pytest.mark.parametrize(
+    "image",
+    [
+        lambda q: OTHER_PATH,  # not an involution on PATH
+        lambda q: q + "UD",  # out of the semilength's paths
+    ],
+    ids=["not-involution", "leaves-domain"],
+)
+def test_a_faulty_dyck_toggle_fails_on_its_cell(monkeypatch, image):
+    assert paths.toggle_first_even_extremum(PATH) == PATH_TOGGLED
+    leaving_toggle(monkeypatch, "toggle_first_even_extremum", PATH, image)
+    checks = checks_of("paths", verify.Options())
+    assert [name for name, c in checks.items() if not c.passed] == ["even_extremum_toggle"]
+    # the path whose toggle is PATH meets the fault first, as when every
+    # path was toggled where it was read
+    assert checks["even_extremum_toggle"].params["first_mismatch"] == {
+        "n": 3, "path": PATH_TOGGLED, "aspect": "involution", "expected": 0, "actual": 1
+    }
+
+
+@pytest.mark.parametrize(
+    "image",
+    [
+        lambda q: paths.word_to_lattice(4, OTHER_WORD),  # not an involution
+        lambda q: paths.LatticePath(q.steps, q.k + 1),  # out of the (k, m) cell
+    ],
+    ids=["not-involution", "leaves-domain"],
+)
+def test_a_faulty_lattice_toggle_fails_on_its_cell(monkeypatch, image):
+    target = paths.word_to_lattice(4, WORD)
+    assert paths.toggle_lattice_path(target) == paths.word_to_lattice(4, WORD_TOGGLED)
+    leaving_toggle(monkeypatch, "toggle_lattice_path", target, image)
+    checks = checks_of("paths", verify.Options())
+    assert [name for name, c in checks.items() if not c.passed] == ["lattice_encoding"]
+    assert checks["lattice_encoding"].params["first_mismatch"] == {
+        "k": 4, "m": 4, "word": WORD_TOGGLED, "aspect": "toggle", "expected": 0, "actual": 1
+    }
 
 
 def test_options_are_values():
