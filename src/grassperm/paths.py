@@ -182,8 +182,9 @@ def dyck_to_word(k: int, p: str) -> Word:
     if first_run > k:
         raise DomainError("path outside the bijection image (first peak too high)")
     # p is U^(k-j) D, then the lattice path of the word, then U and a final
-    # run of downs; p stays above the axis, so that path above its floor.
-    return lattice_to_word(LatticePath(p[first_run + 1 : p.rindex(UP)], k))
+    # run of downs.  That path starts at height k - j - 1 and p stays above
+    # the axis, so it stays above its floor j - k + 1, unchecked.
+    return lattice_to_word(LatticePath._make((p[first_run + 1 : p.rindex(UP)], k)))
 
 
 class _LatticeFields(NamedTuple):
@@ -251,7 +252,8 @@ def word_to_lattice(k: int, w: Word) -> LatticePath:
     """
     if not patterns.is_avoiding_word(k, w):
         raise DomainError(f"{w!r} is not an avoiding word for k={k}")
-    return LatticePath(w[::-1].translate(_WORD_TO_STEPS), k)
+    # avoidance is the floor (see LatticePath), and it implies k >= 1
+    return LatticePath._make((w[::-1].translate(_WORD_TO_STEPS), k))
 
 
 def lattice_to_word(path: LatticePath) -> Word:

@@ -9,6 +9,9 @@ Grassmannian permutations is decided on their words, by
 Avoiders are generated, not filtered: each generator extends a prefix only
 while it can still be completed to an avoiding word, so every prefix it
 visits yields a word and the cost follows the output, not the 2^n words.
+``avoiding_words`` lists the avoiders of a pattern as their words, one word
+each, and ``enumerate_avoiders`` decodes that list into permutations; a
+caller that only counts avoiders counts the words.
 """
 
 from __future__ import annotations
@@ -36,24 +39,42 @@ def permutation_contains(sigma: Permutation, pi: Permutation) -> bool:
     """True iff some subsequence of ``sigma`` is order-isomorphic to ``pi``.
 
     Backtracking over candidate index sequences; exponential in the worst
-    case but fine at the enumeration sizes used here (n <= 12).
+    case but fine at the enumeration sizes used here (n <= 12).  Both may be
+    any sequences of distinct values.  A candidate for ``pi[j]`` is tested
+    only against the images of the earlier entries of ``pi`` nearest below
+    and nearest above it in value: the images chosen so far are ordered as
+    those entries are, so a value between those two images is ordered
+    against every earlier image as ``pi[j]`` is.
     """
     n, m = len(sigma), len(pi)
     if m == 0:
         return True
     if m > n:
         return False
-    chosen: list[int] = []
+    # (index of the nearest smaller, of the nearest larger earlier entry),
+    # None where there is none
+    neighbours = [
+        (
+            max((u for u in range(j) if pi[u] < pi[j]), key=pi.__getitem__, default=None),
+            min((u for u in range(j) if pi[u] > pi[j]), key=pi.__getitem__, default=None),
+        )
+        for j in range(m)
+    ]
+    images: list = []
 
     def extend(j: int, start: int) -> bool:
         if j == m:
             return True
+        below, above = neighbours[j]
+        low = None if below is None else images[below]
+        high = None if above is None else images[above]
         for i in range(start, n - (m - j) + 1):
-            if all((sigma[t] < sigma[i]) == (pi[u] < pi[j]) for u, t in enumerate(chosen)):
-                chosen.append(i)
+            v = sigma[i]
+            if (low is None or low < v) and (high is None or v < high):
+                images.append(v)
                 if extend(j + 1, i + 1):
                     return True
-                chosen.pop()
+                images.pop()
         return False
 
     return extend(0, 0)
@@ -131,6 +152,9 @@ def enumerate_avoiding_words(k: int, m: int) -> list[Word]:
 
     if 0 < k and m <= top:
         extend("", 0, 0, m)
+    # extend's closure holds extend itself: without this the cycle, and the
+    # list with it, would live on until the next garbage collection
+    del extend
     return out
 
 
@@ -155,18 +179,24 @@ def _words_avoiding(n: int, u: Word) -> list[Word]:
                 extend(prefix + c, advanced, left - 1)
 
     extend("", 0, n)
+    del extend  # break the cycle through extend's closure, as above
     return out
 
 
-def enumerate_avoiders(n: int, pattern: Permutation) -> list[Permutation]:
-    """All Grassmannian permutations of [n] avoiding ``pattern``, sorted.
+def avoiding_words(n: int, pattern: Permutation) -> list[Word]:
+    """The words of the Grassmannian permutations of [n] avoiding
+    ``pattern``, one word each, lexicographically sorted.
 
-    The pattern must itself be Grassmannian.  The avoiding words are
-    generated: for the identity of size k, those avoiding every
-    ``0^j 1^(k-j)``; for any other pattern, those avoiding its word as a
-    subsequence.  Every ``0^j 1^(n-j)`` decodes to the identity, so all but
-    ``0^n`` are dropped before decoding; the words come in lexicographic
-    order, which leaves the permutations nearly sorted.
+    The pattern must itself be Grassmannian.  The words are generated: for
+    the identity of size k, those avoiding every ``0^j 1^(k-j)``; for any
+    other pattern, those avoiding its word as a subsequence.  Every
+    ``0^j 1^(n-j)`` decodes to the identity, so all but ``0^n`` are dropped,
+    and each avoider has exactly one word here.
+
+    >>> avoiding_words(2, (1, 2, 3))
+    ['00', '10']
+    >>> avoiding_words(3, (1, 2, 3))
+    ['010', '100', '101', '110']
     """
     pattern = core.check_permutation(pattern)
     if not core.is_grassmannian(pattern):
@@ -178,4 +208,12 @@ def enumerate_avoiders(n: int, pattern: Permutation) -> list[Permutation]:
     else:
         words = _words_avoiding(n, core.canonical_word(pattern))
     others = set(core.identity_words(n)[:-1])
-    return sorted(map(core.grassmannian_of_word, [w for w in words if w not in others]))
+    return [w for w in words if w not in others]
+
+
+def enumerate_avoiders(n: int, pattern: Permutation) -> list[Permutation]:
+    """All Grassmannian permutations of [n] avoiding ``pattern``, sorted:
+    the :func:`avoiding_words`, decoded.  The words come in lexicographic
+    order, which leaves the permutations nearly sorted.
+    """
+    return sorted(map(core.grassmannian_of_word, avoiding_words(n, pattern)))

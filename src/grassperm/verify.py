@@ -9,9 +9,14 @@ declared order and all output is deterministic.
 
 ``run_suites`` walks each oracle tally that the selected suites read once
 per run and passes the ``Tallies`` to every suite as an argument, so a run
-pays for each walk once and keeps nothing after it.  The paths suite
-toggles and classifies each path once and reads both checks of a toggle off
-that table; a toggled path outside the table is still followed directly.
+pays for each walk once and keeps nothing after it.  A suite lists each
+family of objects once for every check that reads it: the counting suite
+the avoiders of 12...k in S_m of each (k, m), as words, decoded into
+permutations only where the permutation oracle reads them (m <= perm_cap);
+the paths suite the avoiding words of each (k, m); the classes suite the
+Grassmannian permutations of each size.  The paths suite toggles and
+classifies each path once and reads both checks of a toggle off that
+table; a toggled path outside the table is still followed directly.
 
 ``Options.fault`` perturbs one cell of the recurrence table as seen by the
 oracle-agreement check; it exists so the harness can prove that a single
@@ -26,9 +31,11 @@ from typing import Callable, Iterable, NamedTuple
 from . import classes, core, counting, oracle, parity, paths, patterns, series
 from .errors import CapExceededError, DomainError
 
-# The most avoiders the counting suite lists in one run, summed over its
-# cells (1,921,283 at ``--k-max 13``); a run that would list more is
-# refused as a cap error.
+# The most avoiders the counting suite lists in one run, one word each,
+# summed over its cells; a run that would list more is refused as a cap
+# error.  ``--k-max 13`` lists 1,921,283 in about 1.5 s of CPU with a
+# 51 MB peak; ``--k-max 14`` would list 3,453,826 and hold 78 MB (2-vCPU
+# Intel Xeon VM, Python 3.11.7).
 LISTING_CAP = 2_000_000
 
 
@@ -114,8 +121,8 @@ def _capped_k(opts: Options) -> tuple[range, dict]:
 
 def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
     words, perms = tallies
-    # The (k, m) whose avoiders of 12...k in S_m two checks list, each
-    # (k, m) once; a listing holds avoiding_perm_count(k, m) of them.
+    # The (k, m) whose avoiders of 12...k in S_m two checks read, each
+    # listed once, one word per avoider: avoiding_perm_count(k, m) words.
     word_cells = [
         (k, m) for k in range(2, opts.k_max + 1) for m in _word_m_range(k, opts.word_cap)
     ]
@@ -134,13 +141,17 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
         value = recurrence[(k, m)]
         return value + 1 if fault == (k, m) else value
 
-    avoider_counts: dict[tuple[int, int], int] = {}
+    def listed(k: int, m: int) -> tuple[int, int | None]:
+        """The avoiders of 12...k in S_m as (words, distinct permutations).
+        The words are decoded only where the permutation oracle reads them,
+        m <= perm_cap, so a decoding that merges two words shows there."""
+        identity = core.identity_permutation(k)
+        if m > opts.perm_cap:
+            return len(patterns.avoiding_words(m, identity)), None
+        avoiders = patterns.enumerate_avoiders(m, identity)
+        return len(avoiders), len(set(avoiders))
 
-    def identity_avoiders(k: int, m: int) -> int:
-        if (k, m) not in avoider_counts:
-            listing = patterns.enumerate_avoiders(m, core.identity_permutation(k))
-            avoider_counts[(k, m)] = len(listing)
-        return avoider_counts[(k, m)]
+    identity_avoiders = {cell: listed(*cell) for cell in sorted({*word_cells, *perm_cells})}
 
     return [
         _sweep(
@@ -175,13 +186,14 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
                 (
                     {"k": k, "m": m},
                     counting.avoiding_word_count(k, m),
-                    identity_avoiders(k, m) + (m if m < k else 0),
+                    identity_avoiders[k, m][0] + (m if m < k else 0),
                 )
                 for k, m in word_cells
             ),
         ),
-        # enumerate_avoiders decides containment by the same word rule as
-        # the formulas, so its counts are also held to the permutation oracle.
+        # The avoiding words are generated by the same word rule as the
+        # formulas, so the distinct permutations they decode to are also
+        # held to the permutation oracle.
         _sweep(
             "perm_counts_vs_perm_oracle",
             {"k_max": opts.k_max, "perm_cap": opts.perm_cap},
@@ -190,7 +202,7 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
                 for k, m in perm_cells
                 for form, value in (
                     ("formula", counting.avoiding_perm_count(k, m)),
-                    ("enumeration", identity_avoiders(k, m)),
+                    ("enumeration", identity_avoiders[k, m][1]),
                 )
             ),
         ),
@@ -201,7 +213,7 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
                 (
                     {"pattern": core.perm_to_str(p), "n": n},
                     counting.nonidentity_avoider_count(n, k),
-                    len(patterns.enumerate_avoiders(n, p)),
+                    len(patterns.avoiding_words(n, p)),
                 )
                 for k in range(2, 6)
                 for p in core.grassmannian_permutations(k)
@@ -379,6 +391,9 @@ def _oracle_class(tally: dict[tuple, int], k: int, member: str, odd: bool) -> in
 
 def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
     perms = tallies.perms
+    n_max = min(opts.perm_cap, 8)
+    # Each size listed once, for both membership checks.
+    grassmannians = [core.grassmannian_permutations(n) for n in range(n_max + 1)]
     return [
         _sweep(
             "class_totals_vs_oracle",
@@ -420,28 +435,28 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
         ),
         _sweep(
             "bigrassmannian_iff_avoids_2413",
-            {"n_max": min(opts.perm_cap, 8)},
+            {"n_max": n_max},
             (
                 (
                     {"n": n, "perm": core.perm_to_str(p)},
                     int(not patterns.permutation_contains(p, (2, 4, 1, 3))),
                     int(classes.is_bigrassmannian(p)),
                 )
-                for n in range(min(opts.perm_cap, 8) + 1)
-                for p in core.grassmannian_permutations(n)
+                for n, ps in enumerate(grassmannians)
+                for p in ps
             ),
         ),
         _sweep(
             "involution_iff_word_form",
-            {"n_max": min(opts.perm_cap, 8)},
+            {"n_max": n_max},
             (
                 (
                     {"n": n, "perm": core.perm_to_str(p)},
                     int(classes.has_involution_word_form(core.canonical_word(p))),
                     int(classes.is_grassmannian_involution(p)),
                 )
-                for n in range(min(opts.perm_cap, 8) + 1)
-                for p in core.grassmannian_permutations(n)
+                for n, ps in enumerate(grassmannians)
+                for p in ps
             ),
         ),
     ]
@@ -460,6 +475,13 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
     # for halving), each enumerated and classified once.
     dyck = [paths.enumerate_dyck(n) for n in range(10)]
     all_odd = [[paths.all_extrema_odd(p) for p in ps] for ps in dyck]
+    # The avoiding words of every (k, m) cell, listed once for the Dyck and
+    # the lattice encodings (k <= 6 for the lattice).
+    avoiding = {
+        (k, m): patterns.enumerate_avoiding_words(k, m)
+        for k in range(1, k_top + 1)
+        for m in _word_m_range(k, opts.word_cap)
+    }
 
     def bijection_cells():
         for k in range(1, k_top + 1):
@@ -467,7 +489,7 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
             for p in dyck[k + 1]:
                 by_sum.setdefault(paths.first_last_peak_sum(p), set()).add(p)
             for m in _word_m_range(k, opts.word_cap):
-                words = patterns.enumerate_avoiding_words(k, m)
+                words = avoiding[k, m]
                 images = [paths.word_to_dyck(k, w) for w in words]
                 round_trip = all(
                     paths.dyck_to_word(k, p) == w for w, p in zip(words, images)
@@ -545,7 +567,7 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
             for m in _word_m_range(k, opts.word_cap):
                 # Each path is toggled and classified once; None marks a
                 # path with no extremum to toggle.
-                words = patterns.enumerate_avoiding_words(k, m)
+                words = avoiding[k, m]
                 lps = [paths.word_to_lattice(k, w) for w in words]
                 odd = {lp: is_odd(lp) for lp in lps}
                 partners = {}

@@ -669,18 +669,19 @@ class TestVerify:
         assert err == f"error: counting suite lists up to 2000000 avoiders, not {listed}\n"
 
     def test_listing_cap_bounds_what_is_listed(self, monkeypatch):
-        # the refusal counts exactly the identity avoiders the suite lists
-        opts = verify.Options(k_max=5, perm_cap=7, word_cap=6)
+        # the refusal counts exactly the words of the identity avoiders the
+        # suite lists, decoded (m <= 4) or not
+        opts = verify.Options(k_max=5, perm_cap=4, word_cap=6)
         listed = []
-        enumerate_avoiders = patterns.enumerate_avoiders
+        avoiding_words = patterns.avoiding_words
 
         def counted(n, pattern):
-            out = enumerate_avoiders(n, pattern)
+            out = avoiding_words(n, pattern)
             if core.is_identity(pattern):
                 listed.append(len(out))
             return out
 
-        monkeypatch.setattr(patterns, "enumerate_avoiders", counted)
+        monkeypatch.setattr(patterns, "avoiding_words", counted)
         monkeypatch.setattr(verify, "LISTING_CAP", 0)
         with pytest.raises(CapExceededError):
             verify.run_suites(["counting"], opts)

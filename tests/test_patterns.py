@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,19 @@ def filtered_avoiders(n, pattern):
         core.grassmannian_of_word(w) for w in words if not patterns.grassmannian_contains(w, u)
     }
     return sorted(avoiders)
+
+
+def ranks(seq):
+    """Each entry's rank among the entries of ``seq``, from 0."""
+    order = sorted(seq)
+    return tuple(order.index(v) for v in seq)
+
+
+def brute_contains(sigma, pi):
+    """Containment by testing every subsequence of ``sigma`` of the length
+    of ``pi`` for the ranks of ``pi``."""
+    target = ranks(pi)
+    return any(ranks(sub) == target for sub in combinations(sigma, len(pi)))
 
 
 def merged_avoiders(n, pattern):
@@ -58,6 +73,29 @@ class TestPermutationContainment:
 
     def test_avoids_longer_increasing(self):
         assert not patterns.permutation_contains((3, 4, 1, 2), (1, 2, 3))
+
+    def test_matches_every_subsequence_on_small_hosts(self):
+        pats = [p for m in range(5) for p in permutations(range(1, m + 1))]
+        for n in range(7):
+            for sigma in permutations(range(1, n + 1)):
+                for pi in pats:
+                    assert patterns.permutation_contains(sigma, pi) == brute_contains(
+                        sigma, pi
+                    ), (sigma, pi)
+
+    def test_matches_every_subsequence_on_grassmannian_hosts(self):
+        for n in range(10):
+            for sigma in core.grassmannian_permutations(n):
+                for pi in ((2, 4, 1, 3), (3, 4, 1, 2)):
+                    assert patterns.permutation_contains(sigma, pi) == brute_contains(
+                        sigma, pi
+                    ), (sigma, pi)
+
+    def test_any_distinct_values(self):
+        # values need not be 1..n, nor integers
+        assert patterns.permutation_contains((30, -5, 12, 7.5), (9, 2, 4))
+        assert not patterns.permutation_contains(("b", "d", "a", "c"), (3, 2, 1))
+        assert patterns.permutation_contains(("b", "d", "a", "c"), ("x", "z", "w", "y"))
 
     def test_matches_word_containment(self):
         # exhaustive over hosts of length <= 8 and patterns of length <= 4

@@ -35,21 +35,51 @@ def test_suite_paths_enumerates_each_semilength_once(monkeypatch):
     assert sorted(calls) == list(range(10))
 
 
+def test_suite_paths_lists_each_word_cell_once(monkeypatch):
+    calls = counting_calls(monkeypatch, patterns, "enumerate_avoiding_words", lambda k, m: (k, m))
+    assert all(c.passed for c in checks_of("paths", RAISED).values())
+    # the cells of the Dyck encoding, k <= 7; the lattice encoding's are among them
+    assert sorted(calls) == [(k, m) for k in range(1, 8) for m in range(min(2 * k - 2, 14) + 1)]
+
+
+def test_suite_classes_lists_each_size_once(monkeypatch):
+    calls = counting_calls(monkeypatch, core, "grassmannian_permutations", lambda n: n)
+    assert all(c.passed for c in checks_of("classes", RAISED).values())
+    assert calls == list(range(9))  # n <= min(perm_cap, 8)
+
+
 def test_suite_counting_lists_each_identity_cell_once(monkeypatch):
-    calls = counting_calls(
-        monkeypatch,
-        patterns,
-        "enumerate_avoiders",
-        lambda n, p: (len(p), n) if core.is_identity(p) else None,
-    )
+    identity_cell = lambda n, p: (len(p), n) if core.is_identity(p) else None
+    listed = counting_calls(monkeypatch, patterns, "avoiding_words", identity_cell)
+    decoded = counting_calls(monkeypatch, patterns, "enumerate_avoiders", identity_cell)
     checks = checks_of("counting", RAISED)
     assert checks["word_count_vs_permutation_count"].passed
     assert checks["perm_counts_vs_perm_oracle"].passed
-    assert len(calls) == len(set(calls))
-    # the cells of both checks, those of m <= perm_cap shared
+    # the cells of both checks, those of m <= perm_cap shared, each listed
+    # once, and decoded only where the permutation oracle reads them
     word_cells = {(k, m) for k in range(2, 9) for m in range(min(2 * k - 2, 14) + 1)}
     perm_cells = {(k, m) for k in range(1, 9) for m in range(min(2 * k - 2, 9) + 1)}
-    assert set(calls) == word_cells | perm_cells
+    assert sorted(listed) == sorted(word_cells | perm_cells)
+    assert sorted(decoded) == sorted(perm_cells)
+
+
+def test_a_decoding_that_merges_two_words_fails_on_its_cell(monkeypatch):
+    # Two non-identity words of length 7 <= perm_cap decode to one
+    # permutation; the word counts cannot see it, the permutation oracle can.
+    merged, kept = "1010100", "1001010"
+    decode = core.grassmannian_of_word
+    monkeypatch.setattr(
+        core, "grassmannian_of_word", lambda w: decode(kept if w == merged else w)
+    )
+    checks = checks_of("counting", verify.Options())
+    assert [name for name, c in checks.items() if not c.passed] == [
+        "perm_counts_vs_perm_oracle"
+    ]
+    # the first k whose avoiders of length 7 hold both words
+    k = min(k for k in range(1, 7) if all(patterns.is_avoiding_word(k, w) for w in (merged, kept)))
+    first = checks["perm_counts_vs_perm_oracle"].params["first_mismatch"]
+    assert (first["k"], first["m"], first["form"]) == (k, 7, "enumeration")
+    assert first["expected"] == first["actual"] + 1
 
 
 def test_suite_parity_certifies_the_parity_table(monkeypatch):
