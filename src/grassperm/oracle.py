@@ -156,4 +156,5 @@ def grassmannian_statistics(n: int) -> Counter[PermKey]:
             prefix.pop()
 
     extend(0, 0, False, 0, 0)
+    del extend  # break the cycle through extend's closure
     return tally

@@ -77,7 +77,9 @@ def permutation_contains(sigma: Permutation, pi: Permutation) -> bool:
                 images.pop()
         return False
 
-    return extend(0, 0)
+    found = extend(0, 0)
+    del extend  # break the cycle through extend's closure, as below
+    return found
 
 
 def grassmannian_contains(wprime: Word, w: Word) -> bool:

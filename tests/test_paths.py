@@ -372,6 +372,18 @@ class TestToggle:
         with pytest.raises(DomainError):
             paths.toggle_first_even_extremum("UD")
 
+    def test_every_image_is_a_dyck_path(self):
+        # the toggle builds its image unchecked; every path to semilength 10
+        # with an even extremum is held to the walk
+        toggled = 0
+        for p in ALL_DYCK:
+            if p and not walked_all_extrema_odd(p):
+                assert walked_is_dyck_path(paths.toggle_first_even_extremum(p)), p
+                toggled += 1
+        assert toggled == sum(
+            counting.catalan(n) - parity.all_odd_extrema_count(n) for n in range(1, 11)
+        )
+
 
 class TestHalving:
     def test_smallest(self):
@@ -397,6 +409,17 @@ class TestHalving:
         with pytest.raises(DomainError):
             paths.halve_all_odd_path("UUDD")
 
+    def test_every_image_is_a_dyck_path_of_half_size(self):
+        # the halving builds its image unchecked; every all-odd path to
+        # semilength 10 is held to the walk
+        halved = 0
+        for p in ALL_DYCK:
+            if p and walked_all_extrema_odd(p):
+                q = paths.halve_all_odd_path(p)
+                assert walked_is_dyck_path(q) and len(q) == paths.semilength(p) - 1, p
+                halved += 1
+        assert halved == sum(parity.all_odd_extrema_count(n) for n in range(1, 11))
+
 
 class TestLattice:
     def test_figure_left_path(self):
@@ -418,6 +441,22 @@ class TestLattice:
 
     def test_round_trip_and_parity(self, harness):
         assert harness("paths.lattice_encoding", k_max=5, word_cap=8).passed
+
+    def test_every_toggle_image_passes_the_floor_check(self):
+        # the toggle builds its image unchecked; every avoiding word with
+        # k <= 7 and m <= 12 that has a floor-parity turn is toggled and its
+        # steps held to the checked constructor
+        toggled = 0
+        for k in range(1, 8):
+            for m in range(13):
+                for w in patterns.enumerate_avoiding_words(k, m):
+                    lp = paths.word_to_lattice(k, w)
+                    if outcome(walked_floor_parity_extremum, lp)[0] == "DomainError":
+                        continue
+                    image = paths.toggle_lattice_path(lp)
+                    assert paths.LatticePath(image.steps, k) == image, (k, w)
+                    toggled += 1
+        assert toggled == 1894
 
     def test_rejects_word_outside_class(self):
         with pytest.raises(DomainError):

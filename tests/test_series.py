@@ -88,6 +88,15 @@ def test_recurrence_matches_the_expansion():
         ]
 
 
+def test_every_row_is_positive_and_sums_to_the_nonidentity_words():
+    # the recurrence builds its rows unchecked; every row up to the cap is
+    # held to the count of words less the identity's extra ones
+    for n, row in enumerate(series.inversion_table(series.MAX_N)):
+        assert list(row) == list(range(n * n // 4 + 1))
+        assert min(row.values()) > 0
+        assert sum(row.values()) == 2**n - n
+
+
 def test_size_past_the_cap_refused():
     assert sum(series.inversion_table(40)[40].values()) == 2**40 - 40
     with pytest.raises(CapExceededError, match="up to 120, not 121"):

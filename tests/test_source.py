@@ -1,12 +1,15 @@
 """Source-level rules for the package."""
 
 import ast
+import gc
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import grassperm
+from grassperm import oracle, paths, patterns
 
 SOURCES = sorted(Path(grassperm.__file__).parent.glob("*.py"))
 CONTAINER_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
@@ -196,3 +199,82 @@ def test_every_public_name_is_reached():
         and used[node.name] == Counter(name_uses(node))[node.name]
     ]
     assert unreached == [], f"public names nothing in the package reaches: {unreached}"
+
+
+def own_body_nodes(function):
+    """The nodes of ``function``'s body, not those of functions or classes
+    nested in it."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def undeleted_recursive_closures(tree):
+    """(enclosing function, nested function) for each nested function that
+    names itself and that its enclosing function does not ``del``."""
+    for outer in ast.walk(tree):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(own_body_nodes(outer))
+        deleted = {
+            target.id
+            for node in nodes
+            if isinstance(node, ast.Delete)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for inner in nodes:
+            if not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            named = {n.id for n in ast.walk(inner) if isinstance(n, ast.Name)}
+            if inner.name in named and inner.name not in deleted:
+                yield outer.name, inner.name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_recursive_closures_are_deleted(path):
+    # A nested function that calls itself holds itself through its closure,
+    # and with it everything else it closes over, such as the list it fills:
+    # the cycle lives on until the next garbage collection unless the
+    # enclosing function deletes the name.
+    found = list(undeleted_recursive_closures(parse(path)))
+    assert found == [], f"recursive closures never deleted in {path.name}: {found}"
+
+
+# Functions built on a recursive closure, with arguments that reach it:
+# first those that return the listing their closure fills.
+LISTING_CALLS = [
+    (paths.enumerate_dyck, (4,)),
+    (oracle.grassmannian_statistics, (5,)),
+    (patterns.enumerate_avoiding_words, (4, 5)),
+    (patterns.avoiding_words, (5, (2, 3, 1))),
+]
+CLOSURE_CALLS = LISTING_CALLS + [(patterns.permutation_contains, ((3, 1, 4, 2, 5), (2, 1, 3)))]
+
+
+@pytest.mark.parametrize("call", CLOSURE_CALLS, ids=lambda c: c[0].__name__)
+def test_recursive_closures_leave_no_garbage(call):
+    function, args = call
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            function(*args)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("call", LISTING_CALLS, ids=lambda c: c[0].__name__)
+def test_a_returned_listing_has_no_hidden_owner(call):
+    function, args = call
+    gc.disable()
+    try:
+        out = function(*args)
+        # this name and getrefcount's own argument
+        assert sys.getrefcount(out) == 2
+    finally:
+        gc.enable()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from grassperm import classes, core, oracle, parity, paths, patterns, verify
+from grassperm import classes, core, counting, oracle, parity, paths, patterns, series, verify
 
 RAISED = verify.Options(k_max=8, perm_cap=9, word_cap=14)
 
@@ -195,6 +195,78 @@ def test_a_faulty_lattice_toggle_fails_on_its_cell(monkeypatch, image):
     assert checks["lattice_encoding"].params["first_mismatch"] == {
         "k": 4, "m": 4, "word": WORD_TOGGLED, "aspect": "toggle", "expected": 0, "actual": 1
     }
+
+
+def off_by_one_at(at):
+    """Make a formula return one more at the arguments ``at``."""
+    return lambda original: lambda *args: original(*args) + (args == at)
+
+
+def row_off_by_one(n):
+    """Make ``inversion_table`` return one more at q^0 of row n."""
+
+    def mutate(original):
+        def mutant(max_n):
+            table = original(max_n)
+            table[n][0] += 1
+            return table
+
+        return mutant
+
+    return mutate
+
+
+# (suite, options, module, formula, mutation, cells, matched, params): each
+# mutation puts one cell of one single-index check off by one, at an index
+# no other check of the suite reads.
+ONE_WRONG_CELL = {
+    "total_words": (
+        "counting", verify.Options(), counting, "total_avoiding_words", off_by_one_at((3,)),
+        6, 5, {"k_max": 6, "first_mismatch": {"k": 3, "expected": 14, "actual": 13}},
+    ),
+    "total_perms": (
+        "counting", verify.Options(), counting, "total_avoiding_perms", off_by_one_at((3,)),
+        6, 5, {"k_max": 6, "first_mismatch": {"k": 3, "expected": 11, "actual": 10}},
+    ),
+    "fixed_point_row_sums": (
+        "counting", verify.Options(), counting, "fixed_point_count", off_by_one_at((15, 0)),
+        20, 19, {"n_max": 20, "first_mismatch": {"n": 15, "expected": 32753, "actual": 32754}},
+    ),
+    "closed_form_at_max_length": (
+        "parity", verify.Options(), parity, "odd_word_count_max_length", off_by_one_at((4,)),
+        5, 4, {"k_max": 6, "first_mismatch": {"k": 4, "expected": 3, "actual": 4}},
+    ),
+    # at k_max 1 the table's rows stop at k = 1, and this check still reads k = 2
+    "one_shorter_is_twice_even": (
+        "parity", verify.Options(k_max=1), parity, "even_word_count", off_by_one_at((2, 2)),
+        1, 0, {"k_max": 2, "first_mismatch": {"k": 2, "expected": 0, "actual": 2}},
+    ),
+    "total_odd": (
+        "parity", verify.Options(), parity, "total_odd_avoiders", off_by_one_at((3,)),
+        6, 5, {"k_max": 6, "first_mismatch": {"k": 3, "expected": 4, "actual": 5}},
+    ),
+    # the relation reads m = 30 twice: as m, and as m - 4 at m = 34
+    "odd_involution_shift_relation": (
+        "classes", verify.Options(), classes, "odd_involution_count", off_by_one_at((30,)),
+        36, 34, {"m_max": 40, "first_mismatch": {"m": 30, "expected": 120, "actual": 121}},
+    ),
+    # rows past perm_cap 9 are read by the row sums alone
+    "row_sums": (
+        "series", verify.Options(), series, "inversion_table", row_off_by_one(11),
+        12, 11, {"n_max": 12, "first_mismatch": {"n": 11, "expected": 2037, "actual": 2038}},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ONE_WRONG_CELL)
+def test_one_wrong_cell_fails_only_its_single_index_check(monkeypatch, name):
+    suite, opts, module, formula, mutate, cells, matched, params = ONE_WRONG_CELL[name]
+    monkeypatch.setattr(module, formula, mutate(getattr(module, formula)))
+    checks = checks_of(suite, opts)
+    assert [n for n, c in checks.items() if not c.passed] == [name]
+    check = checks[name]
+    assert (check.expected, check.actual) == (cells, matched)
+    assert check.params == params
 
 
 def test_options_are_values():
