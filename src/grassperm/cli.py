@@ -184,15 +184,17 @@ def _cmd_table(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[str
 
 
 def _cmd_enumerate(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[str]]:
-    from . import core, patterns
-
     cap = ENUMERATE_CAPS[args.kind]
     if args.kind == "words":
+        from . import core, patterns
+
         if args.m > cap:
             raise DomainError(f"word length {args.m} over cap {cap}")
         names = patterns.enumerate_avoiding_words(args.k, args.m)
         values = map(core.inversion_count, names)
     elif args.kind == "avoiders":
+        from . import core, patterns
+
         if args.n > cap:
             raise DomainError(f"size {args.n} over cap {cap}")
         pattern = core.perm_from_str(args.pattern)
@@ -208,7 +210,10 @@ def _cmd_enumerate(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable
         if args.n > cap:
             raise DomainError(f"semilength {args.n} over cap {cap}")
         names = paths.enumerate_dyck(args.n)
-        values = map(paths.peak_count, names)
+        # Every listed path is a Dyck path by construction, so its peaks,
+        # its UD factors, are counted with no step check.
+        peak = paths.UP + paths.DOWN
+        values = (p.count(peak) for p in names)
     # One line per object; ``values`` is lazy, so a statistic no one asked
     # for is never computed.
     if args.stats is None:
@@ -221,9 +226,11 @@ def _format_a_sequence(a: tuple[int, ...]) -> str:
 
 
 def _cmd_biject(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[str]]:
-    from . import core, paths
+    from . import paths
 
     if args.map in ("word-to-dyck", "word-to-lattice"):
+        from . import core
+
         if args.k is None:
             parser.error(f"{args.map} requires --k")
         w = core.check_word(args.input)

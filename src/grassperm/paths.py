@@ -19,11 +19,12 @@ Here (a_0, ..., a_j) is the run-length sequence of the word, m its length.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from . import patterns
-from .core import Word
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from .core import Word
 
 UP = "U"
 DOWN = "D"
@@ -31,6 +32,9 @@ DOWN = "D"
 # D^a0 U D^a1 ... U D^aj of its run-length sequence; and back.
 _WORD_TO_STEPS = str.maketrans("01", UP + DOWN)
 _STEPS_TO_WORD = str.maketrans(UP + DOWN, "01")
+# Read backwards with U and D swapped, a path that falls from height h to
+# the axis climbs from the axis to h.
+_SWAP_STEPS = str.maketrans(UP + DOWN, DOWN + UP)
 
 
 def check_steps(p: str) -> str:
@@ -107,15 +111,6 @@ def _all_extrema_odd(p: str) -> bool:
     # is a string of UU and DD pairs.
     inner = p[1:-1]
     return inner[::2] == inner[1::2]
-
-
-def peak_count(p: str) -> int:
-    """Number of peaks, that is of ``UD`` factors.
-
-    >>> peak_count("UDUUDD")
-    2
-    """
-    return check_steps(p).count(UP + DOWN)
 
 
 def first_last_peak_sum(p: str) -> int:
@@ -250,6 +245,8 @@ def word_to_lattice(k: int, w: Word) -> LatticePath:
     >>> word_to_lattice(5, "110011").steps
     'DDUUDD'
     """
+    from . import patterns  # here, so that listing or toggling paths never loads it
+
     if not patterns.is_avoiding_word(k, w):
         raise DomainError(f"{w!r} is not an avoiding word for k={k}")
     # avoidance is the floor (see LatticePath), and it implies k >= 1
@@ -342,22 +339,28 @@ def halve_all_odd_path(p: str) -> str:
 
 
 def enumerate_dyck(n: int) -> list[str]:
-    """All Dyck paths of semilength n in lexicographic order ('D' < 'U')."""
+    """All Dyck paths of semilength n in lexicographic order ('D' < 'U').
+
+    Each path is a first half of n steps, from the axis up to some height h,
+    joined to a second half of n steps from h back down.
+
+    >>> enumerate_dyck(2)
+    ['UDUD', 'UUDD']
+    """
     if n < 0:
         raise DomainError("n must be nonnegative")
-    out: list[str] = []
-
-    def build(prefix: str, h: int, ups_left: int) -> None:
-        if not ups_left:  # the only completion is h downs
-            out.append(prefix + DOWN * h)
-            return
-        if h:
-            build(prefix + DOWN, h - 1, ups_left)
-        build(prefix + UP, h + 1, ups_left - 1)
-
-    build("", 0, n)
-    del build  # break the cycle through build's closure, as in patterns
-    return out
+    # ends[h]: the strings of r steps from height h down to the axis that
+    # never dip below it, sorted, for r = 0, ..., n.  The last row is always
+    # empty, and ends[h - 1] at h = 0 reads it.
+    ends = [[""]] + [[] for _ in range(n + 1)]
+    for _ in range(n):
+        ends = [
+            [DOWN + s for s in ends[h - 1]] + [UP + s for s in ends[h + 1]] for h in range(n + 1)
+        ] + [[]]
+    # A first half is a second half read backwards with its steps swapped.
+    # The halves all have n steps, so sorted first halves order the paths.
+    heads = sorted(s[::-1].translate(_SWAP_STEPS) for row in ends for s in row)
+    return [a + b for a in heads for b in ends[2 * a.count(UP) - n]]
 
 
 SVG_UNIT = 24  # pixels per step, across and up

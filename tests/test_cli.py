@@ -395,7 +395,7 @@ class TestEnumerateBytes:
         assert out == _lines(_brute_words(k, m), stats)
 
     @pytest.mark.parametrize("stats", [None, "peaks"])
-    @pytest.mark.parametrize("n", [0, 1, 4, 6])
+    @pytest.mark.parametrize("n", [0, 1, 4, 6, 8])
     def test_dyck(self, capsys, n, stats):
         argv = ["enumerate", "dyck", "--n", str(n)]
         code, out, err = run(capsys, *argv, *(["--stats", stats] if stats else []))

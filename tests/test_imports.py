@@ -73,9 +73,10 @@ def footprint(tmp_path, argv):
         (("table", "--quantity", "gf"), ("series",), ()),
         (("enumerate", "words", "--k", "3", "--m", "4"), ("patterns", "core"), ()),
         (("enumerate", "avoiders", "--n", "4", "--pattern", "123"), ("patterns", "core"), ()),
-        (("enumerate", "dyck", "--n", "3", "--stats", "peaks"), OBJECTS, ()),
+        (("enumerate", "dyck", "--n", "3", "--stats", "peaks"), ("paths",), ()),
         (("biject", "word-to-lattice", "--k", "5", "--input", "110011"), OBJECTS, ()),
-        (("biject", "halve", "--input", "UUUDDD"), OBJECTS, ()),
+        (("biject", "halve", "--input", "UUUDDD"), ("paths",), ()),
+        (("biject", "toggle", "--input", "UDUUDUDD"), ("paths",), ()),
         (("verify", "--suite", "identities"), EVERYTHING, ()),
         (("verify", "--suite", "identities", "--format", "json"), EVERYTHING, ("json",)),
     ],

@@ -1,4 +1,4 @@
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -224,9 +224,7 @@ class TestAgainstTheWalks:
 
 
 def assert_peak_statistics_match_the_walk(p):
-    peak_heights = walked_peaks(p)
-    assert paths.peaks(p) == peak_heights
-    assert paths.peak_count(p) == len(peak_heights)
+    assert paths.peaks(p) == walked_peaks(p)
 
 
 @st.composite
@@ -270,10 +268,6 @@ class TestStatistics:
     @given(st.text(alphabet="UD", max_size=40))
     def test_match_the_extrema_on_step_strings(self, p):
         assert_peak_statistics_match_the_walk(p)
-
-    def test_peak_count_rejects_invalid_steps(self):
-        with pytest.raises(DomainError):
-            paths.peak_count("UDX")
 
     def test_peak_sum_single_peak_counts_twice(self):
         for n in range(1, 6):
@@ -492,10 +486,23 @@ class TestLattice:
             lp.k = 6
 
 
+def chosen_dyck_paths(n):
+    """The Dyck paths of semilength n, sorted, from every choice of the
+    positions of their n up-steps."""
+    chosen = (set(ups) for ups in combinations(range(2 * n), n))
+    steps = ("".join("U" if i in ups else "D" for i in range(2 * n)) for ups in chosen)
+    return sorted(filter(walked_is_dyck_path, steps))
+
+
 class TestEnumeration:
     def test_counts_are_catalan(self):
-        for n in range(9):
+        for n in (*range(9), 12):
             assert len(paths.enumerate_dyck(n)) == counting.catalan(n)
+
+    def test_listing_is_the_sorted_reference(self):
+        # list for list: the joined halves come out in order, each once
+        for n in range(10):
+            assert paths.enumerate_dyck(n) == chosen_dyck_paths(n), n
 
     def test_sorted_and_unique(self):
         for n in range(7):
