@@ -185,10 +185,10 @@ def inversion_count(w: Word) -> int:
 def is_odd_word(w: Word) -> bool:
     """True iff ``grassmannian_of_word(w)`` has an odd number of inversions.
 
-    Equivalent to an odd number of odd entries among (a_1, a_3, a_5, ...).
+    Equivalent to an odd number of odd entries among (a_1, a_3, a_5, ...),
+    the rule ``paths.is_odd_lattice`` reads off a lattice path.
     """
-    a = a_sequence(w)
-    return sum(a[i] % 2 for i in range(1, len(a), 2)) % 2 == 1
+    return inversion_count(w) % 2 == 1
 
 
 def grassmannian_permutations(n: int) -> list[Permutation]:

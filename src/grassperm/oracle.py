@@ -4,10 +4,10 @@ Brute-force ground truth used to certify every closed form in the package.
 Each call runs its own walk and returns fresh ``Counter``s; the module
 keeps no state.  ``word_statistics(m_max)`` reads all 2^m words of every
 length m <= m_max one letter at a time, but aggregated: it counts the
-words that share a state (zeros, longest ``0*1*`` subsequence, ones and
-inversions mod 2) instead of visiting each word, the transfer-matrix
-method (Stanley, *EC1* 4.7), and tallies each length as the walk passes
-it, O(m_max^3) steps in all.
+words that share a key (longest ``0*1*`` subsequence, zeros, inversions
+mod 2) instead of visiting each word, the transfer-matrix method
+(Stanley, *EC1* 4.7).  The tally of each length is the walk's state, so
+it keeps each length as it passes it, O(m_max^3) steps in all.
 ``grassmannian_statistics(n)`` filters S_n by descent count, never through
 the binary-word encoding: a depth-first walk over the permutations of [n]
 that extends a prefix only while it can still end with at most one
@@ -69,23 +69,19 @@ def word_statistics(m_max: int) -> list[Counter[WordKey]]:
     # The walk passes every length, so a refusal names the first one past
     # the cap.
     _check_size(min(m_max, WORD_CAP + 1), WORD_CAP, "word length")
-    # How many words read so far end in each (zeros, longest, ones mod 2,
-    # inversions mod 2).  longest is that of the prefix read so far: a 1
-    # extends every 0*1* subsequence, a 0 only the one made of all the
-    # zeros; a 0 makes one inversion with each 1 before it.
-    states: Counter[tuple[int, int, int, int]] = Counter({(0, 0, 0, 0): 1})
-    tallies: list[Counter[WordKey]] = []
-    for m in range(m_max + 1):
-        if m:
-            after: Counter[tuple[int, int, int, int]] = Counter()
-            for (zeros, longest, o, i), count in states.items():
-                after[zeros + 1, max(longest, zeros + 1), o, i ^ o] += count
-                after[zeros, longest + 1, o ^ 1, i] += count
-            states = after
-        tally: Counter[WordKey] = Counter()
-        for (zeros, longest, _, i), count in states.items():
-            tally[WordKey(longest, zeros, i == 1)] += count
-        tallies.append(tally)
+    # How many words of each length have each key; a key is the whole walk
+    # state, as the ones of a length-m word number m - zeros.  longest is
+    # that of the prefix read so far: a 1 extends every 0*1* subsequence,
+    # a 0 only the one made of all the zeros; a 0 makes one inversion with
+    # each 1 before it.
+    tallies = [Counter({WordKey(0, 0, False): 1})]
+    for m in range(m_max):
+        after: Counter[WordKey] = Counter()
+        for (longest, zeros, odd), count in tallies[m].items():
+            odd_ones = (m - zeros) % 2 == 1
+            after[WordKey(max(longest, zeros + 1), zeros + 1, odd ^ odd_ones)] += count
+            after[WordKey(longest + 1, zeros, odd)] += count
+        tallies.append(after)
     return tallies
 
 

@@ -117,15 +117,41 @@ def _count(tally: dict[tuple, int], keep: Callable) -> int:
     return sum(count for key, count in tally.items() if keep(key))
 
 
-def _capped_k(opts: Options) -> tuple[range, dict]:
-    """The k whose words (lengths up to 2k - 2) all fit under the word cap,
-    so that a sum over lengths is complete, and the params that report
-    them: the largest k swept, the cap, and the k it cut, if any."""
+def _sweep_by_length(
+    name: str, opts: Options, words: list[Counter[oracle.WordKey]], formula: Callable
+) -> Check:
+    """``formula(k, m)`` against the words of length m whose longest ``0*1*``
+    subsequence is shorter than k, over the word oracle cells."""
+    cells = (
+        ({"k": k, "m": m}, _count(words[m], lambda w: w.longest < k), formula(k, m))
+        for k, m in word_oracle_cells(opts)
+    )
+    return _sweep(name, {"k_max": opts.k_max, "word_cap": opts.word_cap}, cells)
+
+
+def _sweep_by_zeros(
+    name: str, opts: Options, words: list[Counter[oracle.WordKey]], formula: Callable
+) -> Check:
+    """``formula(k, j)`` against the words of every length with j zeros whose
+    longest ``0*1*`` subsequence is shorter than k.  Only the k whose words
+    (lengths up to 2k - 2) all fit under the word cap are swept, so each sum
+    over lengths is complete; the params report the largest k swept, the
+    cap, and the k it cut, if any."""
     top = min(opts.k_max, opts.word_cap // 2 + 1)
     params = {"k_max": top, "word_cap": opts.word_cap}
     if top < opts.k_max:
         params["skipped_k"] = list(range(top + 1, opts.k_max + 1))
-    return range(1, top + 1), params
+    all_words = sum(words, Counter())
+    cells = (
+        (
+            {"k": k, "j": j},
+            _count(all_words, lambda w: w.longest < k and w.zeros == j),
+            formula(k, j),
+        )
+        for k in range(1, top + 1)
+        for j in range(k + 1)
+    )
+    return _sweep(name, params, cells)
 
 
 def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
@@ -142,8 +168,6 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
     if to_list > LISTING_CAP:
         raise CapExceededError(f"counting suite lists up to {LISTING_CAP} avoiders, not {to_list}")
     fault = opts.fault
-    capped_ks, capped_params = _capped_k(opts)
-    all_words = sum(words, Counter())
     recurrence = {(k, m): c for k, m, c in counting.avoiding_word_table(opts.k_max)}
 
     def table(k: int, m: int) -> int:
@@ -163,14 +187,7 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
     identity_avoiders = {cell: listed(*cell) for cell in sorted({*word_cells, *perm_cells})}
 
     return [
-        _sweep(
-            "recurrence_vs_word_oracle",
-            {"k_max": opts.k_max, "word_cap": opts.word_cap},
-            (
-                ({"k": k, "m": m}, _count(words[m], lambda w: w.longest < k), table(k, m))
-                for k, m in word_oracle_cells(opts)
-            ),
-        ),
+        _sweep_by_length("recurrence_vs_word_oracle", opts, words, table),
         _sweep(
             "closed_forms_agree",
             {"k_max": opts.k_max},
@@ -244,19 +261,7 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
             counting.total_avoiding_perms,
             lambda k: sum(counting.avoiding_perm_count(k, m) for m in range(2 * k - 1)),
         ),
-        _sweep(
-            "words_by_zero_count",
-            capped_params,
-            (
-                (
-                    {"k": k, "j": j},
-                    _count(all_words, lambda w: w.longest < k and w.zeros == j),
-                    counting.avoiding_words_with_zeros(k, j),
-                )
-                for k in capped_ks
-                for j in range(k + 1)
-            ),
-        ),
+        _sweep_by_zeros("words_by_zero_count", opts, words, counting.avoiding_words_with_zeros),
         _sweep(
             "fixed_points_vs_oracle",
             {"perm_cap": opts.perm_cap},
@@ -281,24 +286,12 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
 
 
 def suite_parity(opts: Options, tallies: Tallies) -> list[Check]:
-    words = tallies.words
-    capped_ks, capped_params = _capped_k(opts)
-    all_words = sum(words, Counter())
+    # The odd words of each length, read by both word oracle checks.
+    odd = [Counter({w: c for w, c in tally.items() if w.odd}) for tally in tallies.words]
     # the closed forms at m = 2k - 2 and 2k - 3 need k >= 2
     from_two = range(2, max(opts.k_max, 2) + 1)
     return [
-        _sweep(
-            "odd_vs_word_oracle",
-            {"k_max": opts.k_max, "word_cap": opts.word_cap},
-            (
-                (
-                    {"k": k, "m": m},
-                    _count(words[m], lambda w: w.longest < k and w.odd),
-                    parity.odd_word_count(k, m),
-                )
-                for k, m in word_oracle_cells(opts)
-            ),
-        ),
+        _sweep_by_length("odd_vs_word_oracle", opts, odd, parity.odd_word_count),
         # The table's odd column, read off its own grid, against the point forms.
         _sweep(
             "odd_plus_even_is_total",
@@ -326,18 +319,8 @@ def suite_parity(opts: Options, tallies: Tallies) -> list[Check]:
             lambda k: parity.odd_word_count(k, 2 * k - 3),
             lambda k: 2 * parity.even_word_count(k, 2 * k - 2),
         ),
-        _sweep(
-            "odd_words_by_zero_count",
-            capped_params,
-            (
-                (
-                    {"k": k, "j": j},
-                    _count(all_words, lambda w: w.longest < k and w.odd and w.zeros == j),
-                    parity.odd_avoiding_words_with_zeros(k, j),
-                )
-                for k in capped_ks
-                for j in range(k + 1)
-            ),
+        _sweep_by_zeros(
+            "odd_words_by_zero_count", opts, odd, parity.odd_avoiding_words_with_zeros
         ),
         _sweep_index(
             "total_odd",
@@ -373,6 +356,17 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
     n_max = min(opts.perm_cap, 8)
     # Each size listed once, for both membership checks.
     grassmannians = [core.grassmannian_permutations(n) for n in range(n_max + 1)]
+
+    def recognition(name: str, characterised: Callable, recognised: Callable) -> Check:
+        """A recognition predicate against its characterisation, on every
+        listed Grassmannian permutation."""
+        cells = (
+            ({"n": n, "perm": core.perm_to_str(p)}, int(characterised(p)), int(recognised(p)))
+            for n, ps in enumerate(grassmannians)
+            for p in ps
+        )
+        return _sweep(name, {"n_max": n_max}, cells)
+
     return [
         _sweep(
             "class_totals_vs_oracle",
@@ -407,31 +401,15 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
             lambda m: classes.odd_involution_count(m - 4) + m - 1,
             classes.odd_involution_count,
         ),
-        _sweep(
+        recognition(
             "bigrassmannian_iff_avoids_2413",
-            {"n_max": n_max},
-            (
-                (
-                    {"n": n, "perm": core.perm_to_str(p)},
-                    int(not patterns.permutation_contains(p, (2, 4, 1, 3))),
-                    int(classes.is_bigrassmannian(p)),
-                )
-                for n, ps in enumerate(grassmannians)
-                for p in ps
-            ),
+            lambda p: not patterns.permutation_contains(p, (2, 4, 1, 3)),
+            classes.is_bigrassmannian,
         ),
-        _sweep(
+        recognition(
             "involution_iff_word_form",
-            {"n_max": n_max},
-            (
-                (
-                    {"n": n, "perm": core.perm_to_str(p)},
-                    int(classes.has_involution_word_form(core.canonical_word(p))),
-                    int(classes.is_grassmannian_involution(p)),
-                )
-                for n, ps in enumerate(grassmannians)
-                for p in ps
-            ),
+            lambda p: classes.has_involution_word_form(core.canonical_word(p)),
+            classes.is_grassmannian_involution,
         ),
     ]
 

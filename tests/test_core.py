@@ -129,8 +129,10 @@ class TestWordStatistics:
             assert core.inversion_count(w) == direct_inversions(p)
 
     def test_parity_criterion(self):
+        # an odd number of odd entries among (a_1, a_3, a_5, ...)
         for w in words_up_to(12):
-            assert core.is_odd_word(w) == (core.inversion_count(w) % 2 == 1)
+            a = core.a_sequence(w)
+            assert core.is_odd_word(w) == (sum(x % 2 for x in a[1::2]) % 2 == 1)
 
     @pytest.mark.parametrize(
         "w,odd", [("1010", True), ("1100", False), ("", False)]

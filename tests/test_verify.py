@@ -269,6 +269,90 @@ def test_one_wrong_cell_fails_only_its_single_index_check(monkeypatch, name):
     assert check.params == params
 
 
+# (suite, module, formula): each formula one more at (k, j) = (3, 1), read
+# only by its suite's zero-count check, with the oracle count as expected.
+ZERO_COUNT_OFF_BY_ONE = {
+    "words_by_zero_count": ("counting", counting, "avoiding_words_with_zeros", 5, 6),
+    "odd_words_by_zero_count": ("parity", parity, "odd_avoiding_words_with_zeros", 2, 3),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_COUNT_OFF_BY_ONE)
+def test_one_wrong_zero_count_fails_only_its_check(monkeypatch, name):
+    suite, module, formula, expected, actual = ZERO_COUNT_OFF_BY_ONE[name]
+    monkeypatch.setattr(module, formula, off_by_one_at((3, 1))(getattr(module, formula)))
+    checks = checks_of(suite, verify.Options())
+    assert [n for n, c in checks.items() if not c.passed] == [name]
+    check = checks[name]
+    assert (check.expected, check.actual) == (27, 26)
+    assert check.params == {
+        "k_max": 6,
+        "word_cap": 20,
+        "first_mismatch": {"k": 3, "j": 1, "expected": expected, "actual": actual},
+    }
+
+
+# An odd word of length 3, one zero and longest 0*1* 2 ("101"), counted
+# twice: every k >= 3 reads it at m = 3 and at j = 1.
+EXTRA_ODD_WORD = {
+    "counting": {
+        "recurrence_vs_word_oracle": (36, 32, {"k": 3, "m": 3, "expected": 5, "actual": 4}),
+        "words_by_zero_count": (27, 23, {"k": 3, "j": 1, "expected": 6, "actual": 5}),
+    },
+    "parity": {
+        "odd_vs_word_oracle": (36, 32, {"k": 3, "m": 3, "expected": 3, "actual": 2}),
+        "odd_words_by_zero_count": (27, 23, {"k": 3, "j": 1, "expected": 3, "actual": 2}),
+    },
+}
+
+
+@pytest.mark.parametrize("suite", EXTRA_ODD_WORD)
+def test_a_miscounted_word_tally_fails_only_the_word_oracle_checks(monkeypatch, suite):
+    walk = oracle.word_statistics
+
+    def mutant(m_max):
+        tallies = walk(m_max)
+        tallies[3][oracle.WordKey(2, 1, True)] += 1
+        return tallies
+
+    monkeypatch.setattr(oracle, "word_statistics", mutant)
+    checks = checks_of(suite, verify.Options())
+    failing = {n: c for n, c in checks.items() if not c.passed}
+    assert list(failing) == list(EXTRA_ODD_WORD[suite])
+    for name, (cells, matched, first) in EXTRA_ODD_WORD[suite].items():
+        check = failing[name]
+        assert (check.expected, check.actual) == (cells, matched)
+        assert check.params["first_mismatch"] == first
+
+
+# (recognition predicate, the permutation it misjudges, what it should say):
+# the characterisation is the expected side of each check.
+MISJUDGED = {
+    "bigrassmannian_iff_avoids_2413": ("is_bigrassmannian", (2, 4, 1, 3), False),
+    "involution_iff_word_form": ("is_grassmannian_involution", (1, 3, 2, 4), True),
+}
+
+
+@pytest.mark.parametrize("name", MISJUDGED)
+def test_a_misjudging_recognition_fails_only_its_iff_check(monkeypatch, name):
+    predicate, perm, truth = MISJUDGED[name]
+    recognise = getattr(classes, predicate)
+    assert recognise(perm) is truth
+    monkeypatch.setattr(
+        classes, predicate, lambda p: (not recognise(p)) if p == perm else recognise(p)
+    )
+    checks = checks_of("classes", verify.Options())
+    assert [n for n, c in checks.items() if not c.passed] == [name]
+    check = checks[name]
+    assert check.expected == check.actual + 1
+    assert check.params == {
+        "n_max": 8,
+        "first_mismatch": {
+            "n": 4, "perm": core.perm_to_str(perm), "expected": int(truth), "actual": int(not truth)
+        },
+    }
+
+
 def test_options_are_values():
     opts = verify.Options(k_max=3)
     assert opts == verify.Options(3, 9, 20, None)
