@@ -253,29 +253,27 @@ def _cmd_biject(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[st
         except DomainError:
             lines.append("toggle=none (no peak or valley at floor parity)")
     elif args.map == "toggle":
-        steps = paths.check_steps(args.input)
         if args.k is not None:
-            lp = paths.LatticePath(steps, args.k)
+            lp = paths.LatticePath(args.input, args.k)
             run_seq = paths.lattice_run_sequence(lp)
             i, kind, height = paths.find_first_floor_parity_extremum(lp)
             out_path, floor = paths.toggle_lattice_path(lp).steps, lp.floor
         else:
-            run_seq = paths.dyck_run_sequence(steps)
-            i, kind, height = paths.find_first_even_extremum(steps)
-            out_path, floor = paths.toggle_first_even_extremum(steps), 0
+            p = paths.DyckPath(args.input)  # scanned once here
+            run_seq = paths.dyck_run_sequence(p)
+            i, kind, height = paths.find_first_even_extremum(p)
+            out_path, floor = paths.toggle_first_even_extremum(p), 0
         lines = [
-            f"path={steps}",
+            f"path={args.input}",
             f"a={_format_a_sequence(run_seq)}",
             f"position={i + 1} kind={kind} height={height}",
             f"toggled={out_path}",
         ]
     else:  # halve
-        out_path, floor = paths.halve_all_odd_path(args.input), 0
-        lines = [
-            f"path={args.input}",
-            f"a={_format_a_sequence(paths.dyck_run_sequence(args.input))}",
-            f"halved={out_path}",
-        ]
+        p = paths.DyckPath(args.input)
+        out_path, floor = paths.halve_all_odd_path(p), 0
+        a = _format_a_sequence(paths.dyck_run_sequence(p))
+        lines = [f"path={p}", f"a={a}", f"halved={out_path}"]
     if args.svg:
         try:
             with open(args.svg, "w", encoding="ascii") as fh:

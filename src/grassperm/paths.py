@@ -4,8 +4,13 @@ peak statistics and peak/valley toggles, and the constructive bijections
 with avoiding words.
 
 Paths are strings over {'U', 'D'}.  A Dyck path of semilength n has n of
-each step and never dips below height 0.  A word with j zeros in the
-avoiding set for parameter k maps two ways:
+each step and never dips below height 0.  A ``DyckPath`` is such a string
+checked once: the classifiers scan a plain string on every call and take a
+``DyckPath`` as it is.  The maps that prove their image a Dyck path
+(``word_to_dyck``, ``toggle_first_even_extremum``, ``halve_all_odd_path``)
+return one built unchecked; ``enumerate_dyck`` lists plain strings.
+
+A word with j zeros in the avoiding set for parameter k maps two ways:
 
 - to a lattice path ``D^a0 U D^a1 ... U D^aj`` staying weakly above the
   line y = j - k + 1 from the origin on (used for the odd/even counts);
@@ -62,11 +67,26 @@ def is_dyck_path(p: str) -> bool:
     return not h
 
 
-def check_dyck(p: str) -> str:
-    check_steps(p)
-    if not is_dyck_path(p):
-        raise DomainError(f"not a Dyck path: {p!r}")
-    return p
+class DyckPath(str):
+    """A U/D string checked to be a Dyck path once, when built; the
+    classifiers take it without a scan.  ``_make`` builds one without the
+    check, for a listing or a map that proves its paths Dyck paths."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: str) -> DyckPath:
+        check_steps(p)
+        if not is_dyck_path(p):
+            raise DomainError(f"not a Dyck path: {p!r}")
+        return super().__new__(cls, p)
+
+    @classmethod
+    def _make(cls, p: str) -> DyckPath:
+        return str.__new__(cls, p)
+
+
+def check_dyck(p: str) -> DyckPath:
+    return p if isinstance(p, DyckPath) else DyckPath(p)
 
 
 def semilength(p: str) -> int:
@@ -145,7 +165,7 @@ def is_odd_dyck(p: str) -> bool:
     return sum(map(len, check_dyck(p).split(UP)[1::2])) % 2 == 1
 
 
-def word_to_dyck(k: int, w: Word) -> str:
+def word_to_dyck(k: int, w: Word) -> DyckPath:
     """Encode an avoiding word as a Dyck path of semilength k + 1.
 
     The image is the word's lattice path framed by ``U^(k-j) D`` and
@@ -158,7 +178,7 @@ def word_to_dyck(k: int, w: Word) -> str:
     """
     lp = word_to_lattice(k, w)
     j = lp.zeros
-    return UP * (k - j) + DOWN + lp.steps + UP + DOWN * (k + j - len(w))
+    return DyckPath._make(UP * (k - j) + DOWN + lp.steps + UP + DOWN * (k + j - len(w)))
 
 
 def dyck_to_word(k: int, p: str) -> Word:
@@ -270,7 +290,7 @@ def find_first_even_extremum(p: str) -> tuple[int, str, int]:
     raise DomainError(f"all peaks and valleys of {p!r} are at odd height")
 
 
-def toggle_first_even_extremum(p: str) -> str:
+def toggle_first_even_extremum(p: str) -> DyckPath:
     """Swap the first even-height peak into a valley (or valley into a peak).
 
     An involution on Dyck paths with at least one even-height extremum, and
@@ -286,7 +306,7 @@ def toggle_first_even_extremum(p: str) -> str:
     # peak is at height 2 or more and the valley it becomes stays on the
     # axis or above; a valley only rises.  The step counts are kept, so the
     # image is a Dyck path, unchecked.
-    return _toggle(p, i)
+    return DyckPath._make(_toggle(p, i))
 
 
 def find_first_floor_parity_extremum(path: LatticePath) -> tuple[int, str, int]:
@@ -313,7 +333,7 @@ def toggle_lattice_path(path: LatticePath) -> LatticePath:
     return LatticePath._make((_toggle(path.steps, i), path.k))
 
 
-def halve_all_odd_path(p: str) -> str:
+def halve_all_odd_path(p: str) -> DyckPath:
     """Collapse a Dyck path with all extrema at odd height to half its size.
 
     Such a path has odd semilength n and run form
@@ -335,7 +355,7 @@ def halve_all_odd_path(p: str) -> str:
     # semilength is odd, and one step of each pair halves every run.  Each
     # pair starts at an odd height, so at 1 or more, and halving takes that
     # height h to (h - 1) / 2 >= 0: the image is a Dyck path, unchecked.
-    return p[1:-1:2]
+    return DyckPath._make(p[1:-1:2])
 
 
 def enumerate_dyck(n: int) -> list[str]:

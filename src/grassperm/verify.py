@@ -14,9 +14,11 @@ family of objects once for every check that reads it: the counting suite
 the avoiders of 12...k in S_m of each (k, m), as words, decoded into
 permutations only where the permutation oracle reads them (m <= perm_cap);
 the paths suite the avoiding words of each (k, m); the classes suite the
-Grassmannian permutations of each size.  The paths suite toggles and
-classifies each path once and reads both checks of a toggle off that
-table; a toggled path outside the table is still followed directly.
+Grassmannian permutations of each size.  The paths suite types each
+listed Dyck path as a ``paths.DyckPath`` once, so no classifier scans it
+again, toggles and classifies each path once and reads both checks of a
+toggle off that table; a toggled path outside the table is still followed
+directly.
 
 ``Options.fault`` perturbs one cell of the recurrence table as seen by the
 oracle-agreement check; it exists so the harness can prove that a single
@@ -423,10 +425,20 @@ def _looked_up(table: dict, key, compute: Callable):
 
 def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
     k_top = min(opts.k_max, 7)
-    # Every semilength the checks below read (at most k_top + 1 = 8, and 9
-    # for halving), each enumerated and classified once.
-    dyck = [paths.enumerate_dyck(n) for n in range(10)]
+
+    def listed(n: int) -> Iterable[paths.DyckPath]:
+        # enumerate_dyck joins a rise from the axis to a fall back to it that
+        # never dips below it, so each path it lists is a Dyck path, typed
+        # unchecked.
+        return map(paths.DyckPath._make, paths.enumerate_dyck(n))
+
+    # Every semilength the checks below read, each enumerated once and each
+    # path classified once: in full to 8 (the toggle's largest, and at least
+    # k_top + 1), and at 9 only the all-odd paths, which the halving reads.
+    dyck = [list(listed(n)) for n in range(9)]
     all_odd = [[paths.all_extrema_odd(p) for p in ps] for ps in dyck]
+    odd_paths = [[p for p, odd in zip(ps, flags) if odd] for ps, flags in zip(dyck, all_odd)]
+    odd_paths.append([p for p in listed(9) if paths.all_extrema_odd(p)])
     # The avoiding words of every (k, m) cell, listed once for the Dyck and
     # the lattice encodings (k <= 6 for the lattice).
     avoiding = {
@@ -476,13 +488,13 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
                 )
             yield (
                 {"n": n, "aspect": "all_odd_count"},
-                sum(all_odd[n]),
+                len(odd_paths[n]),
                 parity.all_odd_extrema_count(n),
             )
 
     def halving_cells():
         for n in range(1, 10, 2):
-            domain = [p for p, odd in zip(dyck[n], all_odd[n]) if odd]
+            domain = odd_paths[n]
             images = {paths.halve_all_odd_path(p) for p in domain}
             yield (
                 {"n": n},

@@ -193,7 +193,12 @@ class TestAgainstTheWalks:
             for m in range(13):
                 for x in range(2**m):
                     w = format(x, f"0{m}b") if m else ""
-                    assert outcome(paths.word_to_dyck, k, w) == outcome(built_word_to_dyck, k, w)
+                    image = outcome(paths.word_to_dyck, k, w)
+                    assert image == outcome(built_word_to_dyck, k, w)
+                    # an image is built unchecked, and typed
+                    assert isinstance(image, tuple) or (
+                        type(image) is paths.DyckPath and walked_is_dyck_path(image)
+                    )
             for p in paths.enumerate_dyck(k + 1):
                 assert outcome(paths.dyck_to_word, k, p) == outcome(built_dyck_to_word, k, p)
 
@@ -298,6 +303,72 @@ class TestStatistics:
             paths.check_steps("UX")
 
 
+def dyck_to_word(p):
+    return paths.dyck_to_word(1, p)
+
+
+# Every public function of a Dyck path that checks its argument.
+CLASSIFIERS = [
+    paths.all_extrema_odd,
+    paths.is_odd_dyck,
+    paths.first_last_peak_sum,
+    paths.dyck_run_sequence,
+    paths.find_first_even_extremum,
+    paths.toggle_first_even_extremum,
+    paths.halve_all_odd_path,
+    dyck_to_word,
+]
+
+
+class TestDyckPathType:
+    @pytest.mark.parametrize(
+        "p,message", [("DU", "not a Dyck path: 'DU'"), ("UX", "not a U/D step string: 'UX'")]
+    )
+    def test_refuses_with_the_check_messages(self, p, message):
+        with pytest.raises(DomainError) as exc:
+            paths.DyckPath(p)
+        assert str(exc.value) == message
+
+    @given(STEP_STRINGS)
+    def test_accepts_exactly_the_dyck_paths(self, p):
+        if set(p) <= {"U", "D"} and walked_is_dyck_path(p):
+            assert type(paths.DyckPath(p)) is paths.DyckPath and paths.DyckPath(p) == p
+        else:
+            with pytest.raises(DomainError):
+                paths.DyckPath(p)
+
+    def test_is_its_string_in_sets_and_dicts(self):
+        p = paths.DyckPath("UDUUDD")
+        assert p == "UDUUDD" and hash(p) == hash("UDUUDD")
+        assert {p} == {"UDUUDD"} and {"UDUUDD": 1}[p] == 1
+        assert repr(p) == repr("UDUUDD") and f"{p}" == "UDUUDD"
+        with pytest.raises(AttributeError):
+            p.k = 1
+
+    @pytest.mark.parametrize("classify", CLASSIFIERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "p,message", [("DU", "not a Dyck path"), ("UDD", "not a Dyck path"), ("UX", "step string")]
+    )
+    def test_classifiers_refuse_a_plain_non_dyck_string(self, classify, p, message):
+        with pytest.raises(DomainError, match=message):
+            classify(p)
+
+    def test_check_dyck_takes_a_dyck_path_unscanned(self, monkeypatch):
+        scanned = []
+        scan = paths.is_dyck_path
+        monkeypatch.setattr(paths, "is_dyck_path", lambda p: scanned.append(p) or scan(p))
+        typed = paths.DyckPath("UUDD")
+        assert scanned == ["UUDD"]
+        assert paths.check_dyck(typed) is typed
+        assert paths.is_odd_dyck(typed) is False and scanned == ["UUDD"]
+        # a plain string is scanned on every call, and comes back typed
+        assert type(paths.check_dyck("UD")) is paths.DyckPath and scanned == ["UUDD", "UD"]
+
+    def test_listing_is_plain_strings(self):
+        for n in range(11):
+            assert {type(p) for p in paths.enumerate_dyck(n)} == {str}, n
+
+
 class TestWordDyckBijection:
     def test_example(self):
         p = paths.word_to_dyck(3, "1100")
@@ -372,7 +443,8 @@ class TestToggle:
         toggled = 0
         for p in ALL_DYCK:
             if p and not walked_all_extrema_odd(p):
-                assert walked_is_dyck_path(paths.toggle_first_even_extremum(p)), p
+                q = paths.toggle_first_even_extremum(p)
+                assert type(q) is paths.DyckPath and walked_is_dyck_path(q), p
                 toggled += 1
         assert toggled == sum(
             counting.catalan(n) - parity.all_odd_extrema_count(n) for n in range(1, 11)
@@ -410,7 +482,8 @@ class TestHalving:
         for p in ALL_DYCK:
             if p and walked_all_extrema_odd(p):
                 q = paths.halve_all_odd_path(p)
-                assert walked_is_dyck_path(q) and len(q) == paths.semilength(p) - 1, p
+                assert type(q) is paths.DyckPath and walked_is_dyck_path(q), p
+                assert len(q) == paths.semilength(p) - 1, p
                 halved += 1
         assert halved == sum(parity.all_odd_extrema_count(n) for n in range(1, 11))
 

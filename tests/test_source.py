@@ -244,6 +244,32 @@ def test_recursive_closures_are_deleted(path):
     assert found == [], f"recursive closures never deleted in {path.name}: {found}"
 
 
+def unchecked_dyck_paths(tree):
+    """The module-level function (or ``<module>``) around each use of
+    ``DyckPath._make``."""
+    for top in tree.body:
+        named = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+        function = top.name if named else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "_make":
+                owner = node.value
+                if getattr(owner, "id", getattr(owner, "attr", None)) == "DyckPath":
+                    yield function
+
+
+def test_dyck_paths_are_built_unchecked_only_beside_their_proof():
+    # `DyckPath._make` skips the scan, so outside `paths`, whose maps state
+    # the proof of each image they build, only the harness's listing of
+    # `enumerate_dyck`'s paths may call it.
+    outside = {
+        (path.name, function)
+        for path in SOURCES
+        if path.name != "paths.py"
+        for function in unchecked_dyck_paths(parse(path))
+    }
+    assert outside == {("verify.py", "suite_paths")}
+
+
 # Functions built on a recursive closure, with arguments that reach it:
 # first those that return the listing their closure fills.
 LISTING_CALLS = [

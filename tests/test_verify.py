@@ -42,6 +42,18 @@ def test_suite_paths_lists_each_word_cell_once(monkeypatch):
     assert sorted(calls) == [(k, m) for k in range(1, 8) for m in range(min(2 * k - 2, 14) + 1)]
 
 
+@pytest.mark.parametrize("opts", [verify.Options(), RAISED], ids=["default", "raised"])
+def test_suite_paths_scans_no_path(monkeypatch, opts):
+    # Every path the suite reads comes typed from the listing or from a map
+    # that proves its image, so no classifier scans one again.
+    scans = counting_calls(monkeypatch, paths, "is_dyck_path", lambda p: p)
+    assert all(c.passed for c in checks_of("paths", opts).values())
+    assert scans == []
+    # a plain string is still scanned, through the same name
+    paths.is_odd_dyck("UD")
+    assert scans == ["UD"]
+
+
 def test_suite_classes_lists_each_size_once(monkeypatch):
     calls = counting_calls(monkeypatch, core, "grassmannian_permutations", lambda n: n)
     assert all(c.passed for c in checks_of("classes", RAISED).values())
