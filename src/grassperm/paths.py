@@ -24,6 +24,7 @@ Here (a_0, ..., a_j) is the run-length sequence of the word, m its length.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import DomainError
@@ -49,6 +50,11 @@ def check_steps(p: str) -> str:
     return p
 
 
+def _heights(steps: str) -> list[int]:
+    """The heights of a U/D string at the origin and after every step."""
+    return list(accumulate((1 if c == UP else -1 for c in steps), initial=0))
+
+
 def is_dyck_path(p: str) -> bool:
     """True iff ``p`` is a U/D string, balanced, and no prefix has more downs
     than ups.
@@ -56,15 +62,10 @@ def is_dyck_path(p: str) -> bool:
     >>> is_dyck_path("UUDD"), is_dyck_path("UDD"), is_dyck_path("UX")
     (True, False, False)
     """
-    h = 0
-    for c in p:
-        if c == UP:
-            h += 1
-        elif c == DOWN and h:
-            h -= 1
-        else:  # a foreign character, or a down step below the axis
-            return False
-    return not h
+    if p.strip(UP + DOWN):
+        return False
+    h = _heights(p)
+    return min(h) == 0 == h[-1]
 
 
 class DyckPath(str):
@@ -230,12 +231,7 @@ class LatticePath(_LatticeFields):
         if k < 1:
             raise DomainError("k must be positive")
         floor = steps.count(UP) - k + 1
-        h = 0
-        for c in steps:  # the height at the origin and after every step
-            if h < floor:
-                break
-            h += 1 if c == UP else -1
-        if h < floor:
+        if min(_heights(steps)) < floor:
             raise DomainError(f"path {steps!r} falls below its floor y={floor}")
         return super().__new__(cls, steps, k)
 
@@ -389,10 +385,8 @@ SVG_UNIT = 24  # pixels per step, across and up
 def path_svg(steps: str, floor: int = 0) -> str:
     """Minimal SVG rendering of a path, with its floor line when below 0."""
     check_steps(steps)
-    hs = [0]
-    for c in steps:
-        hs.append(hs[-1] + (1 if c == UP else -1))
-    top, bot = max(hs + [0]), min(hs + [floor])
+    hs = _heights(steps)
+    top, bot = max(hs), min(hs + [floor])
     width, height = SVG_UNIT * (len(steps) + 2), SVG_UNIT * (top - bot + 2)
     y = lambda v: height - SVG_UNIT * (v - bot + 1)
     pts = " ".join(f"{SVG_UNIT * (i + 1)},{y(v)}" for i, v in enumerate(hs))

@@ -17,8 +17,9 @@ the paths suite the avoiding words of each (k, m); the classes suite the
 Grassmannian permutations of each size.  The paths suite types each
 listed Dyck path as a ``paths.DyckPath`` once, so no classifier scans it
 again, toggles and classifies each path once and reads both checks of a
-toggle off that table; a toggled path outside the table is still followed
-directly.
+toggle off that table.  Each listing is a whole semilength or (k, m) cell,
+which the maps it checks keep, so an image outside its listing fails its
+cell.
 
 ``Options.fault`` perturbs one cell of the recurrence table as seen by the
 oracle-agreement check; it exists so the harness can prove that a single
@@ -416,11 +417,16 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
     ]
 
 
-def _looked_up(table: dict, key, compute: Callable):
-    """``table[key]``, or ``compute(key)`` for a key the table lacks or maps
-    to None: a map that leaves its listed domain is still followed."""
-    value = table.get(key)
-    return compute(key) if value is None else value
+def _toggle_table(listing: list, toggle: Callable, is_odd: Callable) -> tuple[dict, dict]:
+    """Each listed path's image under ``toggle`` (None where it refuses the
+    path) and its parity under ``is_odd``, each computed once."""
+    image = {}
+    for p in listing:
+        try:
+            image[p] = toggle(p)
+        except DomainError:
+            image[p] = None
+    return image, {p: is_odd(p) for p in listing}
 
 
 def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
@@ -447,19 +453,27 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
         for m in _word_m_range(k, opts.word_cap)
     }
 
+    # The first-plus-last peak sum of every path the bijection (semilength
+    # k + 1) and the peak formulas (2 to 7) read, each computed once.
+    peak_sums = {
+        n: list(map(paths.first_last_peak_sum, dyck[n])) for n in range(2, max(k_top, 6) + 2)
+    }
+
     def bijection_cells():
         for k in range(1, k_top + 1):
             by_sum: dict[int, set[str]] = {}
-            for p in dyck[k + 1]:
-                by_sum.setdefault(paths.first_last_peak_sum(p), set()).add(p)
+            for p, s in zip(dyck[k + 1], peak_sums[k + 1]):
+                by_sum.setdefault(s, set()).add(p)
             for m in _word_m_range(k, opts.word_cap):
                 words = avoiding[k, m]
                 images = [paths.word_to_dyck(k, w) for w in words]
-                round_trip = all(
-                    paths.dyck_to_word(k, p) == w for w, p in zip(words, images)
-                )
                 image_set = set(images)
+                # The target's peak sum is at most 2k, so it lacks the
+                # staircase and lies in dyck_to_word's domain.
                 target = by_sum.get(2 * k - m, set())
+                round_trip = all(
+                    p in target and paths.dyck_to_word(k, p) == w for w, p in zip(words, images)
+                )
                 yield (
                     {"k": k, "m": m, "aspect": "image_set"},
                     int(image_set == target and len(image_set) == len(words)),
@@ -470,20 +484,14 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
     def toggle_cells():
         toggle, is_odd = paths.toggle_first_even_extremum, paths.is_odd_dyck
         for n in range(1, 9):
-            # Each path with an even extremum is toggled and classified once.
             domain = [p for p, odd in zip(dyck[n], all_odd[n]) if not odd]
-            image = {p: toggle(p) for p in domain}
-            odd = {p: is_odd(p) for p in domain}
+            image, odd = _toggle_table(domain, toggle, is_odd)
             for p in domain:
                 q = image[p]
-                yield (
-                    {"n": n, "path": p, "aspect": "involution"},
-                    int(_looked_up(image, q, toggle) == p),
-                    1,
-                )
+                yield ({"n": n, "path": p, "aspect": "involution"}, int(image.get(q) == p), 1)
                 yield (
                     {"n": n, "path": p, "aspect": "parity_flip"},
-                    int(_looked_up(odd, q, is_odd) != odd[p]),
+                    int(odd.get(q, odd[p]) != odd[p]),
                     1,
                 )
             yield (
@@ -509,11 +517,10 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
 
     def peak_formula_cells():
         for n in range(2, 8):
-            sums = [paths.first_last_peak_sum(p) for p in dyck[n]]
             for s in range(2, 2 * n - 1):
                 yield (
                     {"n": n, "s": s},
-                    sums.count(s),
+                    peak_sums[n].count(s),
                     counting.dyck_peak_sum_count(n, s),
                 )
             firsts_lasts = [(pk[0], pk[-1]) for pk in map(paths.peaks, dyck[n])]
@@ -529,17 +536,9 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
         toggle, is_odd = paths.toggle_lattice_path, paths.is_odd_lattice
         for k in range(1, min(opts.k_max, 6) + 1):
             for m in _word_m_range(k, opts.word_cap):
-                # Each path is toggled and classified once; None marks a
-                # path with no extremum to toggle.
                 words = avoiding[k, m]
                 lps = [paths.word_to_lattice(k, w) for w in words]
-                odd = {lp: is_odd(lp) for lp in lps}
-                partners = {}
-                for lp in lps:
-                    try:
-                        partners[lp] = toggle(lp)
-                    except DomainError:
-                        partners[lp] = None
+                partners, odd = _toggle_table(lps, toggle, is_odd)
                 untoggleable_balance = 0
                 for w, lp in zip(words, lps):
                     yield (
@@ -558,10 +557,7 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
                         continue
                     yield (
                         {"k": k, "m": m, "word": w, "aspect": "toggle"},
-                        int(
-                            _looked_up(partners, partner, toggle) == lp
-                            and _looked_up(odd, partner, is_odd) != odd[lp]
-                        ),
+                        int(partners.get(partner) == lp and odd[partner] != odd[lp]),
                         1,
                     )
                 # The toggle pairs odd with even, so the even-odd surplus

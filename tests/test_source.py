@@ -84,10 +84,9 @@ def keeps_a_cache(node):
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_caches_only_in_the_oracle(path):
+def test_no_module_keeps_a_cache(path):
     # No module keeps a cache, the oracle included: a memo is state shared
-    # by every caller in the process.  The name dates from when the
-    # oracle's tallies were the one exception.
+    # by every caller in the process.
     cached = [node.lineno for node in ast.walk(parse(path)) if keeps_a_cache(node)]
     assert cached == [], f"caches in {path.name} at lines {cached}"
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from grassperm import classes, core, counting, oracle, parity, paths, patterns, series, verify
+from grassperm import classes, cli, core, counting, oracle, parity, paths, patterns, series, verify
+from grassperm.errors import DomainError
 
 RAISED = verify.Options(k_max=8, perm_cap=9, word_cap=14)
 
@@ -175,8 +176,9 @@ def leaving_toggle(monkeypatch, name, target, image):
     [
         lambda q: OTHER_PATH,  # not an involution on PATH
         lambda q: q + "UD",  # out of the semilength's paths
+        lambda q: "UUUDDD",  # to a path with no even extremum
     ],
-    ids=["not-involution", "leaves-domain"],
+    ids=["not-involution", "leaves-domain", "all-odd"],
 )
 def test_a_faulty_dyck_toggle_fails_on_its_cell(monkeypatch, image):
     assert paths.toggle_first_even_extremum(PATH) == PATH_TOGGLED
@@ -195,8 +197,9 @@ def test_a_faulty_dyck_toggle_fails_on_its_cell(monkeypatch, image):
     [
         lambda q: paths.word_to_lattice(4, OTHER_WORD),  # not an involution
         lambda q: paths.LatticePath(q.steps, q.k + 1),  # out of the (k, m) cell
+        lambda q: paths.word_to_lattice(4, "1000"),  # to a path the toggle refuses
     ],
-    ids=["not-involution", "leaves-domain"],
+    ids=["not-involution", "leaves-domain", "untoggleable"],
 )
 def test_a_faulty_lattice_toggle_fails_on_its_cell(monkeypatch, image):
     target = paths.word_to_lattice(4, WORD)
@@ -207,6 +210,63 @@ def test_a_faulty_lattice_toggle_fails_on_its_cell(monkeypatch, image):
     assert checks["lattice_encoding"].params["first_mismatch"] == {
         "k": 4, "m": 4, "word": WORD_TOGGLED, "aspect": "toggle", "expected": 0, "actual": 1
     }
+
+
+def refuse(*args):
+    raise DomainError(f"refused {args!r}")
+
+
+# Faults of the maps that the toggle tests above leave alone: (paths
+# function, the arguments it answers wrongly, its answer, {failing check:
+# (cells, matched, first mismatch)}).  Each sends a listed path or word out
+# of its listing, or refuses one, and so fails its cells rather than ending
+# the run.
+AT_3 = {"n": 3, "aspect": "involution"}
+LISTED_FAULTS = {
+    "word-to-staircase": (
+        "word_to_dyck", (3, "1100"), lambda k, w: paths.DyckPath("UUUUDDDD"),
+        {"word_dyck_bijection": (72, 70, {"k": 3, "m": 4, "aspect": "image_set"})},
+    ),
+    "all-odd-misjudged": (
+        "all_extrema_odd", ("UUUDDD",), lambda p: False,
+        {
+            "even_extremum_toggle": (4102, 4099, {**AT_3, "path": "UUUDDD"}),
+            "all_odd_halving": (10, 9, {"n": 3}),
+        },
+    ),
+    "extremum-refused": (
+        "find_first_even_extremum", (PATH_TOGGLED,), refuse,
+        {"even_extremum_toggle": (4100, 4097, {**AT_3, "path": PATH_TOGGLED})},
+    ),
+}
+
+
+def faulty_at(monkeypatch, fault):
+    """Make one ``paths`` function answer ``LISTED_FAULTS[fault]``'s arguments wrongly."""
+    name, at, wrong, _ = LISTED_FAULTS[fault]
+    original = getattr(paths, name)
+    monkeypatch.setattr(paths, name, lambda *a: wrong(*a) if a == at else original(*a))
+
+
+@pytest.mark.parametrize("fault", LISTED_FAULTS)
+def test_a_faulty_map_of_a_listing_fails_only_its_checks(monkeypatch, fault):
+    faulty_at(monkeypatch, fault)
+    failing = {
+        name: (c.expected, c.actual, c.params["first_mismatch"])
+        for name, c in checks_of("paths", verify.Options()).items()
+        if not c.passed
+    }
+    assert failing == {
+        name: (cells, matched, {**first, "expected": 0, "actual": 1})
+        for name, (cells, matched, first) in LISTED_FAULTS[fault][3].items()
+    }
+
+
+def test_a_faulty_map_fails_the_verify_command(monkeypatch, capsys):
+    faulty_at(monkeypatch, "word-to-staircase")
+    assert cli.main(["verify", "--suite", "paths"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL paths.word_dyck_bijection 70/72 cells" in out and err == ""
 
 
 def off_by_one_at(at):
