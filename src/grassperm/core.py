@@ -6,7 +6,9 @@ Conventions used throughout the package:
 - A binary word is a ``str`` over ``{'0', '1'}`` (the empty word is allowed).
 - A permutation of [n] = {1, ..., n} is a ``tuple[int, ...]`` in one-line
   notation, 1-based values.  A permutation is *Grassmannian* if it has at
-  most one descent.
+  most one descent.  A ``Grassmannian`` is such a tuple checked once: the
+  classifiers scan a plain tuple on every call and take a ``Grassmannian``
+  as it is.  ``grassmannian_permutations`` lists them built unchecked.
 - ``zeros_to_front(w)`` builds the Grassmannian permutation whose first
   block lists the positions of the 0-bits of ``w`` in increasing order and
   whose second block lists the positions of the 1-bits in increasing order.
@@ -72,11 +74,26 @@ def is_grassmannian(p: Permutation) -> bool:
     return descent_count(p) <= 1
 
 
-def check_grassmannian(p: Iterable[int]) -> Permutation:
-    p = check_permutation(p)
-    if not is_grassmannian(p):
-        raise DomainError(f"not Grassmannian: {p!r}")
-    return p
+class Grassmannian(tuple):
+    """A permutation checked Grassmannian once, when built; the classifiers
+    take it without a scan.  ``_make`` builds one without the check, for a
+    listing that proves its permutations Grassmannian."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: Iterable[int]) -> Grassmannian:
+        p = check_permutation(p)
+        if not is_grassmannian(p):
+            raise DomainError(f"not Grassmannian: {p!r}")
+        return super().__new__(cls, p)
+
+    @classmethod
+    def _make(cls, p: Iterable[int]) -> Grassmannian:
+        return tuple.__new__(cls, p)
+
+
+def check_grassmannian(p: Iterable[int]) -> Grassmannian:
+    return p if isinstance(p, Grassmannian) else Grassmannian(p)
 
 
 def is_identity(p: Permutation) -> bool:
@@ -191,7 +208,7 @@ def is_odd_word(w: Word) -> bool:
     return inversion_count(w) % 2 == 1
 
 
-def grassmannian_permutations(n: int) -> list[Permutation]:
+def grassmannian_permutations(n: int) -> list[Grassmannian]:
     """All 2^n - n Grassmannian permutations of [n] (just the identity for n = 0).
 
     Materialized by decoding every length-n word and deduplicating the
@@ -200,7 +217,9 @@ def grassmannian_permutations(n: int) -> list[Permutation]:
     if n < 0:
         raise DomainError("n must be nonnegative")
     seen = {grassmannian_of_word(format(x, f"0{n}b") if n else "") for x in range(2**n)}
-    return sorted(seen)
+    # A decoded word lists each position once, in two increasing blocks, so
+    # each permutation has at most one descent: typed unchecked.
+    return list(map(Grassmannian._make, sorted(seen)))
 
 
 def perm_to_str(p: Permutation) -> str:

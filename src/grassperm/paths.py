@@ -7,17 +7,22 @@ Paths are strings over {'U', 'D'}.  A Dyck path of semilength n has n of
 each step and never dips below height 0.  A ``DyckPath`` is such a string
 checked once: the classifiers scan a plain string on every call and take a
 ``DyckPath`` as it is.  The maps that prove their image a Dyck path
-(``word_to_dyck``, ``toggle_first_even_extremum``, ``halve_all_odd_path``)
-return one built unchecked; ``enumerate_dyck`` lists plain strings.
+(``lattice_to_dyck``, and through it ``word_to_dyck``,
+``toggle_first_even_extremum``, ``halve_all_odd_path``) return one built
+unchecked; ``enumerate_dyck`` lists plain strings.
 
 A word with j zeros in the avoiding set for parameter k maps two ways:
 
 - to a lattice path ``D^a0 U D^a1 ... U D^aj`` staying weakly above the
   line y = j - k + 1 from the origin on (used for the odd/even counts);
   that floor is exactly the avoidance condition, and
-- to that lattice path framed by ``U^(k-j) D`` and ``U D^(k+j-m)``, a
-  Dyck path of semilength k + 1 whose first and last peak heights sum to
-  2k - m.
+- to that lattice path framed by ``U^(k-j) D`` and ``U D^(k+j-m)``
+  (``lattice_to_dyck``), a Dyck path of semilength k + 1 whose first and
+  last peak heights sum to 2k - m.
+
+``word_to_lattice`` tests avoidance once and builds the path unchecked; a
+word that a listing proves avoiding is encoded by ``LatticePath._of_word``
+without the test.
 
 Here (a_0, ..., a_j) is the run-length sequence of the word, m its length.
 """
@@ -167,19 +172,14 @@ def is_odd_dyck(p: str) -> bool:
 
 
 def word_to_dyck(k: int, w: Word) -> DyckPath:
-    """Encode an avoiding word as a Dyck path of semilength k + 1.
-
-    The image is the word's lattice path framed by ``U^(k-j) D`` and
-    ``U D^(k+j-m)``.  The path starts at height k - j - 1, which raises its
-    floor j - k + 1 to the axis, so the image is a Dyck path as it stands.
-    Its first and last peak heights sum to 2k - len(w).
+    """Encode an avoiding word as a Dyck path of semilength k + 1: its
+    lattice path, framed.  Its first and last peak heights sum to
+    2k - len(w).
 
     >>> word_to_dyck(3, "1100")
     'UDUUDDUD'
     """
-    lp = word_to_lattice(k, w)
-    j = lp.zeros
-    return DyckPath._make(UP * (k - j) + DOWN + lp.steps + UP + DOWN * (k + j - len(w)))
+    return lattice_to_dyck(word_to_lattice(k, w))
 
 
 def dyck_to_word(k: int, p: str) -> Word:
@@ -213,7 +213,8 @@ class LatticePath(_LatticeFields):
 
     ``zeros`` up-steps stand for the word's 0-bits, the down-steps for its
     1-bits, so the word length is len(steps).  Equal paths have equal steps
-    and k.  ``_make`` and ``_replace`` build a tuple without this check.
+    and k.  ``_make`` and ``_replace`` build a tuple without this check, and
+    ``_of_word`` the path of a word proven avoiding.
 
     The floor, checked from the origin on, is exactly avoidance.  A word w
     with j zeros, read backwards with 0 as U and 1 as D, is the path, and
@@ -234,6 +235,10 @@ class LatticePath(_LatticeFields):
         if min(_heights(steps)) < floor:
             raise DomainError(f"path {steps!r} falls below its floor y={floor}")
         return super().__new__(cls, steps, k)
+
+    @classmethod
+    def _of_word(cls, k: int, w: Word) -> LatticePath:
+        return cls._make((w[::-1].translate(_WORD_TO_STEPS), k))
 
     @property
     def zeros(self) -> int:
@@ -266,12 +271,29 @@ def word_to_lattice(k: int, w: Word) -> LatticePath:
     if not patterns.is_avoiding_word(k, w):
         raise DomainError(f"{w!r} is not an avoiding word for k={k}")
     # avoidance is the floor (see LatticePath), and it implies k >= 1
-    return LatticePath._make((w[::-1].translate(_WORD_TO_STEPS), k))
+    return LatticePath._of_word(k, w)
 
 
 def lattice_to_word(path: LatticePath) -> Word:
     """Inverse of :func:`word_to_lattice`."""
     return path.steps[::-1].translate(_STEPS_TO_WORD)
+
+
+def lattice_to_dyck(path: LatticePath) -> DyckPath:
+    """Frame a lattice path by ``U^(k-j) D`` and ``U D^(k+j-m)``: a Dyck path
+    of semilength k + 1 whose first and last peak heights sum to 2k - m.
+
+    The origin is on or above the floor j - k + 1, so k - j >= 1, and the
+    path starts at height k - j - 1, which raises its floor to the axis.
+    It ends at 2j - m, on or above the floor, so k + j - m >= 1 and the
+    closing ``U D^(k+j-m)`` comes back to the axis: the image is a Dyck
+    path as it stands, unchecked.
+
+    >>> lattice_to_dyck(LatticePath("UUDD", 3))
+    'UDUUDDUD'
+    """
+    k, j, m = path.k, path.zeros, len(path.steps)
+    return DyckPath._make(UP * (k - j) + DOWN + path.steps + UP + DOWN * (k + j - m))
 
 
 def _toggle(steps: str, i: int) -> str:

@@ -16,6 +16,8 @@ caller that only counts avoiders counts the words.
 
 from __future__ import annotations
 
+from bisect import bisect
+
 from . import core
 from .core import Permutation, Word
 from .errors import DomainError
@@ -52,14 +54,15 @@ def permutation_contains(sigma: Permutation, pi: Permutation) -> bool:
     if m > n:
         return False
     # (index of the nearest smaller, of the nearest larger earlier entry),
-    # None where there is none
-    neighbours = [
-        (
-            max((u for u in range(j) if pi[u] < pi[j]), key=pi.__getitem__, default=None),
-            min((u for u in range(j) if pi[u] > pi[j]), key=pi.__getitem__, default=None),
-        )
-        for j in range(m)
-    ]
+    # None where there is none, read off the earlier entries kept sorted
+    neighbours = []
+    values: list = []  # the earlier entries of pi, in increasing order
+    at: list[int] = []  # their indices, in the same order
+    for j, v in enumerate(pi):
+        i = bisect(values, v)
+        neighbours.append((at[i - 1] if i else None, at[i] if i < j else None))
+        values.insert(i, v)
+        at.insert(i, j)
     images: list = []
 
     def extend(j: int, start: int) -> bool:
@@ -189,7 +192,8 @@ def avoiding_words(n: int, pattern: Permutation) -> list[Word]:
     """The words of the Grassmannian permutations of [n] avoiding
     ``pattern``, one word each, lexicographically sorted.
 
-    The pattern must itself be Grassmannian.  The words are generated: for
+    The pattern must itself be Grassmannian; a ``core.Grassmannian`` is
+    taken as it is, any other sequence checked.  The words are generated: for
     the identity of size k, those avoiding every ``0^j 1^(k-j)``; for any
     other pattern, those avoiding its word as a subsequence.  Every
     ``0^j 1^(n-j)`` decodes to the identity, so all but ``0^n`` are dropped,
@@ -200,9 +204,10 @@ def avoiding_words(n: int, pattern: Permutation) -> list[Word]:
     >>> avoiding_words(3, (1, 2, 3))
     ['010', '100', '101', '110']
     """
-    pattern = core.check_permutation(pattern)
-    if not core.is_grassmannian(pattern):
-        raise DomainError(f"pattern is not Grassmannian: {pattern!r}")
+    if not isinstance(pattern, core.Grassmannian):
+        pattern = core.check_permutation(pattern)
+        if not core.is_grassmannian(pattern):
+            raise DomainError(f"pattern is not Grassmannian: {pattern!r}")
     if n < 0:
         raise DomainError("n must be nonnegative")
     if core.is_identity(pattern):

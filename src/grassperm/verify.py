@@ -14,12 +14,19 @@ family of objects once for every check that reads it: the counting suite
 the avoiders of 12...k in S_m of each (k, m), as words, decoded into
 permutations only where the permutation oracle reads them (m <= perm_cap);
 the paths suite the avoiding words of each (k, m); the classes suite the
-Grassmannian permutations of each size.  The paths suite types each
-listed Dyck path as a ``paths.DyckPath`` once, so no classifier scans it
-again, toggles and classifies each path once and reads both checks of a
+Grassmannian permutations of each size.  Each listed object is also typed
+once, unchecked, on the proof of its listing, so no map or classifier
+checks it again: the paths suite types each listed Dyck path as a
+``paths.DyckPath`` and encodes each listed avoiding word once as its
+``paths.LatticePath``, which both word encodings read (the Dyck image is
+that path framed); the classes suite reads the ``core.Grassmannian``
+permutations that ``core.grassmannian_permutations`` lists.  The paths
+suite toggles and classifies each path once and reads both checks of a
 toggle off that table.  Each listing is a whole semilength or (k, m) cell,
 which the maps it checks keep, so an image outside its listing fails its
-cell.
+cell.  A formula that refuses a cell of its own domain, as a halving
+refuses an odd sum that a wrong count upstream leaves, fails that cell
+with the value None; only a cap refusal ends the run.
 
 ``Options.fault`` perturbs one cell of the recurrence table as seen by the
 oracle-agreement check; it exists so the harness can prove that a single
@@ -85,12 +92,26 @@ def _sweep(name: str, params: dict, cells: Iterable[tuple[dict, int, int]]) -> C
     return Check(name, params, total, matched)
 
 
+def _value(formula: Callable, *args) -> int | None:
+    """``formula(*args)``, or None where the formula refuses the cell with a
+    domain error that is not a cap refusal.  The harness asks a formula only
+    for cells in its domain, so such a refusal, as when a wrong count
+    upstream leaves a halving odd, is a fault: it fails its cell instead of
+    ending the run."""
+    try:
+        return formula(*args)
+    except CapExceededError:
+        raise
+    except DomainError:
+        return None
+
+
 def _sweep_index(
     name: str, key: str, indices: range, expected: Callable, actual: Callable
 ) -> Check:
     """Compare two formulas at each index of ``indices``; the check reports
     the last index compared as ``{key}_max``."""
-    cells = (({key: i}, expected(i), actual(i)) for i in indices)
+    cells = (({key: i}, _value(expected, i), _value(actual, i)) for i in indices)
     return _sweep(name, {f"{key}_max": indices.stop - 1}, cells)
 
 
@@ -126,7 +147,7 @@ def _sweep_by_length(
     """``formula(k, m)`` against the words of length m whose longest ``0*1*``
     subsequence is shorter than k, over the word oracle cells."""
     cells = (
-        ({"k": k, "m": m}, _count(words[m], lambda w: w.longest < k), formula(k, m))
+        ({"k": k, "m": m}, _count(words[m], lambda w: w.longest < k), _value(formula, k, m))
         for k, m in word_oracle_cells(opts)
     )
     return _sweep(name, {"k_max": opts.k_max, "word_cap": opts.word_cap}, cells)
@@ -149,7 +170,7 @@ def _sweep_by_zeros(
         (
             {"k": k, "j": j},
             _count(all_words, lambda w: w.longest < k and w.zeros == j),
-            formula(k, j),
+            _value(formula, k, j),
         )
         for k in range(1, top + 1)
         for j in range(k + 1)
@@ -303,7 +324,7 @@ def suite_parity(opts: Options, tallies: Tallies) -> list[Check]:
                 (
                     {"k": k, "m": m},
                     counting.avoiding_word_count(k, m),
-                    odd + parity.even_word_count(k, m),
+                    _value(lambda: odd + parity.even_word_count(k, m)),
                 )
                 for k, m, _, odd, _ in parity.parity_table(opts.k_max)
             ),
@@ -445,12 +466,20 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
     all_odd = [[paths.all_extrema_odd(p) for p in ps] for ps in dyck]
     odd_paths = [[p for p, odd in zip(ps, flags) if odd] for ps, flags in zip(dyck, all_odd)]
     odd_paths.append([p for p in listed(9) if paths.all_extrema_odd(p)])
-    # The avoiding words of every (k, m) cell, listed once for the Dyck and
-    # the lattice encodings (k <= 6 for the lattice).
+    # The avoiding words of every (k, m) cell, listed once, and each word's
+    # lattice path, encoded once for the Dyck and the lattice encodings
+    # (k <= 6 for the lattice).  enumerate_avoiding_words extends a prefix
+    # only while it can still avoid, and the counting suite counts its
+    # listing, so each path is built unchecked; a word that does not avoid
+    # falls below its floor and fails both encodings' cells.
     avoiding = {
         (k, m): patterns.enumerate_avoiding_words(k, m)
         for k in range(1, k_top + 1)
         for m in _word_m_range(k, opts.word_cap)
+    }
+    encoded = {
+        (k, m): [paths.LatticePath._of_word(k, w) for w in words]
+        for (k, m), words in avoiding.items()
     }
 
     # The first-plus-last peak sum of every path the bijection (semilength
@@ -466,7 +495,7 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
                 by_sum.setdefault(s, set()).add(p)
             for m in _word_m_range(k, opts.word_cap):
                 words = avoiding[k, m]
-                images = [paths.word_to_dyck(k, w) for w in words]
+                images = [paths.lattice_to_dyck(lp) for lp in encoded[k, m]]
                 image_set = set(images)
                 # The target's peak sum is at most 2k, so it lacks the
                 # staircase and lies in dyck_to_word's domain.
@@ -536,8 +565,7 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
         toggle, is_odd = paths.toggle_lattice_path, paths.is_odd_lattice
         for k in range(1, min(opts.k_max, 6) + 1):
             for m in _word_m_range(k, opts.word_cap):
-                words = avoiding[k, m]
-                lps = [paths.word_to_lattice(k, w) for w in words]
+                words, lps = avoiding[k, m], encoded[k, m]
                 partners, odd = _toggle_table(lps, toggle, is_odd)
                 untoggleable_balance = 0
                 for w, lp in zip(words, lps):
@@ -564,8 +592,10 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
                 # lives entirely on the untoggleable paths.
                 yield (
                     {"k": k, "m": m, "aspect": "untoggleable_balance"},
-                    counting.avoiding_word_count(k, m)
-                    - 2 * parity.odd_word_count(k, m),
+                    _value(
+                        lambda: counting.avoiding_word_count(k, m)
+                        - 2 * parity.odd_word_count(k, m)
+                    ),
                     untoggleable_balance,
                 )
 

@@ -1,7 +1,9 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
-from grassperm import core
+from grassperm import classes, core, patterns
 from grassperm.errors import DomainError
 
 words_up_to = lambda top: [
@@ -70,6 +72,77 @@ class TestEncoding:
     def test_grassmannian_count(self):
         for n in range(1, 13):
             assert len(core.grassmannian_permutations(n)) == 2**n - n
+
+
+# Every function that takes a Grassmannian permutation, and the part of its
+# refusal that names what is wrong.
+GRASSMANNIAN_CLASSIFIERS = {
+    "is_bigrassmannian": (classes.is_bigrassmannian, "not Grassmannian"),
+    "is_grassmannian_involution": (classes.is_grassmannian_involution, "not Grassmannian"),
+    "canonical_word": (core.canonical_word, "not Grassmannian"),
+    "words_of_permutation": (core.words_of_permutation, "not Grassmannian"),
+    "avoiding_words": (lambda p: patterns.avoiding_words(4, p), "pattern is not Grassmannian"),
+}
+
+
+class TestGrassmannianType:
+    @pytest.mark.parametrize(
+        "p,message",
+        [
+            ((1, 1, 2), "not a permutation of [n]: (1, 1, 2)"),
+            ([3, 2, 1], "not Grassmannian: (3, 2, 1)"),
+        ],
+    )
+    def test_refuses_with_the_check_messages(self, p, message):
+        for build in (core.Grassmannian, core.check_grassmannian):
+            with pytest.raises(DomainError) as exc:
+                build(p)
+            assert str(exc.value) == message
+
+    def test_accepts_exactly_the_grassmannian_permutations(self):
+        for n in range(6):
+            for p in permutations(range(1, n + 1)):
+                if core.descent_count(p) <= 1:
+                    assert type(core.Grassmannian(p)) is core.Grassmannian
+                    assert core.Grassmannian(p) == p
+                else:
+                    with pytest.raises(DomainError, match="not Grassmannian"):
+                        core.Grassmannian(p)
+
+    def test_is_its_tuple_in_sets_and_dicts(self):
+        p = core.Grassmannian((3, 4, 1, 2))
+        assert p == (3, 4, 1, 2) and hash(p) == hash((3, 4, 1, 2))
+        assert {p} == {(3, 4, 1, 2)} and {(3, 4, 1, 2): 1}[p] == 1
+        assert repr(p) == repr((3, 4, 1, 2)) and f"{p}" == "(3, 4, 1, 2)"
+        assert sorted([p, (1, 2)]) == [(1, 2), (3, 4, 1, 2)]
+        with pytest.raises(AttributeError):
+            p.n = 4
+
+    @pytest.mark.parametrize("name", GRASSMANNIAN_CLASSIFIERS)
+    @pytest.mark.parametrize("p", [(3, 2, 1), (2, 1, 4, 3)])
+    def test_classifiers_refuse_a_plain_non_grassmannian_tuple(self, name, p):
+        classify, message = GRASSMANNIAN_CLASSIFIERS[name]
+        with pytest.raises(DomainError, match=message):
+            classify(p)
+
+    def test_check_takes_a_typed_permutation_unscanned(self, monkeypatch):
+        scanned = []
+        scan = core.is_permutation
+        monkeypatch.setattr(core, "is_permutation", lambda p: scanned.append(p) or scan(p))
+        typed = core.Grassmannian((3, 4, 1, 2))
+        assert scanned == [(3, 4, 1, 2)]
+        assert core.check_grassmannian(typed) is typed
+        assert core.canonical_word(typed) == "1100" and scanned == [(3, 4, 1, 2)]
+        # a plain tuple is scanned on every call, and comes back typed
+        assert type(core.check_grassmannian((1, 2))) is core.Grassmannian
+        assert scanned == [(3, 4, 1, 2), (1, 2)]
+
+    def test_listing_is_typed(self):
+        for n in range(9):
+            listed = core.grassmannian_permutations(n)
+            assert {type(p) for p in listed} == {core.Grassmannian}, n
+            words = [format(x, f"0{n}b") if n else "" for x in range(2**n)]
+            assert listed == sorted(set(map(core.grassmannian_of_word, words)))
 
 
 class TestDescents:

@@ -525,6 +525,22 @@ class TestLattice:
                     toggled += 1
         assert toggled == 1894
 
+    def test_framing_and_the_unchecked_encoding_match_the_checked_forms(self):
+        # every avoiding word with k <= 7 and m <= 12: _of_word builds the
+        # path that word_to_lattice builds after its avoidance test, and the
+        # framed path is a typed Dyck path, the word's Dyck image
+        framed = 0
+        for k in range(1, 8):
+            for m in range(13):
+                for w in patterns.enumerate_avoiding_words(k, m):
+                    lp = paths.LatticePath._of_word(k, w)
+                    assert type(lp) is paths.LatticePath and lp == paths.word_to_lattice(k, w)
+                    p = paths.lattice_to_dyck(lp)
+                    assert type(p) is paths.DyckPath and walked_is_dyck_path(p)
+                    assert p == built_word_to_dyck(k, w), (k, w)
+                    framed += 1
+        assert framed == 2047
+
     def test_rejects_word_outside_class(self):
         with pytest.raises(DomainError):
             paths.word_to_lattice(2, "11")

@@ -243,30 +243,40 @@ def test_recursive_closures_are_deleted(path):
     assert found == [], f"recursive closures never deleted in {path.name}: {found}"
 
 
-def unchecked_dyck_paths(tree):
+# Each constructor that skips its type's check: the module that defines it, and
+# the functions outside that module that may name it.  The module's maps
+# state the proof of each object they build this way; outside it, only the
+# harness suite that reads a listing proven to hold such objects may.
+UNCHECKED_CONSTRUCTORS = {
+    ("DyckPath", "_make"): ("paths.py", {("verify.py", "suite_paths")}),
+    ("LatticePath", "_of_word"): ("paths.py", {("verify.py", "suite_paths")}),
+    ("LatticePath", "_make"): ("paths.py", set()),
+    ("Grassmannian", "_make"): ("core.py", set()),
+}
+
+
+def unchecked_builds(tree, owner, attr):
     """The module-level function (or ``<module>``) around each use of
-    ``DyckPath._make``."""
+    ``owner.attr``."""
     for top in tree.body:
         named = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
         function = top.name if named else "<module>"
         for node in ast.walk(top):
-            if isinstance(node, ast.Attribute) and node.attr == "_make":
-                owner = node.value
-                if getattr(owner, "id", getattr(owner, "attr", None)) == "DyckPath":
+            if isinstance(node, ast.Attribute) and node.attr == attr:
+                if getattr(node.value, "id", getattr(node.value, "attr", None)) == owner:
                     yield function
 
 
-def test_dyck_paths_are_built_unchecked_only_beside_their_proof():
-    # `DyckPath._make` skips the scan, so outside `paths`, whose maps state
-    # the proof of each image they build, only the harness's listing of
-    # `enumerate_dyck`'s paths may call it.
+@pytest.mark.parametrize("constructor", UNCHECKED_CONSTRUCTORS, ids=".".join)
+def test_unchecked_constructors_are_named_only_beside_their_proof(constructor):
+    home, allowed = UNCHECKED_CONSTRUCTORS[constructor]
     outside = {
         (path.name, function)
         for path in SOURCES
-        if path.name != "paths.py"
-        for function in unchecked_dyck_paths(parse(path))
+        if path.name != home
+        for function in unchecked_builds(parse(path), *constructor)
     }
-    assert outside == {("verify.py", "suite_paths")}
+    assert outside == allowed
 
 
 # Functions built on a recursive closure, with arguments that reach it:

@@ -3,7 +3,7 @@
 import pytest
 
 from grassperm import classes, cli, core, counting, oracle, parity, paths, patterns, series, verify
-from grassperm.errors import DomainError
+from grassperm.errors import CapExceededError, DomainError
 
 RAISED = verify.Options(k_max=8, perm_cap=9, word_cap=14)
 
@@ -53,6 +53,53 @@ def test_suite_paths_scans_no_path(monkeypatch, opts):
     # a plain string is still scanned, through the same name
     paths.is_odd_dyck("UD")
     assert scans == ["UD"]
+
+
+@pytest.mark.parametrize("opts", [verify.Options(), RAISED], ids=["default", "raised"])
+def test_suite_paths_tests_no_word_for_avoidance(monkeypatch, opts):
+    # Each listed word is encoded once, unchecked, for both encodings, so
+    # no word the listing generated is tested for avoidance again.
+    tests = counting_calls(monkeypatch, patterns, "is_avoiding_word", lambda k, w: (k, w))
+    assert all(c.passed for c in checks_of("paths", opts).values())
+    assert tests == []
+    # a word from outside is still tested, through the same name
+    paths.word_to_dyck(3, "1100")
+    assert tests == [(3, "1100")]
+
+
+def test_a_listed_word_that_does_not_avoid_fails_both_encodings(monkeypatch, capsys):
+    # The listing is encoded unchecked, so a word that is not avoiding
+    # falls below its floor: its Dyck image leaves the peak-sum class and
+    # its lattice path has no toggle, and the run reports both as FAILs.
+    listing = patterns.enumerate_avoiding_words
+    monkeypatch.setattr(
+        patterns,
+        "enumerate_avoiding_words",
+        lambda k, m: listing(k, m) + (["111"] if (k, m) == (3, 3) else []),
+    )
+    failing = {
+        name: (c.expected, c.actual, c.params["first_mismatch"])
+        for name, c in checks_of("paths", verify.Options()).items()
+        if not c.passed
+    }
+    at_3_3 = {"k": 3, "m": 3, "expected": 0, "actual": 1}
+    assert failing == {
+        "word_dyck_bijection": (72, 70, {**at_3_3, "aspect": "image_set"}),
+        "lattice_encoding": (1792, 1791, {**at_3_3, "aspect": "untoggleable_balance"}),
+    }
+    assert cli.main(["verify", "--suite", "paths"]) == 1
+    out, err = capsys.readouterr()
+    assert out.endswith("3/5 checks passed\n") and err == ""
+
+
+def test_suite_classes_scans_no_permutation(monkeypatch):
+    # The listed permutations come typed, so no classifier checks one again.
+    scans = counting_calls(monkeypatch, core, "is_permutation", lambda p: p)
+    assert all(c.passed for c in checks_of("classes", verify.Options()).values())
+    assert scans == []
+    # a plain tuple is still checked, through the same name
+    classes.is_bigrassmannian((3, 4, 1, 2))
+    assert scans == [(3, 4, 1, 2)]
 
 
 def test_suite_classes_lists_each_size_once(monkeypatch):
@@ -224,7 +271,8 @@ def refuse(*args):
 AT_3 = {"n": 3, "aspect": "involution"}
 LISTED_FAULTS = {
     "word-to-staircase": (
-        "word_to_dyck", (3, "1100"), lambda k, w: paths.DyckPath("UUUUDDDD"),
+        "lattice_to_dyck", (paths.word_to_lattice(3, "1100"),),
+        lambda lp: paths.DyckPath("UUUUDDDD"),
         {"word_dyck_bijection": (72, 70, {"k": 3, "m": 4, "aspect": "image_set"})},
     ),
     "all-odd-misjudged": (
@@ -272,6 +320,52 @@ def test_a_faulty_map_fails_the_verify_command(monkeypatch, capsys):
 def off_by_one_at(at):
     """Make a formula return one more at the arguments ``at``."""
     return lambda original: lambda *args: original(*args) + (args == at)
+
+
+def wrong_count_at(monkeypatch, at):
+    """Make ``avoiding_word_count`` one more at ``at``, where both
+    ``counting`` and ``parity`` read it."""
+    wrong = off_by_one_at(at)(counting.avoiding_word_count)
+    for module in (counting, parity):
+        monkeypatch.setattr(module, "avoiding_word_count", wrong)
+
+
+def test_an_odd_halving_fails_its_cells(monkeypatch, capsys):
+    # One too many at (4, 4) leaves twice the odd count there odd.  The
+    # halving refuses it, and each cell that reads it fails, with None for
+    # the refused value, instead of ending the run.
+    wrong_count_at(monkeypatch, (4, 4))
+    with pytest.raises(DomainError, match=r"2\*odd_word_count\(4, 4\) is not even: 13"):
+        parity.odd_word_count(4, 4)
+    failing = {
+        name: (c.expected, c.actual, c.params["first_mismatch"])
+        for name, c in checks_of("parity", verify.Options()).items()
+        if not c.passed
+    }
+    assert failing == {
+        "odd_vs_word_oracle": (36, 35, {"k": 4, "m": 4, "expected": 6, "actual": None}),
+        "odd_plus_even_is_total": (36, 35, {"k": 4, "m": 4, "expected": 12, "actual": None}),
+        "total_odd": (6, 5, {"k": 4, "expected": None, "actual": 16}),
+    }
+    assert cli.main(["verify", "--suite", "parity"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL parity.odd_vs_word_oracle 35/36 cells" in out and err == ""
+    assert out.endswith("3/6 checks passed\n")
+    # every suite reports, the paths suite's parity balance among them
+    assert cli.main(["verify"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL paths.lattice_encoding 1789/1790 cells" in out and err == ""
+    assert out.endswith("21/30 checks passed\n")
+
+
+def test_a_cap_refusal_in_a_sweep_still_ends_the_run(monkeypatch, capsys):
+    def capped(k, m):
+        raise CapExceededError(f"capped at {k}, {m}")
+
+    monkeypatch.setattr(parity, "odd_word_count", capped)
+    assert cli.main(["verify", "--suite", "parity"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: capped at 1, 0\n"
 
 
 def row_off_by_one(n):
