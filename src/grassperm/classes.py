@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from . import core
 from .core import Permutation
-from .counting import binomial
+from .counting import binomial, exact_quotient
 from .errors import DomainError
 
 
@@ -88,12 +88,10 @@ def odd_bigrassmannian_count(m: int) -> int:
     if m < 0:
         raise DomainError("m must be nonnegative")
     if m % 2 == 0:
-        q, r = divmod(binomial(m + 2, 3), 4)
+        numerator, divisor = binomial(m + 2, 3), 4
     else:
-        q, r = divmod((m - 1) * (m + 1) * (m + 3), 24)
-    if r:
-        raise DomainError(f"odd biGrassmannian count at m={m} not integral")
-    return q
+        numerator, divisor = (m - 1) * (m + 1) * (m + 3), 24
+    return exact_quotient(numerator, divisor, "odd biGrassmannian count at m={} not integral", m)
 
 
 def _reduced_size(k: int, m: int) -> int:

@@ -6,7 +6,10 @@ grand totals, and the ballot number as an alternating Catalan sum.
 
 Everything is exact integer arithmetic.  Binomials follow the combinatorial
 convention C(n, k) = 0 outside 0 <= k <= n.  Every alternating Catalan sum
-is one walk, :func:`_alternating_catalan_sum`.
+is one walk, :func:`_alternating_catalan_sum`.  Every quotient that the
+paper proves exact, here, in ``parity`` and in ``classes``, is taken by
+:func:`exact_quotient`, which refuses a remainder: it means a count upstream
+is wrong.
 """
 
 from __future__ import annotations
@@ -15,6 +18,20 @@ import math
 from typing import Iterator
 
 from .errors import DomainError
+
+
+def exact_quotient(numerator: int, divisor: int, refusal: str, *args) -> int:
+    """``numerator / divisor`` where it is exact; otherwise a
+    :class:`DomainError` whose message is ``refusal.format(*args)``,
+    formatted only then.
+
+    >>> exact_quotient(12, 4, "{} is not a multiple of 4", 12)
+    3
+    """
+    q, r = divmod(numerator, divisor)
+    if r:
+        raise DomainError(refusal.format(*args))
+    return q
 
 
 def binomial(n: int, k: int) -> int:
@@ -54,10 +71,9 @@ def ballot(n: int, k: int) -> int:
     """
     if n < 0 or k < 0 or k > n + 1:
         return 0
-    q, r = divmod((n - k + 1) * math.comb(n + k, n), n + 1)
-    if r:
-        raise DomainError(f"ballot({n}, {k}) not an integer")
-    return q
+    return exact_quotient(
+        (n - k + 1) * math.comb(n + k, n), n + 1, "ballot({}, {}) not an integer", n, k
+    )
 
 
 def _alternating_catalan_sum(n: int, c: int, f: int) -> int:

@@ -9,23 +9,18 @@ binomial difference; :func:`parity_table` reads whole tables off one
 recurrence grid, and ``verify``'s parity suite holds each of its rows to
 the single values.
 
-All divisions by 2 (and the 1/4, 1/24 in the sibling module) are checked
-exact; an inexact division means a formula was applied off its domain.
+Every halving is taken by :func:`~grassperm.counting.exact_quotient`,
+which refuses a remainder: the toggle pairs odd words with even ones and
+the correction counts the unpaired ones, so an odd doubled count means a
+count it was built from is wrong.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from .counting import avoiding_word_count, avoiding_word_table, ballot, catalan
+from .counting import avoiding_word_count, avoiding_word_table, ballot, catalan, exact_quotient
 from .errors import DomainError
-
-
-def _exact_half(value: int, what: str) -> int:
-    q, r = divmod(value, 2)
-    if r:
-        raise DomainError(f"{what} is not even: {value}")
-    return q
 
 
 def _odd_from_counts(k: int, m: int, count: Callable[[int, int], int]) -> int:
@@ -47,7 +42,7 @@ def _odd_from_counts(k: int, m: int, count: Callable[[int, int], int]) -> int:
         )
     else:
         doubled = total - 2 * count(k // 2, (m - 1) // 2)
-    return _exact_half(doubled, f"2*odd_word_count({k}, {m})")
+    return exact_quotient(doubled, 2, "2*odd_word_count({}, {}) is not even: {}", k, m, doubled)
 
 
 def odd_word_count(k: int, m: int) -> int:
@@ -95,9 +90,9 @@ def odd_word_count_max_length(k: int) -> int:
     """
     if k < 2:
         raise DomainError("k must be at least 2")
-    return _exact_half(
-        catalan(k - 1) + (catalan((k - 2) // 2) if k % 2 == 0 else 0),
-        f"catalan({k - 1}) + catalan(({k} - 2)/2)",
+    doubled = catalan(k - 1) + (catalan((k - 2) // 2) if k % 2 == 0 else 0)
+    return exact_quotient(
+        doubled, 2, "catalan({}) + catalan(({} - 2)/2) is not even: {}", k - 1, k, doubled
     )
 
 
@@ -130,7 +125,9 @@ def odd_avoiding_words_with_zeros(k: int, j: int) -> int:
             )
     else:
         doubled = total - ballot((k - 1) // 2, (j + 1) // 2)
-    return _exact_half(doubled, f"2*odd_avoiding_words_with_zeros({k}, {j})")
+    return exact_quotient(
+        doubled, 2, "2*odd_avoiding_words_with_zeros({}, {}) is not even: {}", k, j, doubled
+    )
 
 
 def total_odd_avoiders(k: int) -> int:
@@ -145,10 +142,12 @@ def total_odd_avoiders(k: int) -> int:
     """
     if k < 1:
         raise DomainError("k must be positive")
+    top = catalan(k + 1)
     if k % 2 == 1:
-        half = _exact_half(catalan(k + 1), f"catalan({k + 1})")
+        half = exact_quotient(top, 2, "catalan({}) is not even: {}", k + 1, top)
         return half - 2 * catalan((k + 1) // 2) + 1
-    half = _exact_half(
-        catalan(k + 1) - catalan(k // 2), f"catalan({k + 1}) - catalan({k // 2})"
+    doubled = top - catalan(k // 2)
+    half = exact_quotient(
+        doubled, 2, "catalan({}) - catalan({}) is not even: {}", k + 1, k // 2, doubled
     )
     return half - catalan((k + 2) // 2) + 1

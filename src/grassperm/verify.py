@@ -24,9 +24,12 @@ permutations that ``core.grassmannian_permutations`` lists.  The paths
 suite toggles and classifies each path once and reads both checks of a
 toggle off that table.  Each listing is a whole semilength or (k, m) cell,
 which the maps it checks keep, so an image outside its listing fails its
-cell.  A formula that refuses a cell of its own domain, as a halving
-refuses an odd sum that a wrong count upstream leaves, fails that cell
-with the value None; only a cap refusal ends the run.
+cell.  Every formula, and every grid a suite builds before its sweeps, is
+read through ``_value``, the one reader of a refusal.  A formula that
+refuses a cell of its own domain, as ``counting.exact_quotient`` refuses
+the inexact quotient that a wrong count upstream leaves, gives that cell
+the value None, which never matches; a refused grid fails every cell that
+reads it.  Only a cap refusal ends the run.
 
 ``Options.fault`` perturbs one cell of the recurrence table as seen by the
 oracle-agreement check; it exists so the harness can prove that a single
@@ -82,7 +85,7 @@ def _sweep(name: str, params: dict, cells: Iterable[tuple[dict, int, int]]) -> C
     first = None
     for cell, expected, actual in cells:
         total += 1
-        if expected == actual:
+        if expected is not None and expected == actual:  # a refused value never matches
             matched += 1
         elif first is None:
             first = {**cell, "expected": expected, "actual": actual}
@@ -92,12 +95,13 @@ def _sweep(name: str, params: dict, cells: Iterable[tuple[dict, int, int]]) -> C
     return Check(name, params, total, matched)
 
 
-def _value(formula: Callable, *args) -> int | None:
+def _value(formula: Callable, *args):
     """``formula(*args)``, or None where the formula refuses the cell with a
-    domain error that is not a cap refusal.  The harness asks a formula only
-    for cells in its domain, so such a refusal, as when a wrong count
-    upstream leaves a halving odd, is a fault: it fails its cell instead of
-    ending the run."""
+    domain error that is not a cap refusal; the one place ``verify`` reads a
+    refusal.  The harness asks a formula only for cells in its domain, so
+    such a refusal, as when a wrong count upstream leaves a quotient
+    inexact, is a fault: it fails the cells that read the value, or the
+    grid, instead of ending the run."""
     try:
         return formula(*args)
     except CapExceededError:
@@ -192,11 +196,11 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
     if to_list > LISTING_CAP:
         raise CapExceededError(f"counting suite lists up to {LISTING_CAP} avoiders, not {to_list}")
     fault = opts.fault
-    recurrence = {(k, m): c for k, m, c in counting.avoiding_word_table(opts.k_max)}
+    recurrence = _value(lambda: {(k, m): c for k, m, c in counting.avoiding_word_table(opts.k_max)})
 
-    def table(k: int, m: int) -> int:
-        value = recurrence[(k, m)]
-        return value + 1 if fault == (k, m) else value
+    def table(k: int, m: int) -> int | None:
+        """The grid as the oracle check reads it: one more at the fault."""
+        return None if recurrence is None else recurrence[k, m] + (fault == (k, m))
 
     def listed(k: int, m: int) -> tuple[int, int | None]:
         """The avoiders of 12...k in S_m as (words, distinct permutations).
@@ -225,7 +229,7 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
                 for m in range(1, 2 * k + 1)
                 for form, value in (
                     ("alternating", counting.avoiding_word_count_alternating(k, m)),
-                    ("recurrence", recurrence.get((k, m), 0)),
+                    ("recurrence", None if recurrence is None else recurrence.get((k, m), 0)),
                 )
             ),
         ),
@@ -314,6 +318,10 @@ def suite_parity(opts: Options, tallies: Tallies) -> list[Check]:
     odd = [Counter({w: c for w, c in tally.items() if w.odd}) for tally in tallies.words]
     # the closed forms at m = 2k - 2 and 2k - 3 need k >= 2
     from_two = range(2, max(opts.k_max, 2) + 1)
+    # The parity table's rows; a refused table stands as rows of None.
+    rows = _value(lambda: list(parity.parity_table(opts.k_max))) or [
+        (k, m, None, None, None) for k in range(1, opts.k_max + 1) for m in range(2 * k - 1)
+    ]
     return [
         _sweep_by_length("odd_vs_word_oracle", opts, odd, parity.odd_word_count),
         # The table's odd column, read off its own grid, against the point forms.
@@ -324,9 +332,9 @@ def suite_parity(opts: Options, tallies: Tallies) -> list[Check]:
                 (
                     {"k": k, "m": m},
                     counting.avoiding_word_count(k, m),
-                    _value(lambda: odd + parity.even_word_count(k, m)),
+                    None if odd is None else _value(lambda: odd + parity.even_word_count(k, m)),
                 )
-                for k, m, _, odd, _ in parity.parity_table(opts.k_max)
+                for k, m, _, odd, _ in rows
             ),
         ),
         _sweep_index(
@@ -380,6 +388,10 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
     n_max = min(opts.perm_cap, 8)
     # Each size listed once, for both membership checks.
     grassmannians = [core.grassmannian_permutations(n) for n in range(n_max + 1)]
+    # The class totals' rows; a refused table stands as rows of None.
+    totals = _value(classes.class_table, opts.perm_cap) or [
+        (name, m, None) for name in _CLASSES for m in range(opts.perm_cap + 1)
+    ]
 
     def recognition(name: str, characterised: Callable, recognised: Callable) -> Check:
         """A recognition predicate against its characterisation, on every
@@ -401,7 +413,7 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
                     _oracle_class(perms[m], m + 1, *_CLASSES[name][:2]),
                     total,
                 )
-                for name, m, total in classes.class_table(opts.perm_cap)
+                for name, m, total in totals
             ),
         ),
         _sweep(
@@ -411,7 +423,7 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
                 (
                     {"class": name, "k": k, "m": m},
                     _oracle_class(perms[m], k, member, odd),
-                    avoiders(k, m),
+                    _value(avoiders, k, m),
                 )
                 for k in range(2, opts.k_max + 1)
                 for m in range(opts.perm_cap + 1)
@@ -436,18 +448,6 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
             classes.is_grassmannian_involution,
         ),
     ]
-
-
-def _toggle_table(listing: list, toggle: Callable, is_odd: Callable) -> tuple[dict, dict]:
-    """Each listed path's image under ``toggle`` (None where it refuses the
-    path) and its parity under ``is_odd``, each computed once."""
-    image = {}
-    for p in listing:
-        try:
-            image[p] = toggle(p)
-        except DomainError:
-            image[p] = None
-    return image, {p: is_odd(p) for p in listing}
 
 
 def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
@@ -511,10 +511,11 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
                 yield ({"k": k, "m": m, "aspect": "round_trip"}, int(round_trip), 1)
 
     def toggle_cells():
-        toggle, is_odd = paths.toggle_first_even_extremum, paths.is_odd_dyck
         for n in range(1, 9):
             domain = [p for p, odd in zip(dyck[n], all_odd[n]) if not odd]
-            image, odd = _toggle_table(domain, toggle, is_odd)
+            # each path's image (None where the toggle refuses it) and parity, once
+            image = {p: _value(paths.toggle_first_even_extremum, p) for p in domain}
+            odd = {p: paths.is_odd_dyck(p) for p in domain}
             for p in domain:
                 q = image[p]
                 yield ({"n": n, "path": p, "aspect": "involution"}, int(image.get(q) == p), 1)
@@ -562,11 +563,11 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
                     )
 
     def lattice_cells():
-        toggle, is_odd = paths.toggle_lattice_path, paths.is_odd_lattice
         for k in range(1, min(opts.k_max, 6) + 1):
             for m in _word_m_range(k, opts.word_cap):
                 words, lps = avoiding[k, m], encoded[k, m]
-                partners, odd = _toggle_table(lps, toggle, is_odd)
+                partners = {lp: _value(paths.toggle_lattice_path, lp) for lp in lps}
+                odd = {lp: paths.is_odd_lattice(lp) for lp in lps}
                 untoggleable_balance = 0
                 for w, lp in zip(words, lps):
                     yield (
@@ -665,16 +666,13 @@ def suite_identities(opts: Options, tallies: Tallies) -> list[Check]:
                 counting.avoiding_word_count_alternating(k, k),
             )
 
+    ballot_cells = (
+        ({"a": a, "b": b}, _value(counting.ballot, a, b), counting.ballot_alternating(a, b))
+        for a in range(a_max + 1)
+        for b in range(a + 1)
+    )
     return [
-        _sweep(
-            "ballot_catalan_alternating_sum",
-            {"a_max": a_max},
-            (
-                ({"a": a, "b": b}, counting.ballot(a, b), counting.ballot_alternating(a, b))
-                for a in range(a_max + 1)
-                for b in range(a + 1)
-            ),
-        ),
+        _sweep("ballot_catalan_alternating_sum", {"a_max": a_max}, ballot_cells),
         _sweep("concluding_identities", {"k_max": opts.k_max}, concluding_cells()),
     ]
 

@@ -1,10 +1,90 @@
+import math
 from functools import cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from grassperm import counting, oracle, paths, verify
+from grassperm import classes, counting, oracle, parity, paths, verify
 from grassperm.errors import DomainError
+
+
+class Unformattable:
+    def __format__(self, spec):
+        raise AssertionError("formatted")
+
+
+class TestExactQuotient:
+    def test_quotient(self):
+        assert counting.exact_quotient(12, 4, "unused") == 3
+        assert counting.exact_quotient(-12, 4, "unused") == -3
+        assert counting.exact_quotient(0, 24, "unused") == 0
+
+    def test_refusal_is_formatted(self):
+        with pytest.raises(DomainError, match=r"^13 over 2 at \(4, 4\)$"):
+            counting.exact_quotient(13, 2, "{} over {} at {}", 13, 2, (4, 4))
+        with pytest.raises(DomainError, match="^-13 is odd$"):
+            counting.exact_quotient(-13, 2, "{} is odd", -13)
+
+    def test_no_formatting_when_exact(self):
+        assert counting.exact_quotient(12, 4, "{}", Unformattable()) == 3
+        # the same argument is formatted once the division is inexact
+        with pytest.raises(AssertionError, match="formatted"):
+            counting.exact_quotient(13, 4, "{}", Unformattable())
+
+
+def one_more_at(original, at):
+    return lambda *args: original(*args) + (args == at)
+
+
+# Each caller of exact_quotient, pushed off exactness by one more in a value
+# it divides: (module, name, replacement, call, message).  The messages are
+# those each caller has always refused with.
+INEXACT = {
+    "ballot": (
+        counting, "math", SimpleNamespace(comb=one_more_at(math.comb, (4, 3))),
+        lambda: counting.ballot(3, 1), "ballot(3, 1) not an integer",
+    ),
+    "odd-bigrassmannian": (
+        classes, "binomial", one_more_at(counting.binomial, (6, 3)),
+        lambda: classes.odd_bigrassmannian_count(4), "odd biGrassmannian count at m=4 not integral",
+    ),
+    "odd-word-even-k-m": (
+        parity, "avoiding_word_count", one_more_at(counting.avoiding_word_count, (4, 4)),
+        lambda: parity.odd_word_count(4, 4), "2*odd_word_count(4, 4) is not even: 13",
+    ),
+    "odd-word": (
+        parity, "avoiding_word_count", one_more_at(counting.avoiding_word_count, (3, 4)),
+        lambda: parity.odd_word_count(3, 4), "2*odd_word_count(3, 4) is not even: 3",
+    ),
+    "max-length": (
+        parity, "catalan", one_more_at(counting.catalan, (3,)),
+        lambda: parity.odd_word_count_max_length(4),
+        "catalan(3) + catalan((4 - 2)/2) is not even: 7",
+    ),
+    "zeros": (
+        parity, "ballot", one_more_at(counting.ballot, (3, 3)),
+        lambda: parity.odd_avoiding_words_with_zeros(3, 2),
+        "2*odd_avoiding_words_with_zeros(3, 2) is not even: 5",
+    ),
+    "total-odd-odd-k": (
+        parity, "catalan", one_more_at(counting.catalan, (4,)),
+        lambda: parity.total_odd_avoiders(3), "catalan(4) is not even: 15",
+    ),
+    "total-odd-even-k": (
+        parity, "catalan", one_more_at(counting.catalan, (5,)),
+        lambda: parity.total_odd_avoiders(4), "catalan(5) - catalan(2) is not even: 41",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INEXACT)
+def test_an_inexact_quotient_is_refused_with_its_message(monkeypatch, case):
+    module, name, replacement, call, message = INEXACT[case]
+    monkeypatch.setattr(module, name, replacement)
+    with pytest.raises(DomainError) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 class TestBinomial:

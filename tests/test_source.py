@@ -134,24 +134,28 @@ def test_records_are_named_tuples(path):
 STDOUT_WRITERS = {("cli.py", "main"), ("cli.py", "_discard_stdout")}
 
 
-def stdout_uses(tree):
-    """(function, line) of each use of ``print`` or ``sys.stdout``, naming
-    the innermost function it is in, or ``<module>``."""
+def located(tree, wanted):
+    """(function, line) of each node of ``tree`` that ``wanted`` accepts,
+    naming the innermost function it is in, or ``<module>``."""
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if (isinstance(node, ast.Name) and node.id == "print") or (
-            isinstance(node, ast.Attribute)
-            and node.attr == "stdout"
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "sys"
-        ):
+        if wanted(node):
             yield function, node.lineno
         for child in ast.iter_child_nodes(node):
             yield from visit(child, function)
 
     return visit(tree, "<module>")
+
+
+def uses_stdout(node):
+    return (isinstance(node, ast.Name) and node.id == "print") or (
+        isinstance(node, ast.Attribute)
+        and node.attr == "stdout"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "sys"
+    )
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -160,10 +164,46 @@ def test_only_main_writes_stdout(path):
     # command prints nothing and a closed pipe is handled in one place.
     uses = [
         (function, line)
-        for function, line in stdout_uses(parse(path))
+        for function, line in located(parse(path), uses_stdout)
         if (path.name, function) not in STDOUT_WRITERS
     ]
     assert uses == [], f"print or sys.stdout in {path.name}: {uses}"
+
+
+def calls_divmod(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "divmod"
+
+
+def test_only_exact_quotient_divides_with_a_remainder():
+    # A quotient the paper proves exact is refused in one place when it is
+    # not: an inexact division means a count upstream is wrong.
+    sites = {
+        (path.name, function)
+        for path in SOURCES
+        for function, _ in located(parse(path), calls_divmod)
+    }
+    assert sites == {("counting.py", "exact_quotient")}
+
+
+# The exception names an ``except`` clause can catch a DomainError by.
+DOMAIN_ERROR_CATCHERS = {"DomainError", "ValueError", "Exception", "BaseException"}
+
+
+def catches_a_domain_error(node):
+    if not isinstance(node, ast.ExceptHandler):
+        return False
+    if node.type is None:
+        return True
+    caught = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+    return bool(caught & DOMAIN_ERROR_CATCHERS)
+
+
+def test_verify_reads_a_refusal_only_in_value():
+    # One reader of a refusal: a formula or grid that refuses fails the
+    # cells that read it, and only a cap refusal ends the run.
+    [path] = [path for path in SOURCES if path.name == "verify.py"]
+    handlers = {function for function, _ in located(parse(path), catches_a_domain_error)}
+    assert handlers == {"_value"}
 
 
 def name_uses(node):

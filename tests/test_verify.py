@@ -368,6 +368,93 @@ def test_a_cap_refusal_in_a_sweep_still_ends_the_run(monkeypatch, capsys):
     assert out == "" and err == "error: capped at 1, 0\n"
 
 
+def test_a_refused_value_never_matches():
+    # both sides refused is no agreement
+    check = verify._sweep_index("demo", "k", range(1, 4), refuse, refuse)
+    assert (check.expected, check.actual) == (3, 0)
+    assert check.params["first_mismatch"] == {"k": 1, "expected": None, "actual": None}
+    check = verify._sweep("demo", {}, [({"k": 1}, None, 1), ({"k": 2}, 1, None), ({"k": 3}, 2, 2)])
+    assert (check.expected, check.actual) == (3, 1)
+
+
+def test_a_refused_parity_grid_fails_every_cell_that_reads_it(monkeypatch, capsys):
+    # One too many at (4, 4) in the grid the parity table reads leaves a
+    # doubled odd count odd there, and the table is refused as a whole.
+    grid = parity.avoiding_word_table
+
+    def wrong_grid(k_max):
+        return ((k, m, c + ((k, m) == (4, 4))) for k, m, c in grid(k_max))
+
+    monkeypatch.setattr(parity, "avoiding_word_table", wrong_grid)
+    with pytest.raises(DomainError, match=r"2\*odd_word_count\(4, 4\) is not even: 13"):
+        list(parity.parity_table(4))
+    assert cli.main(["verify", "--suite", "parity"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL parity.odd_plus_even_is_total 0/36 cells"
+        " (first mismatch at k=1 m=0: expected 1, actual None)"
+    ]
+    assert out.endswith("5/6 checks passed\n")
+    assert cli.main(["verify"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("29/30 checks passed\n")
+
+
+def test_a_refused_class_table_fails_every_cell_that_reads_it(monkeypatch, capsys):
+    # C(6, 3) one too many makes C(6, 3) / 4, the odd biGrassmannian count
+    # at m = 4, inexact: the totals table is refused as a whole, and each
+    # avoider cell that reduces to m = 4 is refused alone.
+    monkeypatch.setattr(classes, "binomial", off_by_one_at((6, 3))(classes.binomial))
+    with pytest.raises(DomainError, match="odd biGrassmannian count at m=4 not integral"):
+        classes.class_table(9)
+    failing = {
+        name: (c.expected, c.actual, c.params["first_mismatch"])
+        for name, c in checks_of("classes", verify.Options()).items()
+        if not c.passed
+    }
+    assert failing == {
+        "class_totals_vs_oracle": (
+            40, 0, {"class": "bigrass", "m": 0, "expected": 1, "actual": None}
+        ),
+        "class_avoiders_vs_oracle": (
+            200, 193, {"class": "bigrass_odd", "k": 4, "m": 4, "expected": 5, "actual": None}
+        ),
+    }
+    assert cli.main(["verify", "--suite", "classes"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("3/5 checks passed\n")
+
+
+def test_no_exactness_refusal_ends_the_run(monkeypatch, capsys):
+    # Every exact quotient refused, through each name it is called by: the
+    # run still reports every check.
+    def inexact(numerator, divisor, refusal, *args):
+        raise DomainError(refusal.format(*args))
+
+    for module in (counting, parity, classes):
+        monkeypatch.setattr(module, "exact_quotient", inexact)
+    assert cli.main(["verify"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == "" and len(lines) == 31 and lines[-1] == "17/30 checks passed"
+    assert [line.split()[1] for line in lines if line.startswith("FAIL")] == [
+        "counting.recurrence_vs_word_oracle",
+        "counting.closed_forms_agree",
+        "counting.words_by_zero_count",
+        "parity.odd_vs_word_oracle",
+        "parity.odd_plus_even_is_total",
+        "parity.closed_form_at_max_length",
+        "parity.one_shorter_is_twice_even",
+        "parity.odd_words_by_zero_count",
+        "parity.total_odd",
+        "classes.class_totals_vs_oracle",
+        "classes.class_avoiders_vs_oracle",
+        "paths.lattice_encoding",
+        "identities.ballot_catalan_alternating_sum",
+    ]
+
+
 def row_off_by_one(n):
     """Make ``inversion_table`` return one more at q^0 of row n."""
 
