@@ -35,6 +35,7 @@ import os
 import sys
 from collections.abc import Iterable
 from importlib import import_module
+from itertools import islice, starmap
 
 from .errors import DomainError
 
@@ -178,7 +179,10 @@ def _cmd_table(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[str
     # Every row is built before the lines are, so a bad bound prints nothing.
     rows = list(_function(module, function)(value))
     if args.format == "csv":
-        return 0, (",".join(map(str, row)) + "\n" for row in (header, *rows))
+        # One format per table, with a field for each header column: a
+        # row's line is one C-level call.
+        row_format = ",".join(["{}"] * len(header)) + "\n"
+        return 0, starmap(row_format.format, (header, *rows))
     import json
 
     return 0, [json.dumps([dict(zip(header, row)) for row in rows], indent=None) + "\n"]
@@ -212,12 +216,15 @@ def _cmd_enumerate(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable
         if args.n > cap:
             raise DomainError(f"semilength {args.n} over cap {cap}")
         names = paths.enumerate_dyck(args.n)
-        # Every listed path is a Dyck path by construction, so its peaks,
-        # its UD factors, are counted with no step check.
-        peak = paths.UP + paths.DOWN
-        values = (p.count(peak) for p in names)
-    # One line per object; ``values`` is lazy, so a statistic no one asked
-    # for is never computed.
+        if stats is not None:
+            # Every listed path is a Dyck path by construction, so its
+            # peaks, its UD factors, are counted with no step check; the
+            # n + 1 line endings, one per peak count, are built once.
+            peak = paths.UP + paths.DOWN
+            ends = [f" {stats}={v}\n" for v in range(args.n + 1)]
+            return 0, (p + ends[p.count(peak)] for p in names)
+    # One line per object; the words' and avoiders' ``values`` are lazy, so
+    # a statistic no one asked for is never computed.
     if stats is None:
         return 0, (f"{name}\n" for name in names)
     return 0, (f"{name} {stats}={value}\n" for name, value in zip(names, values))
@@ -387,8 +394,6 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         code, lines = HANDLERS[args.command](parser, args)
-        from itertools import islice
-
         lines = iter(lines)
         try:
             while block := list(islice(lines, WRITE_BLOCK)):

@@ -15,6 +15,7 @@ is wrong.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import DomainError
@@ -277,7 +278,12 @@ def avoiding_word_table(k_max: int) -> Iterator[tuple[int, int, int]]:
 
     subtracting the ballot number of shorter words that already carry
     k - 1 zeros.  Base cases: count(k, 0) = 1 for k >= 1, and 0 for k = 0
-    or m >= 2k - 1.  Only the previous row is kept.
+    or m >= 2k - 1.  Only the previous row is kept, and beside it the
+    ballot row T(k-1, b), 0 <= b <= k-1, by addition alone: T(a, 0) = 1 and
+
+        T(a, b) = T(a-1, b) + T(a, b-1)  for 1 <= b <= a, with T(a-1, a) = 0,
+
+    so each ballot row is the running sum of the one before, a 0 appended.
 
     >>> [c for k, m, c in avoiding_word_table(3) if k == 3]
     [1, 2, 4, 4, 2]
@@ -285,11 +291,13 @@ def avoiding_word_table(k_max: int) -> Iterator[tuple[int, int, int]]:
     if k_max < 1:
         raise DomainError("k_max must be positive")
     prev: list[int] = []  # row k - 1; cells past its end are 0
+    ballots = [1]  # T(k - 1, b) for 0 <= b <= k - 1
     for k in range(1, k_max + 1):
         row = [1]
         for m in range(1, 2 * k - 1):
             above = prev[m - 1] if m - 1 < len(prev) else 0
-            row.append(row[m - 1] + above - ballot(k - 1, m - k))
+            row.append(row[m - 1] + above - (ballots[m - k] if m >= k else 0))
         for m, count in enumerate(row):
             yield k, m, count
         prev = row
+        ballots = list(accumulate(ballots + [0]))

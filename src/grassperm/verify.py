@@ -462,10 +462,14 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
     # Every semilength the checks below read, each enumerated once and each
     # path classified once: in full to 8 (the toggle's largest, and at least
     # k_top + 1), and at 9 only the all-odd paths, which the halving reads.
+    # Those are found among the plain strings by the classifier's kernel,
+    # which takes a Dyck path unchecked, so only the 14 survivors are typed.
     dyck = [list(listed(n)) for n in range(9)]
     all_odd = [[paths.all_extrema_odd(p) for p in ps] for ps in dyck]
     odd_paths = [[p for p, odd in zip(ps, flags) if odd] for ps, flags in zip(dyck, all_odd)]
-    odd_paths.append([p for p in listed(9) if paths.all_extrema_odd(p)])
+    odd_paths.append(
+        list(map(paths.DyckPath._make, filter(paths._all_extrema_odd, paths.enumerate_dyck(9))))
+    )
     # The avoiding words of every (k, m) cell, listed once, and each word's
     # lattice path, encoded once for the Dyck and the lattice encodings
     # (k <= 6 for the lattice).  enumerate_avoiding_words extends a prefix
@@ -533,7 +537,8 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
     def halving_cells():
         for n in range(1, 10, 2):
             domain = odd_paths[n]
-            images = {paths.halve_all_odd_path(p) for p in domain}
+            # None where the halving refuses a path, and None is no path
+            images = {_value(paths.halve_all_odd_path, p) for p in domain}
             yield (
                 {"n": n},
                 int(len(images) == len(domain) and images == set(dyck[(n - 1) // 2])),

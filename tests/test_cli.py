@@ -72,6 +72,27 @@ PINNED_GF = {
     ),
 }
 
+# The two slowest tables and the largest listing of the bulk-output benchmark,
+# as printed when each line was built by a join over the row's values or a
+# chain of per-path generators.
+PINNED_BULK = {
+    "parity-100": (
+        ("table", "--quantity", "parity", "--k-max", "100"),
+        10001,
+        "40569d1e57443309164988da6272a3159dbd1fa4608ab95d62c35a4493e31f0d",
+    ),
+    "classes-300": (
+        ("table", "--quantity", "classes", "--m-max", "300"),
+        1205,
+        "d7893237f91ca6bd4e77a530d68b12714e265e213486ebc12281b7f224b4343d",
+    ),
+    "dyck-11-peaks": (
+        ("enumerate", "dyck", "--n", "11", "--stats", "peaks"),
+        58786,
+        "7e259915c366d3ee3666879355242224b69a17f37329787b8223ed125e461650",
+    ),
+}
+
 
 def pinned(cases):
     return pytest.mark.parametrize(
@@ -239,6 +260,17 @@ class TestTable:
     @pinned(PINNED_GF)
     def test_gf_bytes_are_pinned(self, capsys, argv, lines, digest):
         assert_pinned(*run(capsys, "table", "--quantity", "gf", *argv), lines, digest)
+
+    @pytest.mark.parametrize("quantity", cli.TABLE_FORMS)
+    def test_csv_prints_every_value_of_every_row(self, capsys, quantity):
+        # Each row fills the table's one format, which has a field per
+        # header column; a surplus value would be dropped without a word.
+        header, module, function, bound = cli.TABLE_FORMS[quantity]
+        rows = list(cli._function(module, function)(5))
+        assert {len(row) for row in rows} == {len(header)}
+        joined = "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+        flag = "--" + bound.replace("_", "-")
+        assert run(capsys, "table", "--quantity", quantity, flag, "5") == (0, joined, "")
 
     @pytest.mark.parametrize(
         "argv",
@@ -412,6 +444,11 @@ class TestEnumerateBytes:
         code, out, err = run(capsys, *argv, *(["--stats", stats] if stats else []))
         assert (code, err) == (0, "")
         assert out == _lines(_brute_avoiders(n, pattern, stats), stats)
+
+
+@pinned(PINNED_BULK)
+def test_bulk_output_bytes_are_pinned(capsys, argv, lines, digest):
+    assert_pinned(*run(capsys, *argv), lines, digest)
 
 
 class TestBiject:

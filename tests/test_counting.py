@@ -395,3 +395,14 @@ def test_alternating_table_matches_the_recurrence():
     assert alternating == list(counting.avoiding_word_table(10))
     with pytest.raises(DomainError, match="k_max must be positive"):
         list(counting.alternating_word_table(0))
+
+
+def test_the_recurrence_carries_its_ballot_row_exactly():
+    # The table keeps T(k - 1, .) by addition alone: every cell equals the
+    # binomial form, and the term each cell subtracts is the ballot number.
+    table = {(k, m): c for k, m, c in counting.avoiding_word_table(60)}
+    assert all(counting.avoiding_word_count(k, m) == c for (k, m), c in table.items())
+    for k in range(1, 31):
+        for m in range(1, 2 * k - 1):
+            subtracted = table[k, m - 1] + table.get((k - 1, m - 1), 0) - table[k, m]
+            assert subtracted == counting.ballot(k - 1, m - k), (k, m)
