@@ -16,12 +16,14 @@ command exits 0, or with its verdict for ``verify``.  All output is
 deterministic for fixed flags.
 
 Each handler takes ``(parser, args)``, computes and validates everything,
-and returns its exit code and its output lines; only ``main`` writes them.
-So a refused command (exit 2 or 3) prints nothing to stdout, and a closed
-pipe is handled in one place.  ``main`` writes the lines in blocks, not
-one by one: under ``python -u`` or ``PYTHONUNBUFFERED`` stdout writes
-through, so each write is a system call, and a listing of 58,786 Dyck paths
-made 58,815 of them.  A lazy listing is still consumed one block at a time.
+and returns its exit code and its output as strings of whole lines, one
+line each or, for the Dyck listing, all the paths of one first half each;
+only ``main`` writes them.  So a refused command (exit 2 or 3) prints
+nothing to stdout, and a closed pipe is handled in one place.  ``main``
+joins the strings in blocks and writes each block in slices, not line by
+line: under ``python -u`` or ``PYTHONUNBUFFERED`` stdout writes through,
+so each write is a system call, and a listing of 58,786 Dyck paths made
+58,815 of them.  A lazy listing is still consumed one block at a time.
 
 A command imports only the modules it runs, because a one-value query is
 mostly start-up: the form tables name modules by string, and each handler
@@ -77,6 +79,21 @@ COUNT_FORMS = {
     "total-odd": ((("k",), "parity", "total_odd_avoiders"),),
 }
 
+# The largest value of any flag each count serves in about a second of CPU,
+# start-up included (2-vCPU Intel Xeon VM, Python 3.11.7); a larger one is
+# refused as a cap error before any arithmetic.  The class counts are
+# polynomials, served at any size argv holds.
+COUNT_CAPS = {
+    "B": 65_000,
+    "A": 25_000,
+    "O": 50_000,
+    "E": 40_000,
+    "fixed": 800_000,
+    "total-words": 140_000,
+    "total-perms": 140_000,
+    "total-odd": 110_000,
+}
+
 # Each table's header and the (module, function, bound flag) whose rows it
 # prints; the function checks that its bound is in its domain.
 TABLE_FORMS = {
@@ -113,7 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="print one exact count")
-    p_count.add_argument("--quantity", required=True, choices=COUNT_FORMS)
+    p_count.add_argument(
+        "--quantity",
+        required=True,
+        choices=COUNT_FORMS,
+        help="every flag at most " + ", ".join(f"{q} {cap}" for q, cap in COUNT_CAPS.items()),
+    )
     p_count.add_argument("--k", type=int)
     p_count.add_argument("--m", type=int)
     p_count.add_argument("--n", type=int)
@@ -166,6 +188,10 @@ def _cmd_count(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[str
     for flags, module, function in COUNT_FORMS[args.quantity]:
         values = [getattr(args, flag) for flag in flags]
         if None not in values:
+            cap = COUNT_CAPS.get(args.quantity)
+            for flag, value in zip(flags, values):
+                if cap is not None and value > cap:
+                    raise DomainError(f"{flag} {value} over cap {cap}")
             return 0, [f"{_function(module, function)(*values)}\n"]
     missing = ", ".join(f"--{flag}" for flag, v in zip(flags, values) if v is None)
     parser.error(f"--quantity {args.quantity} requires {missing}")
@@ -215,14 +241,7 @@ def _cmd_enumerate(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable
 
         if args.n > cap:
             raise DomainError(f"semilength {args.n} over cap {cap}")
-        names = paths.enumerate_dyck(args.n)
-        if stats is not None:
-            # Every listed path is a Dyck path by construction, so its
-            # peaks, its UD factors, are counted with no step check; the
-            # n + 1 line endings, one per peak count, are built once.
-            peak = paths.UP + paths.DOWN
-            ends = [f" {stats}={v}\n" for v in range(args.n + 1)]
-            return 0, (p + ends[p.count(peak)] for p in names)
+        return 0, paths.dyck_listing(args.n, stats is not None)
     # One line per object; the words' and avoiders' ``values`` are lazy, so
     # a statistic no one asked for is never computed.
     if stats is None:
@@ -358,7 +377,7 @@ def _cmd_verify(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[st
     return code, lines
 
 
-# ``main`` joins the lines WRITE_BLOCK at a time and writes each block in
+# ``main`` joins the strings WRITE_BLOCK at a time and writes each block in
 # slices of at most WRITE_CHARS characters: PIPE_BUF bytes on Linux, as all
 # output but a ``--svg`` file name is ASCII.  A pipe takes such a write whole;
 # a larger one is cut short when a signal stops the writer (Ctrl-Z), and

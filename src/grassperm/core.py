@@ -150,7 +150,9 @@ def canonical_word(p: Permutation) -> Word:
     n = len(p)
     if is_identity(p):
         return "0" * n
-    d = next(i + 1 for i in range(n - 1) if p[i] > p[i + 1])
+    d = next((i + 1 for i in range(n - 1) if p[i] > p[i + 1]), None)
+    if d is None:  # no descent, so is_identity was wrong
+        raise DomainError(f"{p!r} has no descent but is not the identity")
     zeros = set(p[:d])
     return "".join("0" if i in zeros else "1" for i in range(1, n + 1))
 

@@ -69,13 +69,20 @@ def parity_table(k_max: int) -> Iterator[tuple[int, int, int, int, int]]:
     """Rows (k, m, B, O, E) for 1 <= k <= k_max, 0 <= m <= 2k - 2, row-major:
     the plain, odd and even counts, all read off one
     :func:`~grassperm.counting.avoiding_word_table` grid.
+
+    The grid is held as zero-padded row lists, ``rows[k][m]``, so the counts
+    at halved parameters that the odd count reads, past the end of a
+    shorter row or in row 0, are list reads of 0.
     """
-    grid = {(k, m): count for k, m, count in avoiding_word_table(k_max)}
+    cells = list(avoiding_word_table(k_max))
+    rows = [[0] * (2 * k_max - 1) for _ in range(k_max + 1)]
+    for k, m, total in cells:
+        rows[k][m] = total
 
     def count(k: int, m: int) -> int:
-        return grid.get((k, m), 0)
+        return rows[k][m]
 
-    for (k, m), total in grid.items():
+    for k, m, total in cells:
         odd = _odd_from_counts(k, m, count)
         yield k, m, total, odd, total - odd
 

@@ -9,7 +9,8 @@ checked once: the classifiers scan a plain string on every call and take a
 ``DyckPath`` as it is.  The maps that prove their image a Dyck path
 (``lattice_to_dyck``, and through it ``word_to_dyck``,
 ``toggle_first_even_extremum``, ``halve_all_odd_path``) return one built
-unchecked; ``enumerate_dyck`` lists plain strings.
+unchecked; ``enumerate_dyck`` lists plain strings, and ``dyck_listing``
+their text, from the same halves.
 
 A word with j zeros in the avoiding set for parameter k maps two ways:
 
@@ -376,15 +377,10 @@ def halve_all_odd_path(p: str) -> DyckPath:
     return DyckPath._make(p[1:-1:2])
 
 
-def enumerate_dyck(n: int) -> list[str]:
-    """All Dyck paths of semilength n in lexicographic order ('D' < 'U').
-
-    Each path is a first half of n steps, from the axis up to some height h,
-    joined to a second half of n steps from h back down.
-
-    >>> enumerate_dyck(2)
-    ['UDUD', 'UUDD']
-    """
+def _halves(n: int) -> tuple[list[str], list[list[str]]]:
+    """The halves of the Dyck paths of semilength n, n steps each: the first
+    halves, sorted, and ``ends[h]``, the sorted second halves from height h.
+    A first half ``a`` ends at height 2 * a.count(UP) - n."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     # ends[h]: the strings of r steps from height h down to the axis that
@@ -396,9 +392,54 @@ def enumerate_dyck(n: int) -> list[str]:
             [DOWN + s for s in ends[h - 1]] + [UP + s for s in ends[h + 1]] for h in range(n + 1)
         ] + [[]]
     # A first half is a second half read backwards with its steps swapped.
-    # The halves all have n steps, so sorted first halves order the paths.
     heads = sorted(s[::-1].translate(_SWAP_STEPS) for row in ends for s in row)
+    return heads, ends
+
+
+def enumerate_dyck(n: int) -> list[str]:
+    """All Dyck paths of semilength n in lexicographic order ('D' < 'U'):
+    each sorted first half, from the axis up to some height h, joined to
+    each sorted second half from h back down, never dipping below the axis.
+
+    >>> enumerate_dyck(2)
+    ['UDUD', 'UUDD']
+    """
+    heads, ends = _halves(n)
     return [a + b for a in heads for b in ends[2 * a.count(UP) - n]]
+
+
+def dyck_listing(n: int, peaks: bool) -> Iterator[str]:
+    """The lines of ``enumerate_dyck(n)``, each path ended by ``"\\n"``, or
+    with ``peaks`` by `` peaks=v\\n`` for its v peaks: one string for all
+    the paths of one first half, with no interpreter step per path.
+
+    A first half ``a`` and its second halves ``b1, b2, ...``, each with its
+    line ending, are the lines ``a + a.join([b1, b2, ...])``.  A peak is a
+    ``UD`` factor, so the peaks of ``a + b`` are those of ``a`` and those of
+    ``a[-1:] + b``, which holds the one across the join.  A second half's
+    line ending thus reads the first half only through its height, its
+    peak count and its last step, and each list of ended second halves is
+    built once per such triple.  The halves are built before the first
+    line, so a bad n is refused at the call.
+
+    >>> list(dyck_listing(2, True))
+    ['UDUD peaks=2\\n', 'UUDD peaks=1\\n']
+    """
+    heads, ends = _halves(n)
+    if not peaks:
+        ended = [[b + "\n" for b in row] for row in ends]
+        return (a + a.join(ended[2 * a.count(UP) - n]) for a in heads)
+    peak = UP + DOWN
+    built: dict[tuple[int, int, str], list[str]] = {}
+
+    def lines(a: str) -> str:
+        key = (2 * a.count(UP) - n, a.count(peak), a[-1:])
+        if key not in built:
+            h, v, last = key
+            built[key] = [f"{b} peaks={v + (last + b).count(peak)}\n" for b in ends[h]]
+        return a + a.join(built[key])
+
+    return map(lines, heads)
 
 
 SVG_UNIT = 24  # pixels per step, across and up

@@ -199,20 +199,28 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
     recurrence = _value(lambda: {(k, m): c for k, m, c in counting.avoiding_word_table(opts.k_max)})
 
     def table(k: int, m: int) -> int | None:
-        """The grid as the oracle check reads it: one more at the fault."""
-        return None if recurrence is None else recurrence[k, m] + (fault == (k, m))
+        """The grid as the oracle check reads it: one more at the fault, and
+        None at a cell the grid lacks."""
+        value = None if recurrence is None else recurrence.get((k, m))
+        return None if value is None else value + (fault == (k, m))
 
     def listed(k: int, m: int) -> tuple[int, int | None]:
-        """The avoiders of 12...k in S_m as (words, distinct permutations).
-        The words are decoded only where the permutation oracle reads them,
-        m <= perm_cap, so a decoding that merges two words shows there."""
-        identity = core.identity_permutation(k)
+        """The avoiders of 12...k in S_m as (avoiding words, distinct
+        permutations).  The listing has one word per avoider, so below
+        length k, where every word avoids, the m words other than 0^m that
+        decode to the identity are added back.  The words are decoded only
+        where the permutation oracle reads them, m <= perm_cap, so a
+        decoding that merges two words shows there."""
+        identity, surplus = core.identity_permutation(k), m if m < k else 0
         if m > opts.perm_cap:
-            return len(patterns.avoiding_words(m, identity)), None
+            return len(patterns.avoiding_words(m, identity)) + surplus, None
         avoiders = patterns.enumerate_avoiders(m, identity)
-        return len(avoiders), len(set(avoiders))
+        return len(avoiders) + surplus, len(set(avoiders))
 
-    identity_avoiders = {cell: listed(*cell) for cell in sorted({*word_cells, *perm_cells})}
+    # A refused listing stands as (None, None).
+    identity_avoiders = {
+        cell: _value(listed, *cell) or (None, None) for cell in sorted({*word_cells, *perm_cells})
+    }
 
     return [
         _sweep_by_length("recurrence_vs_word_oracle", opts, words, table),
@@ -240,7 +248,7 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
                 (
                     {"k": k, "m": m},
                     counting.avoiding_word_count(k, m),
-                    identity_avoiders[k, m][0] + (m if m < k else 0),
+                    identity_avoiders[k, m][0],
                 )
                 for k, m in word_cells
             ),
@@ -267,7 +275,7 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
                 (
                     {"pattern": core.perm_to_str(p), "n": n},
                     counting.nonidentity_avoider_count(n, k),
-                    len(patterns.avoiding_words(n, p)),
+                    _value(lambda: len(patterns.avoiding_words(n, p))),
                 )
                 for k in range(2, 6)
                 for p in core.grassmannian_permutations(k)
@@ -394,10 +402,11 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
     ]
 
     def recognition(name: str, characterised: Callable, recognised: Callable) -> Check:
-        """A recognition predicate against its characterisation, on every
-        listed Grassmannian permutation."""
+        """A recognition predicate against its characterisation, each 1 or 0,
+        on every listed Grassmannian permutation; a characterisation that
+        refuses a permutation gives None there."""
         cells = (
-            ({"n": n, "perm": core.perm_to_str(p)}, int(characterised(p)), int(recognised(p)))
+            ({"n": n, "perm": core.perm_to_str(p)}, _value(characterised, p), int(recognised(p)))
             for n, ps in enumerate(grassmannians)
             for p in ps
         )
@@ -439,12 +448,12 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
         ),
         recognition(
             "bigrassmannian_iff_avoids_2413",
-            lambda p: not patterns.permutation_contains(p, (2, 4, 1, 3)),
+            lambda p: int(not patterns.permutation_contains(p, (2, 4, 1, 3))),
             classes.is_bigrassmannian,
         ),
         recognition(
             "involution_iff_word_form",
-            lambda p: classes.has_involution_word_form(core.canonical_word(p)),
+            lambda p: int(classes.has_involution_word_form(core.canonical_word(p))),
             classes.is_grassmannian_involution,
         ),
     ]
@@ -558,7 +567,9 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
                     peak_sums[n].count(s),
                     counting.dyck_peak_sum_count(n, s),
                 )
-            firsts_lasts = [(pk[0], pk[-1]) for pk in map(paths.peaks, dyck[n])]
+            # Each of these paths has a peak, so an empty peak list is a
+            # fault: it stands as None, which no (a, b) cell counts.
+            firsts_lasts = [(pk[0], pk[-1]) if pk else None for pk in map(paths.peaks, dyck[n])]
             for a in range(1, n + 1):
                 for b in range(1, 2 * (n - 1) - a + 1):
                     yield (

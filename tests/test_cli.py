@@ -211,6 +211,30 @@ class TestCount:
         assert (code, out) == (3, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "quantity,flags,big",
+        [
+            (quantity, flags, big)
+            for quantity, forms in cli.COUNT_FORMS.items()
+            if quantity in cli.COUNT_CAPS
+            for flags, _, _ in forms
+            for big in flags
+        ],
+        ids=str,
+    )
+    def test_flag_over_its_cap_exits_3_before_any_arithmetic(
+        self, capsys, monkeypatch, quantity, flags, big
+    ):
+        # each form of each capped quantity, one of its flags at the cap and
+        # then one past it; the formula is a stub, so nothing is computed
+        monkeypatch.setattr(cli, "_function", lambda module, name: lambda *values: 7)
+        cap = cli.COUNT_CAPS[quantity]
+        refusal = f"error: {big} {cap + 1} over cap {cap}\n"
+        for value, expected in ((cap, (0, "7\n", "")), (cap + 1, (3, "", refusal))):
+            flag_values = (str(value if flag == big else 3) for flag in flags)
+            argv = [arg for flag, v in zip(flags, flag_values) for arg in (f"--{flag}", v)]
+            assert run(capsys, "count", "--quantity", quantity, *argv) == expected
+
 
 class TestTable:
     def test_csv_header_and_spot_row(self, capsys):
@@ -444,6 +468,24 @@ class TestEnumerateBytes:
         code, out, err = run(capsys, *argv, *(["--stats", stats] if stats else []))
         assert (code, err) == (0, "")
         assert out == _lines(_brute_avoiders(n, pattern, stats), stats)
+
+
+def rendered_dyck(n, stats):
+    """The Dyck listing as rendered path by path, each peak count that of
+    ``paths.peaks``."""
+    if stats is None:
+        return [f"{p}\n" for p in paths.enumerate_dyck(n)]
+    return [f"{p} {stats}={len(paths.peaks(p))}\n" for p in paths.enumerate_dyck(n)]
+
+
+@pytest.mark.parametrize("stats", [None, "peaks"])
+def test_dyck_listing_is_the_per_path_rendering(capsys, stats):
+    # The listing prints all the paths of one first half at once, with each
+    # peak count summed from its halves; the per-path rendering counts them
+    # on the whole path.
+    for n in range(11):
+        argv = ["enumerate", "dyck", "--n", str(n), *(["--stats", stats] if stats else [])]
+        assert run(capsys, *argv) == (0, "".join(rendered_dyck(n, stats)), ""), n
 
 
 @pinned(PINNED_BULK)
@@ -801,6 +843,10 @@ class TestBlockWriter:
                 lambda: "".join(f"{p}\n" for p in paths.enumerate_dyck(11)),
             ),
             (
+                ("enumerate", "dyck", "--n", "11", "--stats", "peaks"),
+                lambda: "".join(rendered_dyck(11, "peaks")),
+            ),
+            (
                 ("table", "--quantity", "gf", "--n-max", "30", "--format", "json"),
                 lambda: json.dumps(
                     [dict(zip(("n", "i", "count"), row)) for row in series.inversion_rows(30)]
@@ -808,7 +854,7 @@ class TestBlockWriter:
                 + "\n",
             ),
         ],
-        ids=["dyck-11", "one-long-line"],
+        ids=["dyck-11", "dyck-11-peaks", "one-long-line"],
     )
     def test_bytes_and_write_count(self, monkeypatch, argv, text):
         writes = recorded_writes(monkeypatch, *argv)
@@ -826,10 +872,10 @@ class TestBlockWriter:
         assert recorded_writes(monkeypatch, "enumerate", "dyck", "--n", "0") == ["\n"]
 
     def test_final_partial_block_is_written(self, monkeypatch):
-        # 14 paths in blocks of 4: three full blocks and one of 2
+        # 14 words in blocks of 4: three full blocks and one of 2
         monkeypatch.setattr(cli, "WRITE_BLOCK", 4)
-        lines = [f"{p}\n" for p in paths.enumerate_dyck(4)]
-        writes = recorded_writes(monkeypatch, "enumerate", "dyck", "--n", "4")
+        lines = [f"{w}\n" for w in patterns.enumerate_avoiding_words(5, 8)]
+        writes = recorded_writes(monkeypatch, "enumerate", "words", "--k", "5", "--m", "8")
         assert writes == ["".join(lines[i : i + 4]) for i in (0, 4, 8, 12)]
 
 
@@ -851,7 +897,7 @@ def stdout_mode_env(unbuffered):
         (("count", "--quantity", "B", "--k", "3", "--m", "4"), 0, 0),
         (("verify", "--suite", "counting", "--k-max", "4", "--inject-fault", "3,4"), 0, 1),
         (("table", "--quantity", "gf", "--n-max", "120"), 1, 0),
-        # 208,012 lines, many blocks; 3000 falls inside the second block
+        # 208,012 lines in many slices; 3000 falls inside a later one
         (("enumerate", "dyck", "--n", "12"), 1, 0),
         (("enumerate", "dyck", "--n", "12"), 3000, 0),
     ],

@@ -327,6 +327,59 @@ def test_a_misjudged_all_odd_path_fails_its_halving(monkeypatch, capsys):
     assert "FAIL paths.all_odd_halving" in out and err == ""
 
 
+def failing_checks_of_a_full_run(capsys):
+    """Run a default ``verify`` that must fail with every check reported and
+    nothing on stderr; the names of the checks that failed."""
+    assert cli.main(["verify"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert err == "" and len(lines) == 31
+    failed = [line.split()[1] for line in lines if line.startswith("FAIL")]
+    assert lines[-1] == f"{30 - len(failed)}/30 checks passed"
+    return failed
+
+
+def test_a_short_peak_list_fails_its_cells(monkeypatch, capsys):
+    # One peak short, a single-peak path has an empty peak list, which has no
+    # first or last peak.
+    original = paths.peaks
+    monkeypatch.setattr(paths, "peaks", lambda p: original(p)[:-1])
+    assert failing_checks_of_a_full_run(capsys) == ["paths.peak_statistics_formulas"]
+
+
+def test_a_missing_grid_row_fails_its_cells(monkeypatch, capsys):
+    # The recurrence grid without its last row, k = 6, as every module reads it.
+    original = counting.avoiding_word_table
+
+    def short(k_max):
+        return (row for row in original(k_max) if row[0] < k_max)
+
+    for module in (counting, parity):
+        monkeypatch.setattr(module, "avoiding_word_table", short)
+    assert failing_checks_of_a_full_run(capsys) == [
+        "counting.recurrence_vs_word_oracle",
+        "counting.closed_forms_agree",
+    ]
+    check = checks_of("counting", verify.Options())["recurrence_vs_word_oracle"]
+    assert check.params["first_mismatch"] == {"k": 6, "m": 0, "expected": 1, "actual": None}
+
+
+def test_a_wrong_identity_test_fails_its_cells(monkeypatch, capsys):
+    # The identity judged not to be one has no descent for its word, and
+    # canonical_word refuses it; every other permutation is judged the
+    # identity.
+    original = core.is_identity
+    monkeypatch.setattr(core, "is_identity", lambda p: not original(p))
+    with pytest.raises(DomainError, match=r"^\(1, 2, 3\) has no descent but is not the identity$"):
+        core.canonical_word((1, 2, 3))
+    assert failing_checks_of_a_full_run(capsys) == [
+        "counting.word_count_vs_permutation_count",
+        "counting.perm_counts_vs_perm_oracle",
+        "counting.nonidentity_count_vs_enumeration",
+        "classes.involution_iff_word_form",
+    ]
+
+
 def off_by_one_at(at):
     """Make a formula return one more at the arguments ``at``."""
     return lambda original: lambda *args: original(*args) + (args == at)
