@@ -40,7 +40,6 @@ EXPORTS = {
     "word_contains": "patterns",
     "word_to_dyck": "paths",
     "word_to_lattice": "paths",
-    "words_of_permutation": "core",
 }
 
 __all__ = sorted(EXPORTS)

@@ -126,20 +126,6 @@ def identity_words(n: int) -> list[Word]:
     return ["0" * j + "1" * (n - j) for j in range(n + 1)]
 
 
-def words_of_permutation(p: Permutation) -> set[Word]:
-    """All words decoding to ``p``: a singleton unless ``p`` is the identity.
-
-    >>> sorted(words_of_permutation((3, 4, 1, 2)))
-    ['1100']
-    >>> sorted(words_of_permutation((1, 2)))
-    ['00', '01', '11']
-    """
-    p = check_grassmannian(p)
-    if is_identity(p):
-        return set(identity_words(len(p)))
-    return {canonical_word(p)}
-
-
 def canonical_word(p: Permutation) -> Word:
     """The unique word for a non-identity Grassmannian ``p``; ``0^n`` for the identity.
 

@@ -24,12 +24,19 @@ permutations that ``core.grassmannian_permutations`` lists.  The paths
 suite toggles and classifies each path once and reads both checks of a
 toggle off that table.  Each listing is a whole semilength or (k, m) cell,
 which the maps it checks keep, so an image outside its listing fails its
-cell.  Every formula, and every grid a suite builds before its sweeps, is
-read through ``_value``, the one reader of a refusal.  A formula that
-refuses a cell of its own domain, as ``counting.exact_quotient`` refuses
-the inexact quotient that a wrong count upstream leaves, gives that cell
-the value None, which never matches; a refused grid fails every cell that
-reads it.  Only a cap refusal ends the run.
+cell.
+
+Each check sweeps the cells its ``Options`` declare, never the rows a table
+happens to hold, and reads every value through ``_value``, the one reader
+of an absent value.  A table a suite builds before its sweeps (the
+recurrence grid, the odd column of ``parity.parity_table``, the
+``classes.class_table`` totals, the ``series.inversion_table`` rows) is one
+dict that each cell reads by key, and a listing is read by index over its
+declared size.  So a formula that refuses a cell of its own domain, as
+``counting.exact_quotient`` refuses the inexact quotient that a wrong count
+upstream leaves, a refused table, a missing row and a missing item all give
+their cells the value None, which never matches.  Only a cap refusal ends
+the run.
 
 ``Options.fault`` perturbs one cell of the recurrence table as seen by the
 oracle-agreement check; it exists so the harness can prove that a single
@@ -85,7 +92,7 @@ def _sweep(name: str, params: dict, cells: Iterable[tuple[dict, int, int]]) -> C
     first = None
     for cell, expected, actual in cells:
         total += 1
-        if expected is not None and expected == actual:  # a refused value never matches
+        if expected is not None and expected == actual:  # an absent value never matches
             matched += 1
         elif first is None:
             first = {**cell, "expected": expected, "actual": actual}
@@ -96,17 +103,19 @@ def _sweep(name: str, params: dict, cells: Iterable[tuple[dict, int, int]]) -> C
 
 
 def _value(formula: Callable, *args):
-    """``formula(*args)``, or None where the formula refuses the cell with a
-    domain error that is not a cap refusal; the one place ``verify`` reads a
-    refusal.  The harness asks a formula only for cells in its domain, so
-    such a refusal, as when a wrong count upstream leaves a quotient
-    inexact, is a fault: it fails the cells that read the value, or the
-    grid, instead of ending the run."""
+    """``formula(*args)``, or None where it refuses the cell with a domain
+    error that is not a cap refusal, or reads a row or item that a table or
+    listing lacks (a ``LookupError``); the one place ``verify`` reads an
+    absent value.  The harness asks only for cells in a formula's domain
+    and for the rows and items its options declare, so either is a fault,
+    as when a wrong count upstream leaves a quotient inexact or a table
+    stops a row short: it fails the cells that read the value instead of
+    ending the run or going uncompared."""
     try:
         return formula(*args)
     except CapExceededError:
         raise
-    except DomainError:
+    except (DomainError, LookupError):
         return None
 
 
@@ -195,14 +204,11 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
     to_list = sum(counting.avoiding_perm_count(k, m) for k, m in {*word_cells, *perm_cells})
     if to_list > LISTING_CAP:
         raise CapExceededError(f"counting suite lists up to {LISTING_CAP} avoiders, not {to_list}")
-    fault = opts.fault
-    recurrence = _value(lambda: {(k, m): c for k, m, c in counting.avoiding_word_table(opts.k_max)})
+    grid = _value(lambda: {(k, m): c for k, m, c in counting.avoiding_word_table(opts.k_max)}) or {}
 
-    def table(k: int, m: int) -> int | None:
-        """The grid as the oracle check reads it: one more at the fault, and
-        None at a cell the grid lacks."""
-        value = None if recurrence is None else recurrence.get((k, m))
-        return None if value is None else value + (fault == (k, m))
+    def table(k: int, m: int) -> int:
+        """The grid as the oracle check reads it, one more at the fault."""
+        return grid[k, m] + (opts.fault == (k, m))
 
     def listed(k: int, m: int) -> tuple[int, int | None]:
         """The avoiders of 12...k in S_m as (avoiding words, distinct
@@ -237,7 +243,7 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
                 for m in range(1, 2 * k + 1)
                 for form, value in (
                     ("alternating", counting.avoiding_word_count_alternating(k, m)),
-                    ("recurrence", None if recurrence is None else recurrence.get((k, m), 0)),
+                    ("recurrence", grid.get((k, m), 0)),
                 )
             ),
         ),
@@ -273,13 +279,14 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
             {"k_max": 5, "n_max": min(opts.perm_cap, 7)},
             (
                 (
-                    {"pattern": core.perm_to_str(p), "n": n},
+                    {"pattern": _value(lambda: core.perm_to_str(ps[i])), "n": n},
                     counting.nonidentity_avoider_count(n, k),
-                    _value(lambda: len(patterns.avoiding_words(n, p))),
+                    _value(lambda: len(patterns.avoiding_words(n, ps[i]))),
                 )
                 for k in range(2, 6)
-                for p in core.grassmannian_permutations(k)
-                if not core.is_identity(p)
+                for ps in [core.grassmannian_permutations(k)]
+                # sorted, so the identity first and the 2^k - k - 1 others after it
+                for i in range(1, 2**k - k)
                 for n in range(min(opts.perm_cap, 7) + 1)
             ),
         ),
@@ -326,10 +333,8 @@ def suite_parity(opts: Options, tallies: Tallies) -> list[Check]:
     odd = [Counter({w: c for w, c in tally.items() if w.odd}) for tally in tallies.words]
     # the closed forms at m = 2k - 2 and 2k - 3 need k >= 2
     from_two = range(2, max(opts.k_max, 2) + 1)
-    # The parity table's rows; a refused table stands as rows of None.
-    rows = _value(lambda: list(parity.parity_table(opts.k_max))) or [
-        (k, m, None, None, None) for k in range(1, opts.k_max + 1) for m in range(2 * k - 1)
-    ]
+    # The parity table's odd column, by cell.
+    odd_col = _value(lambda: {(k, m): o for k, m, _, o, _ in parity.parity_table(opts.k_max)}) or {}
     return [
         _sweep_by_length("odd_vs_word_oracle", opts, odd, parity.odd_word_count),
         # The table's odd column, read off its own grid, against the point forms.
@@ -340,9 +345,10 @@ def suite_parity(opts: Options, tallies: Tallies) -> list[Check]:
                 (
                     {"k": k, "m": m},
                     counting.avoiding_word_count(k, m),
-                    None if odd is None else _value(lambda: odd + parity.even_word_count(k, m)),
+                    _value(lambda: odd_col[k, m] + parity.even_word_count(k, m)),
                 )
-                for k, m, _, odd, _ in rows
+                for k in range(1, opts.k_max + 1)
+                for m in range(2 * k - 1)
             ),
         ),
         _sweep_index(
@@ -372,8 +378,8 @@ def suite_parity(opts: Options, tallies: Tallies) -> list[Check]:
     ]
 
 
-# name -> (member field, odd only, avoider formula); the totals are
-# classes.class_table's rows.
+# name -> (member field, odd only, avoider formula); classes.class_table
+# prints each class's totals under its name.
 _CLASSES = {
     "bigrass": ("bigrass", False, classes.bigrassmannian_avoider_count),
     "bigrass_odd": ("bigrass", True, classes.odd_bigrassmannian_avoider_count),
@@ -396,19 +402,22 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
     n_max = min(opts.perm_cap, 8)
     # Each size listed once, for both membership checks.
     grassmannians = [core.grassmannian_permutations(n) for n in range(n_max + 1)]
-    # The class totals' rows; a refused table stands as rows of None.
-    totals = _value(classes.class_table, opts.perm_cap) or [
-        (name, m, None) for name in _CLASSES for m in range(opts.perm_cap + 1)
-    ]
+    # The class totals, by (class, m).
+    totals = _value(lambda: {(c, m): t for c, m, t in classes.class_table(opts.perm_cap)}) or {}
 
     def recognition(name: str, characterised: Callable, recognised: Callable) -> Check:
         """A recognition predicate against its characterisation, each 1 or 0,
-        on every listed Grassmannian permutation; a characterisation that
-        refuses a permutation gives None there."""
+        on each of the 2^n - n Grassmannian permutations of [n] listed; a
+        permutation the listing lacks, or a side that refuses one, gives
+        None there."""
         cells = (
-            ({"n": n, "perm": core.perm_to_str(p)}, _value(characterised, p), int(recognised(p)))
+            (
+                {"n": n, "perm": _value(lambda: core.perm_to_str(ps[i]))},
+                _value(lambda: characterised(ps[i])),
+                _value(lambda: int(recognised(ps[i]))),
+            )
             for n, ps in enumerate(grassmannians)
-            for p in ps
+            for i in range(2**n - n)
         )
         return _sweep(name, {"n_max": n_max}, cells)
 
@@ -419,10 +428,11 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
             (
                 (
                     {"class": name, "m": m},
-                    _oracle_class(perms[m], m + 1, *_CLASSES[name][:2]),
-                    total,
+                    _oracle_class(perms[m], m + 1, member, odd),
+                    _value(lambda: totals[name, m]),
                 )
-                for name, m, total in totals
+                for name, (member, odd, _) in _CLASSES.items()
+                for m in range(opts.perm_cap + 1)
             ),
         ),
         _sweep(
@@ -514,7 +524,8 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
                 # staircase and lies in dyck_to_word's domain.
                 target = by_sum.get(2 * k - m, set())
                 round_trip = all(
-                    p in target and paths.dyck_to_word(k, p) == w for w, p in zip(words, images)
+                    p in target and _value(paths.dyck_to_word, k, p) == w
+                    for w, p in zip(words, images)
                 )
                 yield (
                     {"k": k, "m": m, "aspect": "image_set"},
@@ -568,8 +579,8 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
                     counting.dyck_peak_sum_count(n, s),
                 )
             # Each of these paths has a peak, so an empty peak list is a
-            # fault: it stands as None, which no (a, b) cell counts.
-            firsts_lasts = [(pk[0], pk[-1]) if pk else None for pk in map(paths.peaks, dyck[n])]
+            # fault: it reads None, which no (a, b) cell counts.
+            firsts_lasts = [_value(lambda: (pk[0], pk[-1])) for pk in map(paths.peaks, dyck[n])]
             for a in range(1, n + 1):
                 for b in range(1, 2 * (n - 1) - a + 1):
                     yield (
@@ -634,20 +645,17 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
 
 
 def suite_series(opts: Options, tallies: Tallies) -> list[Check]:
-    hists: list[dict[int, int]] = []
-    for tally in tallies.perms:
-        hist: dict[int, int] = {}
-        for key, count in tally.items():
-            hist[key.inversions] = hist.get(key.inversions, 0) + count
-        hists.append(hist)
     # Row n does not depend on the bound it is computed to, so the row-sum
     # table also serves the histogram check.
-    table = series.inversion_table(max(opts.perm_cap, 12))
+    n_max = max(opts.perm_cap, 12)
+    table = _value(lambda: dict(enumerate(series.inversion_table(n_max)))) or {}
 
     def histogram_cells():
-        for n, (hist, row) in enumerate(zip(hists, table)):
-            for i in sorted(set(hist) | set(row)):
-                yield ({"n": n, "inversions": i}, hist.get(i, 0), row.get(i, 0))
+        # row n holds the inversion numbers 0 to n^2 // 4, each count positive
+        for n, tally in enumerate(tallies.perms):
+            for i in range(n * n // 4 + 1):
+                expected = _count(tally, lambda p: p.inversions == i)
+                yield ({"n": n, "inversions": i}, expected, _value(lambda: table[n][i]))
 
     return [
         _sweep(
@@ -656,7 +664,7 @@ def suite_series(opts: Options, tallies: Tallies) -> list[Check]:
         _sweep_index(
             "row_sums",
             "n",
-            range(1, len(table)),
+            range(1, n_max + 1),
             lambda n: 2**n - n,
             lambda n: sum(table[n].values()),
         ),

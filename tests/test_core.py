@@ -21,6 +21,21 @@ def comprehension_decode(w):
     return tuple(zeros + ones)
 
 
+def words_decoding_to(p):
+    """The words of length len(p) that decode to ``p``, by brute force."""
+    return {w for w in words_up_to(len(p)) if core.grassmannian_of_word(w) == p}
+
+
+def assert_round_trip(w):
+    """``w`` is recovered from its permutation: as the canonical word, or
+    among the identity words when it decodes to the identity."""
+    p = core.grassmannian_of_word(w)
+    if core.is_identity(p):
+        assert w in core.identity_words(len(w))
+    else:
+        assert core.canonical_word(p) == w
+
+
 def direct_inversions(p):
     return sum(
         1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j]
@@ -43,16 +58,20 @@ class TestEncoding:
             core.grassmannian_of_word("0102")
 
     def test_words_of_nonidentity_is_singleton(self):
-        assert core.words_of_permutation((3, 4, 1, 2)) == {"1100"}
-        assert core.words_of_permutation((1, 2, 3, 5, 9, 4, 6, 7, 8)) == {"000101110"}
+        for p, w in [((3, 4, 1, 2), "1100"), ((1, 2, 3, 5, 9, 4, 6, 7, 8), "000101110")]:
+            assert core.canonical_word(p) == w
+            assert words_decoding_to(p) == {w}
 
     def test_words_of_identity(self):
-        assert core.words_of_permutation((1, 2)) == {"00", "01", "11"}
-        assert core.words_of_permutation(()) == {""}
+        assert core.identity_words(2) == ["11", "01", "00"]
+        assert core.identity_words(0) == [""]
+        for n in range(6):
+            assert words_decoding_to(core.identity_permutation(n)) == set(core.identity_words(n))
 
     def test_words_of_rejects_two_descents(self):
         with pytest.raises(DomainError):
-            core.words_of_permutation((3, 2, 1))
+            core.canonical_word((3, 2, 1))
+        assert words_decoding_to((3, 2, 1)) == set()
 
     def test_canonical_word_of_identity(self):
         assert core.canonical_word((1, 2, 3)) == "000"
@@ -63,11 +82,7 @@ class TestEncoding:
 
     def test_round_trip_all_words(self):
         for w in words_up_to(12):
-            p = core.grassmannian_of_word(w)
-            ws = core.words_of_permutation(p)
-            assert w in ws
-            if not core.is_identity(p):
-                assert ws == {w}
+            assert_round_trip(w)
 
     def test_grassmannian_count(self):
         for n in range(1, 13):
@@ -80,7 +95,6 @@ GRASSMANNIAN_CLASSIFIERS = {
     "is_bigrassmannian": (classes.is_bigrassmannian, "not Grassmannian"),
     "is_grassmannian_involution": (classes.is_grassmannian_involution, "not Grassmannian"),
     "canonical_word": (core.canonical_word, "not Grassmannian"),
-    "words_of_permutation": (core.words_of_permutation, "not Grassmannian"),
     "avoiding_words": (lambda p: patterns.avoiding_words(4, p), "pattern is not Grassmannian"),
 }
 
@@ -218,7 +232,7 @@ class TestWordStatistics:
 def test_round_trip_property(w):
     p = core.grassmannian_of_word(w)
     assert core.descent_count(p) <= 1
-    assert w in core.words_of_permutation(p)
+    assert_round_trip(w)
     assert core.inversion_count(w) == direct_inversions(p)
 
 

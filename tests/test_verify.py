@@ -327,16 +327,21 @@ def test_a_misjudged_all_odd_path_fails_its_halving(monkeypatch, capsys):
     assert "FAIL paths.all_odd_halving" in out and err == ""
 
 
-def failing_checks_of_a_full_run(capsys):
+def fail_lines_of_a_full_run(capsys):
     """Run a default ``verify`` that must fail with every check reported and
-    nothing on stderr; the names of the checks that failed."""
+    nothing on stderr; the lines of the checks that failed."""
     assert cli.main(["verify"]) == 1
     out, err = capsys.readouterr()
     lines = out.splitlines()
     assert err == "" and len(lines) == 31
-    failed = [line.split()[1] for line in lines if line.startswith("FAIL")]
+    failed = [line for line in lines if line.startswith("FAIL")]
     assert lines[-1] == f"{30 - len(failed)}/30 checks passed"
     return failed
+
+
+def failing_checks_of_a_full_run(capsys):
+    """The names of the checks that fail a default ``verify``, as above."""
+    return [line.split()[1] for line in fail_lines_of_a_full_run(capsys)]
 
 
 def test_a_short_peak_list_fails_its_cells(monkeypatch, capsys):
@@ -356,12 +361,58 @@ def test_a_missing_grid_row_fails_its_cells(monkeypatch, capsys):
 
     for module in (counting, parity):
         monkeypatch.setattr(module, "avoiding_word_table", short)
+    # the parity table, built on the same grid, lacks the row's odd column
     assert failing_checks_of_a_full_run(capsys) == [
         "counting.recurrence_vs_word_oracle",
         "counting.closed_forms_agree",
+        "parity.odd_plus_even_is_total",
     ]
     check = checks_of("counting", verify.Options())["recurrence_vs_word_oracle"]
     assert check.params["first_mismatch"] == {"k": 6, "m": 0, "expected": 1, "actual": None}
+
+
+def one_short(original):
+    """``original`` with the last row or item of what it returns dropped."""
+    return lambda *args: list(original(*args))[:-1]
+
+
+# A table or listing one row or item short, and a semilength one too high:
+# (module, function, perturbation, the FAIL lines of a full run).  Each
+# check sweeps the cells its options declare, so the missing row or item
+# reads None, and the refused inverse of the bijection reads None too.
+SHORT_OR_WRONG = {
+    "parity_table": (parity, "parity_table", one_short, [
+        "FAIL parity.odd_plus_even_is_total 35/36 cells"
+        " (first mismatch at k=6 m=10: expected 42, actual None)",
+    ]),
+    "class_table": (classes, "class_table", one_short, [
+        "FAIL classes.class_totals_vs_oracle 39/40 cells"
+        " (first mismatch at class=invol_odd m=9: expected 12, actual None)",
+    ]),
+    "inversion_table": (series, "inversion_table", one_short, [
+        "FAIL series.row_sums 11/12 cells (first mismatch at n=12: expected 4084, actual None)",
+    ]),
+    # [()] short is empty, so the first cell of each check meets the fault
+    "grassmannian_permutations": (core, "grassmannian_permutations", one_short, [
+        "FAIL counting.nonidentity_count_vs_enumeration 304/336 cells"
+        " (first mismatch at pattern=None n=0: expected 1, actual None)",
+        "FAIL classes.bigrassmannian_iff_avoids_2413 466/475 cells"
+        " (first mismatch at n=0 perm=None: expected None, actual None)",
+        "FAIL classes.involution_iff_word_form 466/475 cells"
+        " (first mismatch at n=0 perm=None: expected None, actual None)",
+    ]),
+    "semilength": (paths, "semilength", lambda original: lambda p: original(p) + 1, [
+        "FAIL paths.word_dyck_bijection 36/72 cells"
+        " (first mismatch at k=1 m=0 aspect=round_trip: expected 0, actual 1)",
+    ]),
+}
+
+
+@pytest.mark.parametrize("fault", SHORT_OR_WRONG)
+def test_a_short_table_or_a_wrong_semilength_fails_its_cells(monkeypatch, capsys, fault):
+    module, name, perturb, fail_lines = SHORT_OR_WRONG[fault]
+    monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    assert fail_lines_of_a_full_run(capsys) == fail_lines
 
 
 def test_a_wrong_identity_test_fails_its_cells(monkeypatch, capsys):
@@ -436,6 +487,11 @@ def test_a_refused_value_never_matches():
     check = verify._sweep_index("demo", "k", range(1, 4), refuse, refuse)
     assert (check.expected, check.actual) == (3, 0)
     assert check.params["first_mismatch"] == {"k": 1, "expected": None, "actual": None}
+    # a row or item that a table or listing lacks reads None too
+    check = verify._sweep_index("demo", "k", range(1, 4), lambda k: k, [0, 1, 2].__getitem__)
+    assert (check.expected, check.actual) == (3, 2)
+    assert check.params["first_mismatch"] == {"k": 3, "expected": 3, "actual": None}
+    assert verify._value({}.__getitem__, (1, 2)) is None
     check = verify._sweep("demo", {}, [({"k": 1}, None, 1), ({"k": 2}, 1, None), ({"k": 3}, 2, 2)])
     assert (check.expected, check.actual) == (3, 1)
 
