@@ -25,9 +25,10 @@ from .errors import CapExceededError, DomainError
 Row = dict[int, int]
 
 # The cap bounds what is printed: `table --quantity gf --n-max 120` prints
-# 145,911 rows, 0.12 s of CPU computing them and 0.19-0.26 s formatting and
-# writing them (2-vCPU Intel Xeon VM, Python 3.11.7); the row count grows
-# with the cube of n.
+# 145,911 rows.  In process, building them takes 0.05 s of CPU and
+# formatting them, one format per row, 0.05 s; the cold command takes
+# 0.17 s of CPU (medians of 7 and of 5, 2-vCPU Intel Xeon VM, Python
+# 3.11.7).  The row count grows with the cube of n.
 MAX_N = 120
 
 

@@ -13,30 +13,39 @@ pays for each walk once and keeps nothing after it.  A suite lists each
 family of objects once for every check that reads it: the counting suite
 the avoiders of 12...k in S_m of each (k, m), as words, decoded into
 permutations only where the permutation oracle reads them (m <= perm_cap);
-the paths suite the avoiding words of each (k, m); the classes suite the
-Grassmannian permutations of each size.  Each listed object is also typed
-once, unchecked, on the proof of its listing, so no map or classifier
-checks it again: the paths suite types each listed Dyck path as a
-``paths.DyckPath`` and encodes each listed avoiding word once as its
-``paths.LatticePath``, which both word encodings read (the Dyck image is
-that path framed); the classes suite reads the ``core.Grassmannian``
-permutations that ``core.grassmannian_permutations`` lists.  The paths
-suite toggles and classifies each path once and reads both checks of a
-toggle off that table.  Each listing is a whole semilength or (k, m) cell,
-which the maps it checks keep, so an image outside its listing fails its
-cell.
+the paths suite the Dyck paths of each semilength and the avoiding words of
+each (k, m); the classes suite the Grassmannian permutations of each size.
+Where a command prints a listing or table, the suite reads it as printed:
+the paths suite the Dyck paths to semilength 7 as ``paths.dyck_listing``
+prints them for ``enumerate dyck --stats peaks``, each path with its peak
+count, and 8 and 9 through ``paths.enumerate_dyck``, that listing's lines;
+the counting suite ``counting.avoiding_word_table`` and
+``counting.alternating_word_table`` (``table --quantity B`` and ``A``); the
+series suite ``series.inversion_rows`` (``table --quantity gf``).  Each
+listed object is also typed once, unchecked, on the proof of its listing,
+so no map or classifier checks it again: the paths suite types each listed
+Dyck path as a ``paths.DyckPath`` and encodes each listed avoiding word
+once as its ``paths.LatticePath``, which both word encodings read (the Dyck
+image is that path framed); the classes suite reads the
+``core.Grassmannian`` permutations that ``core.grassmannian_permutations``
+lists.  The paths suite toggles and classifies each path once and reads
+both checks of a toggle off that table.  Each listing is a whole semilength
+or (k, m) cell, which the maps it checks keep, so an image outside its
+listing fails its cell.
 
 Each check sweeps the cells its ``Options`` declare, never the rows a table
 happens to hold, and reads every value through ``_value``, the one reader
 of an absent value.  A table a suite builds before its sweeps (the
-recurrence grid, the odd column of ``parity.parity_table``, the
-``classes.class_table`` totals, the ``series.inversion_table`` rows) is one
-dict that each cell reads by key, and a listing is read by index over its
+recurrence grid and the alternating table, the odd column of
+``parity.parity_table``, the ``classes.class_table`` totals, the
+``series.inversion_rows`` of each size) is one dict that each cell reads by
+key, and a listing of Grassmannian permutations is read by index over its
 declared size.  So a formula that refuses a cell of its own domain, as
 ``counting.exact_quotient`` refuses the inexact quotient that a wrong count
 upstream leaves, a refused table, a missing row and a missing item all give
-their cells the value None, which never matches.  Only a cap refusal ends
-the run.
+their cells the value None, which never matches; so does a Dyck path whose
+printed peak count is not that of ``paths.peaks``, in the cells that read
+its first and last peak.  Only a cap refusal ends the run.
 
 ``Options.fault`` perturbs one cell of the recurrence table as seen by the
 oracle-agreement check; it exists so the harness can prove that a single
@@ -205,6 +214,10 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
     if to_list > LISTING_CAP:
         raise CapExceededError(f"counting suite lists up to {LISTING_CAP} avoiders, not {to_list}")
     grid = _value(lambda: {(k, m): c for k, m, c in counting.avoiding_word_table(opts.k_max)}) or {}
+    # `table --quantity A`, by cell.
+    alternating = (
+        _value(lambda: {(k, m): c for k, m, c in counting.alternating_word_table(opts.k_max)}) or {}
+    )
 
     def table(k: int, m: int) -> int:
         """The grid as the oracle check reads it, one more at the fault."""
@@ -234,15 +247,11 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
             "closed_forms_agree",
             {"k_max": opts.k_max},
             (
-                (
-                    {"k": k, "m": m, "form": form},
-                    counting.avoiding_word_count(k, m),
-                    value,
-                )
+                ({"k": k, "m": m, "form": form}, counting.avoiding_word_count(k, m), value)
                 for k in range(1, opts.k_max + 1)
                 for m in range(1, 2 * k + 1)
                 for form, value in (
-                    ("alternating", counting.avoiding_word_count_alternating(k, m)),
+                    ("alternating", alternating.get((k, m), 0)),
                     ("recurrence", grid.get((k, m), 0)),
                 )
             ),
@@ -472,23 +481,24 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
 def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
     k_top = min(opts.k_max, 7)
 
-    def listed(n: int) -> Iterable[paths.DyckPath]:
-        # enumerate_dyck joins a rise from the axis to a fall back to it that
-        # never dips below it, so each path it lists is a Dyck path, typed
-        # unchecked.
-        return map(paths.DyckPath._make, paths.enumerate_dyck(n))
-
-    # Every semilength the checks below read, each enumerated once and each
-    # path classified once: in full to 8 (the toggle's largest, and at least
-    # k_top + 1), and at 9 only the all-odd paths, which the halving reads.
-    # Those are found among the plain strings by the classifier's kernel,
-    # which takes a Dyck path unchecked, so only the 14 survivors are typed.
-    dyck = [list(listed(n)) for n in range(9)]
+    # Every semilength the checks below read, each listed once by
+    # paths.dyck_listing and each path classified once: to 7 (the peak
+    # formulas' largest) as `enumerate dyck --stats peaks` prints them, each
+    # line split into its path and its peak count; at 8 (the toggle's
+    # largest, and at least k_top + 1) in full, and at 9 only the all-odd
+    # paths, which the halving reads, both through enumerate_dyck.  The
+    # listing joins a rise from the axis to a fall back to it that never
+    # dips below it, so each path is a Dyck path, typed unchecked; the
+    # all-odd paths of 9 are found among the plain strings by the
+    # classifier's kernel, so only the 14 survivors are typed.
+    listings = ("".join(paths.dyck_listing(n, True)).splitlines() for n in range(8))
+    printed = [[line.rpartition(" peaks=") for line in lines] for lines in listings]
+    dyck = [[paths.DyckPath._make(p) for p, _, _ in lines] for lines in printed]
+    dyck.append(list(map(paths.DyckPath._make, paths.enumerate_dyck(8))))
     all_odd = [[paths.all_extrema_odd(p) for p in ps] for ps in dyck]
     odd_paths = [[p for p, odd in zip(ps, flags) if odd] for ps, flags in zip(dyck, all_odd)]
-    odd_paths.append(
-        list(map(paths.DyckPath._make, filter(paths._all_extrema_odd, paths.enumerate_dyck(9))))
-    )
+    nine = filter(paths._all_extrema_odd, paths.enumerate_dyck(9))
+    odd_paths.append(list(map(paths.DyckPath._make, nine)))
     # The avoiding words of every (k, m) cell, listed once, and each word's
     # lattice path, encoded once for the Dyck and the lattice encodings
     # (k <= 6 for the lattice).  enumerate_avoiding_words extends a prefix
@@ -579,8 +589,12 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
                     counting.dyck_peak_sum_count(n, s),
                 )
             # Each of these paths has a peak, so an empty peak list is a
-            # fault: it reads None, which no (a, b) cell counts.
-            firsts_lasts = [_value(lambda: (pk[0], pk[-1])) for pk in map(paths.peaks, dyck[n])]
+            # fault, and so is a peak count that the path's printed line
+            # misstates: either reads None, which no (a, b) cell counts.
+            firsts_lasts = [
+                _value(lambda: (pk[0], pk[-1]) if str(len(pk)) == v else None)
+                for pk, (_, _, v) in zip(map(paths.peaks, dyck[n]), printed[n])
+            ]
             for a in range(1, n + 1):
                 for b in range(1, 2 * (n - 1) - a + 1):
                     yield (
@@ -646,9 +660,13 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
 
 def suite_series(opts: Options, tallies: Tallies) -> list[Check]:
     # Row n does not depend on the bound it is computed to, so the row-sum
-    # table also serves the histogram check.
+    # table also serves the histogram check.  It is read off the rows that
+    # `table --quantity gf` prints, row n mapping each inversion number to
+    # its count.
     n_max = max(opts.perm_cap, 12)
-    table = _value(lambda: dict(enumerate(series.inversion_table(n_max)))) or {}
+    table: dict[int, series.Row] = {}
+    for n, i, count in _value(series.inversion_rows, n_max) or ():
+        table.setdefault(n, {})[i] = count
 
     def histogram_cells():
         # row n holds the inversion numbers 0 to n^2 // 4, each count positive

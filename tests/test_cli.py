@@ -91,6 +91,16 @@ PINNED_BULK = {
         58786,
         "7e259915c366d3ee3666879355242224b69a17f37329787b8223ed125e461650",
     ),
+    "dyck-12": (
+        ("enumerate", "dyck", "--n", "12"),
+        208012,
+        "d774f72ac6c08023568714e657a511a2da0ab679862e062e5eea722e4e637e70",
+    ),
+    "A-40": (
+        ("table", "--quantity", "A", "--k-max", "40"),
+        1601,
+        "5256b254cdf1e38460df2579a37b0a10eca4a6a3f3b1c6b67542c49e3fe6be64",
+    ),
 }
 
 
@@ -470,19 +480,30 @@ class TestEnumerateBytes:
         assert out == _lines(_brute_avoiders(n, pattern, stats), stats)
 
 
+def walked_dyck(n, prefix="", ups=0, downs=0):
+    """The Dyck paths of semilength n that extend ``prefix``, in
+    lexicographic order, walked one step at a time, a down before an up."""
+    if downs == n:
+        yield prefix
+    if downs < ups:
+        yield from walked_dyck(n, prefix + "D", ups, downs + 1)
+    if ups < n:
+        yield from walked_dyck(n, prefix + "U", ups + 1, downs)
+
+
 def rendered_dyck(n, stats):
     """The Dyck listing as rendered path by path, each peak count that of
     ``paths.peaks``."""
     if stats is None:
-        return [f"{p}\n" for p in paths.enumerate_dyck(n)]
-    return [f"{p} {stats}={len(paths.peaks(p))}\n" for p in paths.enumerate_dyck(n)]
+        return [f"{p}\n" for p in walked_dyck(n)]
+    return [f"{p} {stats}={len(paths.peaks(p))}\n" for p in walked_dyck(n)]
 
 
 @pytest.mark.parametrize("stats", [None, "peaks"])
 def test_dyck_listing_is_the_per_path_rendering(capsys, stats):
     # The listing prints all the paths of one first half at once, with each
-    # peak count summed from its halves; the per-path rendering counts them
-    # on the whole path.
+    # peak count summed from its halves; the per-path rendering walks the
+    # paths one step at a time and counts the peaks on the whole path.
     for n in range(11):
         argv = ["enumerate", "dyck", "--n", str(n), *(["--stats", stats] if stats else [])]
         assert run(capsys, *argv) == (0, "".join(rendered_dyck(n, stats)), ""), n

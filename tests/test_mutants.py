@@ -40,9 +40,6 @@ UNREAD = {
     "paths.word_to_dyck": "biject word-to-dyck",
     "paths.word_to_lattice": "biject word-to-lattice",
     "patterns.is_avoiding_word": "biject's avoidance test",
-    "counting.alternating_word_table": "table --quantity A",
-    "series.inversion_rows": "table --quantity gf",
-    "paths.dyck_listing": "enumerate dyck",
     # Run by no command either; exported only.
     "patterns.word_contains": "none; exported only",
     "patterns.grassmannian_contains": "none; exported only",

@@ -31,9 +31,13 @@ def counting_calls(monkeypatch, module, name, key):
 
 
 def test_suite_paths_enumerates_each_semilength_once(monkeypatch):
-    calls = counting_calls(monkeypatch, paths, "enumerate_dyck", lambda n: n)
+    # Every path comes from the one builder: semilengths 0 to 7 with their
+    # printed peak counts, and 8 and 9 plain, through enumerate_dyck.
+    calls = counting_calls(monkeypatch, paths, "dyck_listing", lambda n, peaks: (n, peaks))
+    joined = counting_calls(monkeypatch, paths, "enumerate_dyck", lambda n: n)
     assert all(c.passed for c in checks_of("paths", RAISED).values())
-    assert sorted(calls) == list(range(10))
+    assert sorted(calls) == [(n, n < 8) for n in range(10)]
+    assert sorted(joined) == [8, 9]
 
 
 def test_suite_paths_lists_each_word_cell_once(monkeypatch):
@@ -352,6 +356,27 @@ def test_a_short_peak_list_fails_its_cells(monkeypatch, capsys):
     assert failing_checks_of_a_full_run(capsys) == ["paths.peak_statistics_formulas"]
 
 
+def test_a_misprinted_peak_count_fails_its_cells(monkeypatch, capsys):
+    # The paths suite reads each path's peak count off the line that
+    # `enumerate dyck --stats peaks` prints, so one count off by one makes
+    # that path's first and last peak read None.
+    original = paths.dyck_listing
+    line = "UUDDUUDD peaks=2\n"
+
+    def misprinted(n, peaks):
+        text = "".join(original(n, peaks))
+        if (n, peaks) == (4, True):
+            assert text.count(line) == 1
+            text = text.replace(line, "UUDDUUDD peaks=3\n")
+        return iter([text])
+
+    monkeypatch.setattr(paths, "dyck_listing", misprinted)
+    assert fail_lines_of_a_full_run(capsys) == [
+        "FAIL paths.peak_statistics_formulas 176/177 cells"
+        " (first mismatch at n=3 a=2 b=2: expected 1, actual 2)",
+    ]
+
+
 def test_a_missing_grid_row_fails_its_cells(monkeypatch, capsys):
     # The recurrence grid without its last row, k = 6, as every module reads it.
     original = counting.avoiding_word_table
@@ -379,7 +404,8 @@ def one_short(original):
 # A table or listing one row or item short, and a semilength one too high:
 # (module, function, perturbation, the FAIL lines of a full run).  Each
 # check sweeps the cells its options declare, so the missing row or item
-# reads None, and the refused inverse of the bijection reads None too.
+# reads None, or drops out of a row's sum, or reads 0 where the closed
+# forms read 0 past 2k - 2; the refused inverse of the bijection reads None.
 SHORT_OR_WRONG = {
     "parity_table": (parity, "parity_table", one_short, [
         "FAIL parity.odd_plus_even_is_total 35/36 cells"
@@ -391,6 +417,15 @@ SHORT_OR_WRONG = {
     ]),
     "inversion_table": (series, "inversion_table", one_short, [
         "FAIL series.row_sums 11/12 cells (first mismatch at n=12: expected 4084, actual None)",
+    ]),
+    # the rows `table --quantity gf` prints: the last coefficient of row 12
+    "inversion_rows": (series, "inversion_rows", one_short, [
+        "FAIL series.row_sums 11/12 cells (first mismatch at n=12: expected 4084, actual 4083)",
+    ]),
+    # the rows `table --quantity A` prints: the closed forms read 0 past them
+    "alternating_word_table": (counting, "alternating_word_table", one_short, [
+        "FAIL counting.closed_forms_agree 83/84 cells"
+        " (first mismatch at k=6 m=10 form=alternating: expected 42, actual 0)",
     ]),
     # [()] short is empty, so the first cell of each check meets the fault
     "grassmannian_permutations": (core, "grassmannian_permutations", one_short, [
