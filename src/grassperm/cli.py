@@ -108,8 +108,8 @@ TABLE_FORMS = {
 # below) so that parsing argv does not import the harness; a test holds them
 # equal.
 VERIFY_SUITES = ("counting", "parity", "classes", "paths", "series", "identities")
-# The largest --k-max verify serves: 9.6 s of CPU at --word-cap 0 --perm-cap 0
-# (median of 3 cold runs, 2-vCPU Intel Xeon VM, Python 3.11.7).
+# The largest --k-max verify serves: 6.2 s of CPU at --word-cap 0 --perm-cap 0
+# (median of 11 cold runs, 5.9 to 6.9 s; 2-vCPU Intel Xeon VM, Python 3.11.7).
 VERIFY_K_MAX = 200
 
 # The largest word length, size and semilength each listing serves; a larger

@@ -130,15 +130,12 @@ def canonical_word(p: Permutation) -> Word:
     """The unique word for a non-identity Grassmannian ``p``; ``0^n`` for the identity.
 
     A non-identity Grassmannian permutation has its single descent at some
-    position d, and its word has 0-bits exactly at positions p[0..d-1].
+    position d, and its word has 0-bits exactly at positions p[0..d-1].  The
+    identity has no descent; d = n then gives ``0^n``.
     """
     p = check_grassmannian(p)
     n = len(p)
-    if is_identity(p):
-        return "0" * n
-    d = next((i + 1 for i in range(n - 1) if p[i] > p[i + 1]), None)
-    if d is None:  # no descent, so is_identity was wrong
-        raise DomainError(f"{p!r} has no descent but is not the identity")
+    d = next((i + 1 for i in range(n - 1) if p[i] > p[i + 1]), n)
     zeros = set(p[:d])
     return "".join("0" if i in zeros else "1" for i in range(1, n + 1))
 

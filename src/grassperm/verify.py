@@ -20,23 +20,25 @@ the paths suite the Dyck paths to semilength 7 as ``paths.dyck_listing``
 prints them for ``enumerate dyck --stats peaks``, each path with its peak
 count, and 8 and 9 through ``paths.enumerate_dyck``, that listing's lines;
 the counting suite ``counting.avoiding_word_table`` and
-``counting.alternating_word_table`` (``table --quantity B`` and ``A``); the
-series suite ``series.inversion_rows`` (``table --quantity gf``).  Each
-listed object is also typed once, unchecked, on the proof of its listing,
-so no map or classifier checks it again: the paths suite types each listed
-Dyck path as a ``paths.DyckPath`` and encodes each listed avoiding word
-once as its ``paths.LatticePath``, which both word encodings read (the Dyck
-image is that path framed); the classes suite reads the
-``core.Grassmannian`` permutations that ``core.grassmannian_permutations``
-lists.  The paths suite toggles and classifies each path once and reads
-both checks of a toggle off that table.  Each listing is a whole semilength
-or (k, m) cell, which the maps it checks keep, so an image outside its
-listing fails its cell.
+``counting.alternating_word_table`` (``table --quantity B`` and ``A``), each
+from m = 0; the parity suite each row of ``parity.parity_table``
+(``table --quantity parity``) whole, as [B, O, E]; the series suite
+``series.inversion_rows`` (``table --quantity gf``), whose row sums add
+every row printed for a size.  Each listed object is also typed once,
+unchecked, on the proof of its listing, so no map or classifier checks it
+again: the paths suite types each listed Dyck path as a ``paths.DyckPath``
+and encodes each listed avoiding word once as its ``paths.LatticePath``,
+which both word encodings read (the Dyck image is that path framed); the
+classes suite reads the ``core.Grassmannian`` permutations that
+``core.grassmannian_permutations`` lists.  The paths suite toggles and
+classifies each path once and reads both checks of a toggle off that
+table.  Each listing is a whole semilength or (k, m) cell, which the maps
+it checks keep, so an image outside its listing fails its cell.
 
 Each check sweeps the cells its ``Options`` declare, never the rows a table
 happens to hold, and reads every value through ``_value``, the one reader
 of an absent value.  A table a suite builds before its sweeps (the
-recurrence grid and the alternating table, the odd column of
+recurrence grid and the alternating table, the [B, O, E] rows of
 ``parity.parity_table``, the ``classes.class_table`` totals, the
 ``series.inversion_rows`` of each size) is one dict that each cell reads by
 key, and a listing of Grassmannian permutations is read by index over its
@@ -137,15 +139,17 @@ def _sweep_index(
     return _sweep(name, {f"{key}_max": indices.stop - 1}, cells)
 
 
-def _word_m_range(k: int, word_cap: int) -> range:
-    return range(0, min(2 * k - 2, word_cap) + 1)
+def _m_range(k: int, cap: int) -> range:
+    """The lengths m, 0 to 2k - 2, at which an avoider of 12...k exists, up
+    to ``cap``."""
+    return range(0, min(2 * k - 2, cap) + 1)
 
 
 def word_oracle_cells(opts: Options) -> list[tuple[int, int]]:
     """The (k, m) cells compared with the word oracle one length at a time;
     ``Options.fault`` only shows if it names one of them."""
     ks = range(1, opts.k_max + 1)
-    return [(k, m) for k in ks for m in _word_m_range(k, opts.word_cap)]
+    return [(k, m) for k in ks for m in _m_range(k, opts.word_cap)]
 
 
 class Tallies(NamedTuple):
@@ -204,12 +208,8 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
     words, perms = tallies
     # The (k, m) whose avoiders of 12...k in S_m two checks read, each
     # listed once, one word per avoider: avoiding_perm_count(k, m) words.
-    word_cells = [
-        (k, m) for k in range(2, opts.k_max + 1) for m in _word_m_range(k, opts.word_cap)
-    ]
-    perm_cells = [
-        (k, m) for k in range(1, opts.k_max + 1) for m in range(min(2 * k - 2, opts.perm_cap) + 1)
-    ]
+    word_cells = [(k, m) for k, m in word_oracle_cells(opts) if k > 1]
+    perm_cells = [(k, m) for k in range(1, opts.k_max + 1) for m in _m_range(k, opts.perm_cap)]
     to_list = sum(counting.avoiding_perm_count(k, m) for k, m in {*word_cells, *perm_cells})
     if to_list > LISTING_CAP:
         raise CapExceededError(f"counting suite lists up to {LISTING_CAP} avoiders, not {to_list}")
@@ -246,10 +246,11 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
         _sweep(
             "closed_forms_agree",
             {"k_max": opts.k_max},
+            # from m = 0: the printed rows, 0 to 2k - 2, and one length past them
             (
                 ({"k": k, "m": m, "form": form}, counting.avoiding_word_count(k, m), value)
                 for k in range(1, opts.k_max + 1)
-                for m in range(1, 2 * k + 1)
+                for m in range(2 * k)
                 for form, value in (
                     ("alternating", alternating.get((k, m), 0)),
                     ("recurrence", grid.get((k, m), 0)),
@@ -342,20 +343,23 @@ def suite_parity(opts: Options, tallies: Tallies) -> list[Check]:
     odd = [Counter({w: c for w, c in tally.items() if w.odd}) for tally in tallies.words]
     # the closed forms at m = 2k - 2 and 2k - 3 need k >= 2
     from_two = range(2, max(opts.k_max, 2) + 1)
-    # The parity table's odd column, by cell.
-    odd_col = _value(lambda: {(k, m): o for k, m, _, o, _ in parity.parity_table(opts.k_max)}) or {}
+    # `table --quantity parity`, each row [B, O, E] by cell.
+    printed = _value(lambda: {(k, m): row for k, m, *row in parity.parity_table(opts.k_max)}) or {}
+
+    def point_row(k: int, m: int) -> list[int]:
+        """[B, O, E] at (k, m) by the point forms: the odd count is the total
+        less the even count."""
+        b, e = counting.avoiding_word_count(k, m), parity.even_word_count(k, m)
+        return [b, b - e, e]
+
     return [
         _sweep_by_length("odd_vs_word_oracle", opts, odd, parity.odd_word_count),
-        # The table's odd column, read off its own grid, against the point forms.
+        # Each printed row, read off the table's own grid, against the point forms.
         _sweep(
             "odd_plus_even_is_total",
             {"k_max": opts.k_max},
             (
-                (
-                    {"k": k, "m": m},
-                    counting.avoiding_word_count(k, m),
-                    _value(lambda: odd_col[k, m] + parity.even_word_count(k, m)),
-                )
+                ({"k": k, "m": m}, _value(point_row, k, m), printed.get((k, m)))
                 for k in range(1, opts.k_max + 1)
                 for m in range(2 * k - 1)
             ),
@@ -508,7 +512,7 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
     avoiding = {
         (k, m): patterns.enumerate_avoiding_words(k, m)
         for k in range(1, k_top + 1)
-        for m in _word_m_range(k, opts.word_cap)
+        for m in _m_range(k, opts.word_cap)
     }
     encoded = {
         (k, m): [paths.LatticePath._of_word(k, w) for w in words]
@@ -526,7 +530,7 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
             by_sum: dict[int, set[str]] = {}
             for p, s in zip(dyck[k + 1], peak_sums[k + 1]):
                 by_sum.setdefault(s, set()).add(p)
-            for m in _word_m_range(k, opts.word_cap):
+            for m in _m_range(k, opts.word_cap):
                 words = avoiding[k, m]
                 images = [paths.lattice_to_dyck(lp) for lp in encoded[k, m]]
                 image_set = set(images)
@@ -605,7 +609,7 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
 
     def lattice_cells():
         for k in range(1, min(opts.k_max, 6) + 1):
-            for m in _word_m_range(k, opts.word_cap):
+            for m in _m_range(k, opts.word_cap):
                 words, lps = avoiding[k, m], encoded[k, m]
                 partners = {lp: _value(paths.toggle_lattice_path, lp) for lp in lps}
                 odd = {lp: paths.is_odd_lattice(lp) for lp in lps}
@@ -661,12 +665,15 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
 def suite_series(opts: Options, tallies: Tallies) -> list[Check]:
     # Row n does not depend on the bound it is computed to, so the row-sum
     # table also serves the histogram check.  It is read off the rows that
-    # `table --quantity gf` prints, row n mapping each inversion number to
-    # its count.
+    # `table --quantity gf` prints: row n maps each inversion number to its
+    # count, and its sum adds every row printed for size n, a repeated or
+    # extra one included.
     n_max = max(opts.perm_cap, 12)
-    table: dict[int, series.Row] = {}
+    table: dict[int, dict[int, int]] = {}
+    sums: dict[int, int] = {}
     for n, i, count in _value(series.inversion_rows, n_max) or ():
         table.setdefault(n, {})[i] = count
+        sums[n] = sums.get(n, 0) + count
 
     def histogram_cells():
         # row n holds the inversion numbers 0 to n^2 // 4, each count positive
@@ -684,7 +691,7 @@ def suite_series(opts: Options, tallies: Tallies) -> list[Check]:
             "n",
             range(1, n_max + 1),
             lambda n: 2**n - n,
-            lambda n: sum(table[n].values()),
+            sums.__getitem__,
         ),
     ]
 

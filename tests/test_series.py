@@ -5,14 +5,13 @@ from grassperm.errors import CapExceededError
 
 
 def test_small_rows():
-    table = series.inversion_table(3)
-    assert table == [{0: 1}, {0: 1}, {0: 1, 1: 1}, {0: 1, 1: 2, 2: 2}]
+    assert series.inversion_rows(3) == [
+        (0, 0, 1), (1, 0, 1), (2, 0, 1), (2, 1, 1), (3, 0, 1), (3, 1, 2), (3, 2, 2)
+    ]
 
 
 def test_single_zero_inversion_permutation_per_size():
-    table = series.inversion_table(10)
-    for n in range(1, 11):
-        assert table[n][0] == 1
+    assert [c for n, i, c in series.inversion_rows(10) if i == 0] == [1] * 11
 
 
 def test_matches_oracle_histogram(harness):
@@ -20,9 +19,10 @@ def test_matches_oracle_histogram(harness):
 
 
 def test_max_inversions_bound():
-    table = series.inversion_table(10)
-    for n in range(1, 11):
-        assert max(table[n]) == n * n // 4
+    top = {}
+    for n, i, _ in series.inversion_rows(10):
+        top[n] = max(top.get(n, 0), i)
+    assert top == {n: n * n // 4 for n in range(11)}
 
 
 def test_rows_are_row_major():
@@ -81,23 +81,27 @@ def inversion_table_by_expansion(max_n):
 def test_recurrence_matches_the_expansion():
     expansion = inversion_table_by_expansion(40)
     for max_n in range(41):
-        table = series.inversion_table(max_n)
-        # items, not dicts: the key order is part of the contract
-        assert [list(row.items()) for row in table] == [
-            list(row.items()) for row in expansion[: max_n + 1]
+        # the row order is part of the contract
+        assert series.inversion_rows(max_n) == [
+            (n, inv, c) for n, row in enumerate(expansion[: max_n + 1]) for inv, c in row.items()
         ]
 
 
 def test_every_row_is_positive_and_sums_to_the_nonidentity_words():
-    # the recurrence builds its rows unchecked; every row up to the cap is
+    # the recurrence builds its rows unchecked; every size up to the cap is
     # held to the count of words less the identity's extra ones
-    for n, row in enumerate(series.inversion_table(series.MAX_N)):
-        assert list(row) == list(range(n * n // 4 + 1))
-        assert min(row.values()) > 0
-        assert sum(row.values()) == 2**n - n
+    rows = series.inversion_rows(series.MAX_N)
+    assert [(n, i) for n, i, _ in rows] == [
+        (n, i) for n in range(series.MAX_N + 1) for i in range(n * n // 4 + 1)
+    ]
+    assert min(c for _, _, c in rows) > 0
+    sums = [0] * (series.MAX_N + 1)
+    for n, _, c in rows:
+        sums[n] += c
+    assert sums == [2**n - n for n in range(series.MAX_N + 1)]
 
 
 def test_size_past_the_cap_refused():
-    assert sum(series.inversion_table(40)[40].values()) == 2**40 - 40
+    assert sum(c for n, _, c in series.inversion_rows(40) if n == 40) == 2**40 - 40
     with pytest.raises(CapExceededError, match="up to 120, not 121"):
-        series.inversion_table(series.MAX_N + 1)
+        series.inversion_rows(series.MAX_N + 1)
