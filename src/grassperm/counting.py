@@ -270,23 +270,24 @@ def ballot_alternating(a: int, b: int) -> int:
     return _alternating_catalan_sum(a - b, a, 0)
 
 
-def avoiding_word_table(k_max: int) -> Iterator[tuple[int, int, int]]:
-    """Rows (k, m, count) for 1 <= k <= k_max, 0 <= m <= 2k - 2, row-major,
-    by the recurrence that splits on the last letter:
+def _word_rows(k_max: int) -> Iterator[list[int]]:
+    """Row k of the counts, ``row[m]`` = count(k, m) for 0 <= m <= 2k - 2,
+    for each 1 <= k <= k_max in turn, by the recurrence that splits on the
+    last letter:
 
         count(k, m) = count(k, m-1) + count(k-1, m-1) - ballot(k-1, m-k),
 
     subtracting the ballot number of shorter words that already carry
     k - 1 zeros.  Base cases: count(k, 0) = 1 for k >= 1, and 0 for k = 0
-    or m >= 2k - 1.  Only the previous row is kept, and beside it the
-    ballot row T(k-1, b), 0 <= b <= k-1, by addition alone: T(a, 0) = 1 and
+    or m >= 2k - 1.  Each row is built from the one before, and beside it
+    the ballot row T(k-1, b), 0 <= b <= k-1, by addition alone: T(a, 0) = 1
+    and
 
         T(a, b) = T(a-1, b) + T(a, b-1)  for 1 <= b <= a, with T(a-1, a) = 0,
 
     so each ballot row is the running sum of the one before, a 0 appended.
-
-    >>> [c for k, m, c in avoiding_word_table(3) if k == 3]
-    [1, 2, 4, 4, 2]
+    A caller may keep the rows but must not change one: the next row is
+    built from it.
     """
     if k_max < 1:
         raise DomainError("k_max must be positive")
@@ -297,7 +298,18 @@ def avoiding_word_table(k_max: int) -> Iterator[tuple[int, int, int]]:
         for m in range(1, 2 * k - 1):
             above = prev[m - 1] if m - 1 < len(prev) else 0
             row.append(row[m - 1] + above - (ballots[m - k] if m >= k else 0))
-        for m, count in enumerate(row):
-            yield k, m, count
+        yield row
         prev = row
         ballots = list(accumulate(ballots + [0]))
+
+
+def avoiding_word_table(k_max: int) -> Iterator[tuple[int, int, int]]:
+    """Rows (k, m, count) for 1 <= k <= k_max, 0 <= m <= 2k - 2, row-major:
+    the cells of the recurrence rows, one row at a time.
+
+    >>> [c for k, m, c in avoiding_word_table(3) if k == 3]
+    [1, 2, 4, 4, 2]
+    """
+    for k, row in enumerate(_word_rows(k_max), 1):
+        for m, count in enumerate(row):
+            yield k, m, count

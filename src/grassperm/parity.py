@@ -4,10 +4,12 @@ Odd/even refinements of the avoiding-word counts.
 A word is odd when its permutation has an odd number of inversions.  The
 counts split the avoiding-word table into odd and even halves; all closed
 forms below reduce to the plain counts at roughly half the parameters, with
-a separate shape when both k and m are even.  Single values come from the
-binomial difference; :func:`parity_table` reads whole tables off one
-recurrence grid, and ``verify``'s parity suite holds each of its rows to
-the single values.
+a separate shape when both k and m are even.  That identity is stated once,
+in :func:`_odd_counts`, which reads the plain counts as rows ``rows[k][m]``:
+the single values hand it rows whose counts come from the binomial
+difference as they are read, and :func:`parity_table` the recurrence rows
+of ``counting``, built one k at a time.  ``verify``'s parity suite holds
+each row of the table to the single values.
 
 Every halving is taken by :func:`~grassperm.counting.exact_quotient`,
 which refuses a remainder: the toggle pairs odd words with even ones and
@@ -17,32 +19,47 @@ count it was built from is wrong.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterable, Iterator
 
-from .counting import avoiding_word_count, avoiding_word_table, ballot, catalan, exact_quotient
+from .counting import _word_rows, avoiding_word_count, ballot, catalan, exact_quotient
 from .errors import DomainError
 
 
-def _odd_from_counts(k: int, m: int, count: Callable[[int, int], int]) -> int:
-    """The odd count at (k, m) >= 0 from plain counts ``count(k', m')``.
+def _odd_counts(k: int, ms: Iterable[int], rows) -> list[int]:
+    """The odd counts at k >= 0, one for each m >= 0 of ``ms``, from the
+    plain counts ``rows[j][i]`` = count(j, i) at j = k, k // 2 and, for
+    even k, (k - 2) // 2, read also past the end of a row, where they are 0.
 
     Twice the odd count is the plain count corrected by counts at halved
     parameters; the correction pairs up paths through the parity-flipping
     peak/valley toggle and counts the unpaired ones directly.
     """
-    if k == 0 or m == 0:
-        return 0
-    total = count(k, m)
-    if k % 2 == 0 and m % 2 == 0:
-        doubled = (
-            total
-            + count(k // 2, (m - 2) // 2)
-            - count(k // 2, m // 2)
-            - count((k - 2) // 2, (m - 2) // 2)
+    row, half = rows[k], rows[k // 2]
+    lower = rows[(k - 2) // 2] if k % 2 == 0 else None
+    odd = []
+    for m in ms:
+        if k == 0 or m == 0:
+            doubled = 0
+        elif k % 2 or m % 2:
+            doubled = row[m] - 2 * half[(m - 1) // 2]
+        else:
+            doubled = row[m] + half[(m - 2) // 2] - half[m // 2] - lower[(m - 2) // 2]
+        odd.append(
+            exact_quotient(doubled, 2, "2*odd_word_count({}, {}) is not even: {}", k, m, doubled)
         )
-    else:
-        doubled = total - 2 * count(k // 2, (m - 1) // 2)
-    return exact_quotient(doubled, 2, "2*odd_word_count({}, {}) is not even: {}", k, m, doubled)
+    return odd
+
+
+class _CountRow:
+    """Row k of the plain counts for the point forms: ``row[m]`` is
+    :func:`~grassperm.counting.avoiding_word_count` (k, m), computed when
+    read."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def __getitem__(self, m: int) -> int:
+        return avoiding_word_count(self.k, m)
 
 
 def odd_word_count(k: int, m: int) -> int:
@@ -55,7 +72,8 @@ def odd_word_count(k: int, m: int) -> int:
     """
     if k < 0 or m < 0:
         raise DomainError("k and m must be nonnegative")
-    return _odd_from_counts(k, m, avoiding_word_count)
+    rows = {j: _CountRow(j) for j in (k, k // 2, (k - 2) // 2)}
+    return _odd_counts(k, (m,), rows)[0]
 
 
 def even_word_count(k: int, m: int) -> int:
@@ -67,24 +85,18 @@ def even_word_count(k: int, m: int) -> int:
 
 def parity_table(k_max: int) -> Iterator[tuple[int, int, int, int, int]]:
     """Rows (k, m, B, O, E) for 1 <= k <= k_max, 0 <= m <= 2k - 2, row-major:
-    the plain, odd and even counts, all read off one
-    :func:`~grassperm.counting.avoiding_word_table` grid.
+    the plain, odd and even counts, read off the recurrence rows of
+    :func:`~grassperm.counting.avoiding_word_table` one row at a time.
 
-    The grid is held as zero-padded row lists, ``rows[k][m]``, so the counts
-    at halved parameters that the odd count reads, past the end of a
-    shorter row or in row 0, are list reads of 0.
+    Each row is kept with two zeros appended, and row 0 as ``[0, 0]``: the
+    odd counts at k read rows k // 2 and (k - 2) // 2 up to two cells past
+    their end, where the count is 0.
     """
-    cells = list(avoiding_word_table(k_max))
-    rows = [[0] * (2 * k_max - 1) for _ in range(k_max + 1)]
-    for k, m, total in cells:
-        rows[k][m] = total
-
-    def count(k: int, m: int) -> int:
-        return rows[k][m]
-
-    for k, m, total in cells:
-        odd = _odd_from_counts(k, m, count)
-        yield k, m, total, odd, total - odd
+    rows = [[0, 0]]
+    for k, row in enumerate(_word_rows(k_max), 1):
+        rows.append(row + [0, 0])
+        for m, (total, odd) in enumerate(zip(row, _odd_counts(k, range(len(row)), rows))):
+            yield k, m, total, odd, total - odd
 
 
 def odd_word_count_max_length(k: int) -> int:

@@ -992,6 +992,7 @@ def test_optimized_interpreter_prints_the_pinned_bytes():
         (("table", "--quantity", "gf"), PINNED_GF["40"]),
         (("verify",), PINNED_VERIFY["default"]),
         (("verify",), PINNED_VERIFY["raised-json"]),
+        ((), PINNED_BULK["parity-100"]),
     ]:
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "grassperm.cli", *command, *argv],

@@ -1,5 +1,7 @@
 """The harness builds each object once, and its records are values."""
 
+from itertools import islice
+
 import pytest
 
 from grassperm import classes, cli, core, counting, oracle, parity, paths, patterns, series, verify
@@ -378,14 +380,14 @@ def test_a_misprinted_peak_count_fails_its_cells(monkeypatch, capsys):
 
 
 def test_a_missing_grid_row_fails_its_cells(monkeypatch, capsys):
-    # The recurrence grid without its last row, k = 6, as every module reads it.
-    original = counting.avoiding_word_table
+    # The recurrence rows without the last, k = 6, as every module reads them.
+    original = counting._word_rows
 
     def short(k_max):
-        return (row for row in original(k_max) if row[0] < k_max)
+        return islice(original(k_max), k_max - 1)
 
     for module in (counting, parity):
-        monkeypatch.setattr(module, "avoiding_word_table", short)
+        monkeypatch.setattr(module, "_word_rows", short)
     # the parity table, built on the same grid, lacks the row's odd column
     assert failing_checks_of_a_full_run(capsys) == [
         "counting.recurrence_vs_word_oracle",
@@ -571,14 +573,15 @@ def test_a_refused_value_never_matches():
 
 
 def test_a_refused_parity_grid_fails_every_cell_that_reads_it(monkeypatch, capsys):
-    # One too many at (4, 4) in the grid the parity table reads leaves a
+    # One too many at (4, 4) in the rows the parity table reads leaves a
     # doubled odd count odd there, and the table is refused as a whole.
-    grid = parity.avoiding_word_table
+    original = parity._word_rows
 
-    def wrong_grid(k_max):
-        return ((k, m, c + ((k, m) == (4, 4))) for k, m, c in grid(k_max))
+    def wrong_rows(k_max):
+        for k, row in enumerate(original(k_max), 1):
+            yield [c + ((k, m) == (4, 4)) for m, c in enumerate(row)]
 
-    monkeypatch.setattr(parity, "avoiding_word_table", wrong_grid)
+    monkeypatch.setattr(parity, "_word_rows", wrong_rows)
     with pytest.raises(DomainError, match=r"2\*odd_word_count\(4, 4\) is not even: 13"):
         list(parity.parity_table(4))
     assert cli.main(["verify", "--suite", "parity"]) == 1
