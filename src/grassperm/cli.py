@@ -11,9 +11,10 @@ Subcommands:
 - ``verify``     run the verification suites against the oracles
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain or
-cap error.  A reader that closes the output early is not an error: the
-command exits 0, or with its verdict for ``verify``.  All output is
-deterministic for fixed flags.
+cap error.  Every command's caps are in the tables below, and one check,
+``_within_cap``, refuses a flag past its cap.  A reader that closes the
+output early is not an error: the command exits 0, or with its verdict for
+``verify``.  All output is deterministic for fixed flags.
 
 Each handler takes ``(parser, args)``, computes and validates everything,
 and returns its exit code and its output as strings of whole lines, one
@@ -112,13 +113,21 @@ VERIFY_SUITES = ("counting", "parity", "classes", "paths", "series", "identities
 # (median of 11 cold runs, 5.9 to 6.9 s; 2-vCPU Intel Xeon VM, Python 3.11.7).
 VERIFY_K_MAX = 200
 
-# The largest word length, size and semilength each listing serves; a larger
-# one is refused as a cap error.
+# The largest word length (--m) of the words and size or semilength (--n) of
+# the avoiders and Dyck paths each listing serves; a larger one is refused as
+# a cap error before a listing module is imported.
 ENUMERATE_CAPS = {"words": 24, "avoiders": 14, "dyck": 12}
 
-# The largest bound each table serves in about a second of CPU; a larger one
-# is refused as a cap error.  The gf table keeps its own, ``series.MAX_N``.
-TABLE_CAPS = {"B": 300, "A": 150, "parity": 300, "classes": 100_000}
+# The largest bound each table serves; a larger one is refused as a cap error
+# before a row is built.  At its cap each table costs, cold: CPU at the
+# benchmark's reference speed (median of 15 runs), peak RSS, and CSV printed
+# (2-vCPU Intel Xeon VM, Python 3.11.7).
+#   B        0.16 s   28 MB    6.2 MB
+#   A        0.61 s   18 MB    0.9 MB
+#   parity   0.30 s   41 MB   17.2 MB
+#   classes  0.39 s   74 MB   10.8 MB
+#   gf       0.19 s   36 MB    4.1 MB, 145,911 rows; rows grow with n_max^3
+TABLE_CAPS = {"B": 300, "A": 150, "parity": 300, "classes": 100_000, "gf": 120}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,14 +193,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _within_cap(flag: str, value: int, cap: int | None) -> None:
+    """Refuse ``value`` of ``flag`` past ``cap`` as a cap error; None is no cap."""
+    if cap is not None and value > cap:
+        raise DomainError(f"{flag} {value} over cap {cap}")
+
+
 def _cmd_count(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[str]]:
     for flags, module, function in COUNT_FORMS[args.quantity]:
         values = [getattr(args, flag) for flag in flags]
         if None not in values:
-            cap = COUNT_CAPS.get(args.quantity)
             for flag, value in zip(flags, values):
-                if cap is not None and value > cap:
-                    raise DomainError(f"{flag} {value} over cap {cap}")
+                _within_cap(flag, value, COUNT_CAPS.get(args.quantity))
             return 0, [f"{_function(module, function)(*values)}\n"]
     missing = ", ".join(f"--{flag}" for flag, v in zip(flags, values) if v is None)
     parser.error(f"--quantity {args.quantity} requires {missing}")
@@ -199,9 +212,8 @@ def _cmd_count(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[str
 
 def _cmd_table(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[str]]:
     header, module, function, bound = TABLE_FORMS[args.quantity]
-    value, cap = getattr(args, bound), TABLE_CAPS.get(args.quantity)
-    if cap is not None and value > cap:
-        raise DomainError(f"{bound} {value} over cap {cap}")
+    value = getattr(args, bound)
+    _within_cap(bound, value, TABLE_CAPS[args.quantity])
     # Every row is built before the lines are, so a bad bound prints nothing.
     rows = list(_function(module, function)(value))
     if args.format == "csv":
@@ -215,20 +227,17 @@ def _cmd_table(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[str
 
 
 def _cmd_enumerate(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[str]]:
-    cap = ENUMERATE_CAPS[args.kind]
+    size = "m" if args.kind == "words" else "n"
+    _within_cap(size, getattr(args, size), ENUMERATE_CAPS[args.kind])
     stats = args.stats
     if args.kind == "words":
         from . import core, patterns
 
-        if args.m > cap:
-            raise DomainError(f"word length {args.m} over cap {cap}")
         names = patterns.enumerate_avoiding_words(args.k, args.m)
         values = map(core.inversion_count, names)
     elif args.kind == "avoiders":
         from . import core, patterns
 
-        if args.n > cap:
-            raise DomainError(f"size {args.n} over cap {cap}")
         pattern = core.perm_from_str(args.pattern)
         perms = patterns.enumerate_avoiders(args.n, pattern)
         names = map(core.perm_to_str, perms)
@@ -239,8 +248,6 @@ def _cmd_enumerate(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable
     else:  # dyck
         from . import paths
 
-        if args.n > cap:
-            raise DomainError(f"semilength {args.n} over cap {cap}")
         return 0, paths.dyck_listing(args.n, stats is not None)
     # One line per object; the words' and avoiders' ``values`` are lazy, so
     # a statistic no one asked for is never computed.
@@ -280,8 +287,10 @@ def _cmd_biject(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[st
             lines.append("toggle=none (no peak or valley at floor parity)")
     elif args.map == "toggle":
         if args.k is not None:
+            from . import core
+
             lp = paths.LatticePath(args.input, args.k)
-            run_seq = paths.lattice_run_sequence(lp)
+            run_seq = core.a_sequence(paths.lattice_to_word(lp))
             i, kind, height = paths.find_first_floor_parity_extremum(lp)
             out_path, floor = paths.toggle_lattice_path(lp).steps, lp.floor
         else:
@@ -321,14 +330,13 @@ def _parse_fault(parser: argparse.ArgumentParser, raw: str | None):
 
 
 def _cmd_verify(parser: argparse.ArgumentParser, args) -> tuple[int, Iterable[str]]:
-    from . import verify
-
     if args.k_max < 1:
         parser.error("--k-max must be at least 1")
-    if args.k_max > VERIFY_K_MAX:
-        raise DomainError(f"k_max {args.k_max} over cap {VERIFY_K_MAX}")
+    _within_cap("k_max", args.k_max, VERIFY_K_MAX)
     if args.perm_cap < 0 or args.word_cap < 0:
         parser.error("--perm-cap and --word-cap must be nonnegative")
+    from . import verify
+
     opts = verify.Options(
         k_max=args.k_max,
         perm_cap=args.perm_cap,

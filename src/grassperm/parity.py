@@ -6,10 +6,11 @@ counts split the avoiding-word table into odd and even halves; all closed
 forms below reduce to the plain counts at roughly half the parameters, with
 a separate shape when both k and m are even.  That identity is stated once,
 in :func:`_odd_counts`, which reads the plain counts as rows ``rows[k][m]``:
-the single values hand it rows whose counts come from the binomial
-difference as they are read, and :func:`parity_table` the recurrence rows
-of ``counting``, built one k at a time.  ``verify``'s parity suite holds
-each row of the table to the single values.
+the single values hand it row k as the one count they read there, and
+half rows whose counts come from the binomial difference as they are read;
+:func:`parity_table` hands it the recurrence rows of ``counting``, built one
+k at a time.  ``verify``'s parity suite holds each row of the table to the
+single values.
 
 Every halving is taken by :func:`~grassperm.counting.exact_quotient`,
 which refuses a remainder: the toggle pairs odd words with even ones and
@@ -62,6 +63,17 @@ class _CountRow:
         return avoiding_word_count(self.k, m)
 
 
+def _odd_and_total(k: int, m: int) -> tuple[int, int]:
+    """The odd and the plain count at (k, m).  The plain count is computed
+    once and handed to the identity as row k; the half rows compute their
+    counts as they are read."""
+    if k < 0 or m < 0:
+        raise DomainError("k and m must be nonnegative")
+    total = avoiding_word_count(k, m)
+    rows = {j: _CountRow(j) for j in (k // 2, (k - 2) // 2)} | {k: {m: total}}
+    return _odd_counts(k, (m,), rows)[0], total
+
+
 def odd_word_count(k: int, m: int) -> int:
     """Number of odd length-m avoiding words for parameter k.
 
@@ -70,17 +82,13 @@ def odd_word_count(k: int, m: int) -> int:
     >>> odd_word_count(4, 4)
     6
     """
-    if k < 0 or m < 0:
-        raise DomainError("k and m must be nonnegative")
-    rows = {j: _CountRow(j) for j in (k, k // 2, (k - 2) // 2)}
-    return _odd_counts(k, (m,), rows)[0]
+    return _odd_and_total(k, m)[0]
 
 
 def even_word_count(k: int, m: int) -> int:
     """Complement of :func:`odd_word_count` within the avoiding words."""
-    if k < 0 or m < 0:
-        raise DomainError("k and m must be nonnegative")
-    return avoiding_word_count(k, m) - odd_word_count(k, m)
+    odd, total = _odd_and_total(k, m)
+    return total - odd
 
 
 def parity_table(k_max: int) -> Iterator[tuple[int, int, int, int, int]]:

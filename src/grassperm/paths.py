@@ -251,11 +251,6 @@ class LatticePath(_LatticeFields):
         return self.zeros - self.k + 1
 
 
-def lattice_run_sequence(path: LatticePath) -> tuple[int, ...]:
-    """(a_0, ..., a_j): leading down-run, then the down-run after each up-step."""
-    return tuple(map(len, path.steps.split(UP)))
-
-
 def is_odd_lattice(path: LatticePath) -> bool:
     """Same odd/even rule as for words: odd count of odd a_i at odd i."""
     # the number of odd terms has the parity of their sum

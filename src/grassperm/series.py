@@ -22,14 +22,7 @@ builder: the recurrence emits the (n, inversions, count) rows that
 
 from __future__ import annotations
 
-from .errors import CapExceededError, DomainError
-
-# The cap bounds what is printed: `table --quantity gf --n-max 120` prints
-# 145,911 rows.  In process, building them takes 0.05 s of CPU and
-# formatting them, one format per row, 0.05 s; the cold command takes
-# 0.17 s of CPU (medians of 7 and of 5, 2-vCPU Intel Xeon VM, Python
-# 3.11.7).  The row count grows with the cube of n.
-MAX_N = 120
+from .errors import DomainError
 
 
 def inversion_rows(max_n: int) -> list[tuple[int, int, int]]:
@@ -42,8 +35,6 @@ def inversion_rows(max_n: int) -> list[tuple[int, int, int]]:
     """
     if max_n < 0:
         raise DomainError("max_n must be nonnegative")
-    if max_n > MAX_N:
-        raise CapExceededError(f"inversion table serves sizes up to {MAX_N}, not {max_n}")
     rows: list[tuple[int, int, int]] = []
     # G_{n-1} and G_n as coefficient lists; G_{-1} only meets the factor q^0 - 1 = 0.
     prev, galois = [], [1]

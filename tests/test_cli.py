@@ -380,21 +380,6 @@ class TestEnumerate:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_over_cap_exits_3(self, capsys):
-        code, _, err = run(capsys, "enumerate", "dyck", "--n", "13")
-        assert code == 3
-        assert "cap" in err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [("words", "--k", "3", "--m", "25"), ("avoiders", "--n", "15", "--pattern", "123")],
-        ids=["words", "avoiders"],
-    )
-    def test_over_cap_prints_one_line(self, capsys, argv):
-        code, out, err = run(capsys, "enumerate", *argv)
-        assert (code, out) == (3, "")
-        assert err.startswith("error:") and "over cap" in err and err.count("\n") == 1
-
     def test_cap_is_not_a_flag(self, capsys):
         # the caps are fixed: no flag lifts the refusal above
         with pytest.raises(SystemExit) as exc:
@@ -829,6 +814,52 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
+
+
+# Each capped flag of every command: the argv, with {} for the flag's value,
+# and the refusal that one past the flag's cap prints, which ends with the cap.
+CAPPED = {
+    "count B": ("count --quantity B --k {} --m 3", "k 65001 over cap 65000"),
+    "count A": ("count --quantity A --k 3 --m {}", "m 25001 over cap 25000"),
+    "count O": ("count --quantity O --k {} --m 3", "k 50001 over cap 50000"),
+    "count E": ("count --quantity E --k 3 --m {}", "m 40001 over cap 40000"),
+    "count fixed": ("count --quantity fixed --n {} --k 3", "n 800001 over cap 800000"),
+    "count total-words": ("count --quantity total-words --k {}", "k 140001 over cap 140000"),
+    "count total-perms": ("count --quantity total-perms --k {}", "k 140001 over cap 140000"),
+    "count total-odd": ("count --quantity total-odd --k {}", "k 110001 over cap 110000"),
+    "table B": ("table --quantity B --k-max {}", "k_max 301 over cap 300"),
+    "table A": ("table --quantity A --k-max {}", "k_max 151 over cap 150"),
+    "table parity": ("table --quantity parity --k-max {}", "k_max 301 over cap 300"),
+    "table classes": ("table --quantity classes --m-max {}", "m_max 100001 over cap 100000"),
+    "table gf": ("table --quantity gf --n-max {}", "n_max 121 over cap 120"),
+    "enumerate words": ("enumerate words --k 3 --m {}", "m 25 over cap 24"),
+    "enumerate avoiders": ("enumerate avoiders --n {} --pattern 123", "n 15 over cap 14"),
+    "enumerate dyck": ("enumerate dyck --n {}", "n 13 over cap 12"),
+    "verify": ("verify --k-max {}", "k_max 201 over cap 200"),
+}
+
+
+def test_every_cap_table_is_swept():
+    # a cap added to a command's table needs its CAPPED case
+    caps = [
+        *(f"count {q}" for q in cli.COUNT_CAPS),
+        *(f"table {q}" for q in cli.TABLE_CAPS),
+        *(f"enumerate {kind}" for kind in cli.ENUMERATE_CAPS),
+        "verify",
+    ]
+    assert caps == list(CAPPED)
+
+
+@pytest.mark.parametrize("argv,refusal", CAPPED.values(), ids=CAPPED)
+def test_a_flag_is_served_at_its_cap_and_refused_past_it(capsys, monkeypatch, argv, refusal):
+    # The count and table formulas and the suites are stubs, so a served
+    # command computes nothing; the listings at their caps are cheap.
+    monkeypatch.setattr(cli, "_function", lambda module, name: lambda *values: ())
+    monkeypatch.setattr(verify, "run_suites", lambda names, opts: [])
+    cap = int(refusal.rsplit(" ", 1)[1])
+    code, _, err = run(capsys, *argv.format(cap).split())
+    assert (code, err) == (0, "")
+    assert run(capsys, *argv.format(cap + 1).split()) == (3, "", f"error: {refusal}\n")
 
 
 class RecordedStdout:

@@ -74,9 +74,14 @@ def footprint(tmp_path, argv):
         (("enumerate", "words", "--k", "3", "--m", "4"), ("patterns", "core"), ()),
         (("enumerate", "avoiders", "--n", "4", "--pattern", "123"), ("patterns", "core"), ()),
         (("enumerate", "dyck", "--n", "3", "--stats", "peaks"), ("paths",), ()),
+        # a flag past its cap is refused before any module is imported
+        (("enumerate", "words", "--k", "3", "--m", "25"), (), ()),
+        (("table", "--quantity", "gf", "--n-max", "121"), (), ()),
+        (("verify", "--k-max", "201"), (), ()),
         (("biject", "word-to-lattice", "--k", "5", "--input", "110011"), OBJECTS, ()),
         (("biject", "halve", "--input", "UUUDDD"), ("paths",), ()),
         (("biject", "toggle", "--input", "UDUUDUDD"), ("paths",), ()),
+        (("biject", "toggle", "--k", "5", "--input", "DDUUDD"), ("paths", "core"), ()),
         (("verify", "--suite", "identities"), EVERYTHING, ()),
         (("verify", "--suite", "identities", "--format", "json"), EVERYTHING, ("json",)),
     ],

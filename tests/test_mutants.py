@@ -36,7 +36,6 @@ UNREAD = {
     # Run by a command, certified by no check yet.
     "core.fixed_points": "enumerate avoiders --stats fixed-points",
     "paths.dyck_run_sequence": "the a= line of biject",
-    "paths.lattice_run_sequence": "the a= line of biject",
     "paths.word_to_dyck": "biject word-to-dyck",
     "paths.word_to_lattice": "biject word-to-lattice",
     "patterns.is_avoiding_word": "biject's avoidance test",

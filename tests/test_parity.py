@@ -28,6 +28,18 @@ class TestOddEvenSplit:
                     k, m
                 ) == counting.avoiding_word_count(k, m)
 
+    @pytest.mark.parametrize("form", [parity.odd_word_count, parity.even_word_count])
+    def test_a_point_form_computes_each_plain_count_once(self, monkeypatch, form):
+        # the even count is the plain count less the odd one, and the odd
+        # count's identity reads that plain count too: both read it once
+        calls = []
+        count = counting.avoiding_word_count
+        monkeypatch.setattr(
+            parity, "avoiding_word_count", lambda k, m: calls.append((k, m)) or count(k, m)
+        )
+        form(400, 700)
+        assert sorted(calls) == [(199, 349), (200, 349), (200, 350), (400, 700)]
+
     def test_against_word_oracle(self, harness):
         # odd = oracle odd, odd + even = B and B = oracle total, so even
         # = oracle even

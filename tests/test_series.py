@@ -1,7 +1,6 @@
 import pytest
 
-from grassperm import series
-from grassperm.errors import CapExceededError
+from grassperm import cli, series
 
 
 def test_small_rows():
@@ -88,20 +87,23 @@ def test_recurrence_matches_the_expansion():
 
 
 def test_every_row_is_positive_and_sums_to_the_nonidentity_words():
-    # the recurrence builds its rows unchecked; every size up to the cap is
-    # held to the count of words less the identity's extra ones
-    rows = series.inversion_rows(series.MAX_N)
+    # the recurrence builds its rows unchecked; every size the gf table
+    # serves is held to the count of words less the identity's extra ones
+    cap = cli.TABLE_CAPS["gf"]
+    rows = series.inversion_rows(cap)
     assert [(n, i) for n, i, _ in rows] == [
-        (n, i) for n in range(series.MAX_N + 1) for i in range(n * n // 4 + 1)
+        (n, i) for n in range(cap + 1) for i in range(n * n // 4 + 1)
     ]
     assert min(c for _, _, c in rows) > 0
-    sums = [0] * (series.MAX_N + 1)
+    sums = [0] * (cap + 1)
     for n, _, c in rows:
         sums[n] += c
-    assert sums == [2**n - n for n in range(series.MAX_N + 1)]
+    assert sums == [2**n - n for n in range(cap + 1)]
 
 
-def test_size_past_the_cap_refused():
+def test_size_past_the_cap_refused(capsys):
+    # the cap is the command's: the builder serves any size, and the table
+    # refuses one past 120
     assert sum(c for n, _, c in series.inversion_rows(40) if n == 40) == 2**40 - 40
-    with pytest.raises(CapExceededError, match="up to 120, not 121"):
-        series.inversion_rows(series.MAX_N + 1)
+    assert cli.main(["table", "--quantity", "gf", "--n-max", "121"]) == 3
+    assert capsys.readouterr() == ("", "error: n_max 121 over cap 120\n")

@@ -185,6 +185,39 @@ def test_only_exact_quotient_divides_with_a_remainder():
     assert sites == {("counting.py", "exact_quotient")}
 
 
+def raises_a_cap_error(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", getattr(exc, "attr", None)) == "CapExceededError"
+
+
+def test_only_the_harness_raises_a_cap_error():
+    # A cap error bounds the in-process work of the oracle and the harness,
+    # and ends a verify run; a command refuses an oversized flag in cli.
+    sites = {
+        path.name
+        for path in SOURCES
+        if any(raises_a_cap_error(node) for node in ast.walk(parse(path)))
+    }
+    assert sites == {"oracle.py", "verify.py"}
+
+
+def words_a_cap_refusal(node):
+    return isinstance(node, ast.Constant) and "over cap" in str(node.value)
+
+
+def test_one_statement_words_a_cap_refusal():
+    # Every command refuses an oversized flag through one check, so the
+    # refusals share one message shape.
+    sites = [
+        (path.name, function)
+        for path in SOURCES
+        for function, _ in located(parse(path), words_a_cap_refusal)
+    ]
+    assert sites == [("cli.py", "_within_cap")]
+
+
 # The exception names an ``except`` clause can catch a DomainError by.
 DOMAIN_ERROR_CATCHERS = {"DomainError", "ValueError", "Exception", "BaseException"}
 
