@@ -12,9 +12,10 @@ it keeps each length as it passes it, O(m_max^3) steps in all.
 the binary-word encoding: a depth-first walk over the permutations of [n]
 that extends a prefix only while it can still end with at most one
 descent, so every prefix it visits completes and its cost follows the
-2^n - n permutations it lists.  Each tally counts its objects by the
-statistics the paper refines by, so a question about avoiders is a sum
-over one tally: a word avoids every ``0^j 1^(k-j)`` iff its longest
+2^n - n permutations it lists; it tallies each under a plain tuple and
+makes each distinct key a ``PermKey`` once.  Each tally counts its objects
+by the statistics the paper refines by, so a question about avoiders is a
+sum over one tally: a word avoids every ``0^j 1^(k-j)`` iff its longest
 ``0*1*`` subsequence is shorter than k, and a permutation avoids
 ``12...k`` iff its longest increasing subsequence is (Schensted 1961).
 The module imports nothing from the package but its error types.  Sizes
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from operator import gt
 from typing import NamedTuple
 
 from .errors import CapExceededError, DomainError
@@ -86,7 +88,7 @@ def word_statistics(m_max: int) -> list[Counter[WordKey]]:
 
 
 def _descents(p: list[int]) -> int:
-    return sum(1 for i in range(len(p) - 1) if p[i] > p[i + 1])
+    return sum(map(gt, p, p[1:]))
 
 
 def _longest_increasing(p: list[int]) -> int:
@@ -114,7 +116,9 @@ def grassmannian_statistics(n: int) -> Counter[PermKey]:
     2
     """
     _check_size(n, PERM_CAP, "permutation size")
-    tally: Counter[PermKey] = Counter()
+    # Each leaf is tallied under a plain tuple; each distinct key is made a
+    # PermKey once, at the end.
+    tally: Counter[tuple] = Counter()
     prefix: list[int] = []
 
     def extend(used: int, last: int, descended: bool, inversions: int, fixed: int) -> None:
@@ -124,7 +128,7 @@ def grassmannian_statistics(n: int) -> Counter[PermKey]:
             inverse = [0] * n  # the positions, in the order of the values they hold
             for i, v in enumerate(prefix, 1):
                 inverse[v - 1] = i
-            key = PermKey(
+            key = (
                 _longest_increasing(prefix),
                 _descents(inverse) <= 1,
                 inverse == prefix,
@@ -134,12 +138,13 @@ def grassmannian_statistics(n: int) -> Counter[PermKey]:
             tally[key] += 1
             return
         # The least unused value always fits: below the last it is the
-        # descent, and the rest rise from it.  Before the descent any unused
-        # value above both may follow too; past it, that would force a second.
+        # descent, and the rest rise from it.  Before the descent the prefix
+        # rises, so every value above the last is unused, and any above the
+        # least may follow too; past it, that would force a second.
         least = (~used & (used + 2)).bit_length() - 1  # lowest clear bit past 0
         choices = [least]
         if not descended:
-            choices += [v for v in range(max(last, least) + 1, n + 1) if not used >> v & 1]
+            choices += range(max(last, least) + 1, n + 1)
         for v in choices:
             prefix.append(v)
             extend(
@@ -153,4 +158,4 @@ def grassmannian_statistics(n: int) -> Counter[PermKey]:
 
     extend(0, 0, False, 0, 0)
     del extend  # break the cycle through extend's closure
-    return tally
+    return Counter({PermKey._make(key): count for key, count in tally.items()})

@@ -101,27 +101,39 @@ def semilength(p: str) -> int:
     return len(p) // 2
 
 
-def _turns(p: str) -> Iterator[tuple[int, str, int]]:
-    """The peaks and valleys of the U/D string ``p``, left to right, as
-    (i, kind, height), from one pass over its steps: each run but the last
-    ends in one.  The turn occupies steps i and i + 1 (0-based) and
-    ``height`` is the y-coordinate at the turning point."""
-    h = 0
-    run = p[:1]
-    for i, c in enumerate(p):
-        if c != run:
-            yield i - 1, "peak" if run == UP else "valley", h
-            run = c
-        h += 1 if c == UP else -1
+def _turn_at_parity(steps: str, start: int) -> tuple[int, str, int] | None:
+    """The first peak or valley of the U/D string ``steps`` at an index of
+    the parity of ``start``, as (i, kind, height), or None.  The turn
+    occupies steps i and i + 1 (0-based) and ``height`` is the y-coordinate
+    at the turning point.  From height 0 the height after i + 1 steps has
+    the parity of i + 1, so the turns at one height parity are those at one
+    index parity, and only every other pair of steps is read."""
+    i, last = start, len(steps) - 1
+    while i < last:
+        c = steps[i]
+        if c != steps[i + 1]:
+            return i, "peak" if c == UP else "valley", 2 * steps.count(UP, 0, i + 1) - i - 1
+        i += 2
+    return None
 
 
 def peaks(p: str) -> list[int]:
-    """Peak heights in left-to-right order.
+    """Peak heights in left-to-right order: each ``UD`` factor, found by
+    ``str.find``, at the height its up step reaches.
 
     >>> peaks("UDUD")
     [1, 1]
     """
-    return [h for _, kind, h in _turns(check_steps(p)) if kind == "peak"]
+    steps = check_steps(p)
+    out = []
+    h = done = 0  # the height after the first ``done`` steps
+    i = steps.find(UP + DOWN)
+    while i >= 0:
+        h += 2 * steps.count(UP, done, i + 1) - (i + 1 - done)
+        done = i + 1
+        out.append(h)
+        i = steps.find(UP + DOWN, i + 2)
+    return out
 
 
 def all_extrema_odd(p: str) -> bool:
@@ -298,10 +310,11 @@ def _toggle(steps: str, i: int) -> str:
 
 
 def find_first_even_extremum(p: str) -> tuple[int, str, int]:
-    """First peak or valley of a Dyck path at even height, as (index, kind, height)."""
-    for item in _turns(check_dyck(p)):
-        if item[2] % 2 == 0:
-            return item
+    """First peak or valley of a Dyck path at even height, as (index, kind,
+    height): the first turn at an odd index."""
+    turn = _turn_at_parity(check_dyck(p), 1)
+    if turn is not None:
+        return turn
     raise DomainError(f"all peaks and valleys of {p!r} are at odd height")
 
 
@@ -325,11 +338,11 @@ def toggle_first_even_extremum(p: str) -> DyckPath:
 
 
 def find_first_floor_parity_extremum(path: LatticePath) -> tuple[int, str, int]:
-    """First extremum whose height has the parity of the floor line."""
-    parity = path.floor % 2
-    for item in _turns(path.steps):
-        if item[2] % 2 == parity:
-            return item
+    """First extremum whose height has the parity of the floor line: the
+    first turn at an index i with i + 1 of the floor's parity."""
+    turn = _turn_at_parity(path.steps, 1 - path.floor % 2)
+    if turn is not None:
+        return turn
     raise DomainError(f"no peak or valley of {path.steps!r} matches the floor parity")
 
 

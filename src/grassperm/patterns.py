@@ -9,6 +9,7 @@ Grassmannian permutations is decided on their words, by
 Avoiders are generated, not filtered: each generator extends a prefix only
 while it can still be completed to an avoiding word, so every prefix it
 visits yields a word and the cost follows the output, not the 2^n words.
+A word is appended at its last letter, with no call for the finished word.
 ``avoiding_words`` lists the avoiders of a pattern as their words, one word
 each, and ``enumerate_avoiders`` decodes that list into permutations; a
 caller that only counts avoiders counts the words.
@@ -127,7 +128,9 @@ def enumerate_avoiding_words(k: int, m: int) -> list[Word]:
     Generated depth first, ``0`` before ``1``, over the state (zeros,
     longest ``0*1*`` subsequence, letters left).  A prefix is extended only
     while it can still be completed, so every prefix visited yields a word
-    and the cost follows the output, not the 2^m words.
+    and the cost follows the output, not the 2^m words; a word is appended
+    at its last letter, which saves the call of each leaf, about half of
+    all calls.
 
     >>> enumerate_avoiding_words(3, 4)
     ['1010', '1100']
@@ -144,19 +147,27 @@ def enumerate_avoiding_words(k: int, m: int) -> list[Word]:
     out: list[Word] = []
 
     def extend(prefix: Word, zeros: int, longest: int, left: int) -> None:
-        if not left:
-            out.append(prefix)
-            return
+        # left >= 1: a word is appended at its last letter, with no call of
+        # its own
         left -= 1
         # longest >= zeros, so a 0 raises longest only from longest == zeros
         after_zero = longest if longest > zeros else zeros + 1
         if after_zero < k and zeros + 1 + after_zero + left <= top:
-            extend(prefix + "0", zeros + 1, after_zero, left)
+            if left:
+                extend(prefix + "0", zeros + 1, after_zero, left)
+            else:
+                out.append(prefix + "0")
         if longest + 1 < k and zeros + longest + 1 + left <= top:
-            extend(prefix + "1", zeros, longest + 1, left)
+            if left:
+                extend(prefix + "1", zeros, longest + 1, left)
+            else:
+                out.append(prefix + "1")
 
     if 0 < k and m <= top:
-        extend("", 0, 0, m)
+        if m:
+            extend("", 0, 0, m)
+        else:
+            out.append("")
     # extend's closure holds extend itself: without this the cycle, and the
     # list with it, would live on until the next garbage collection
     del extend
@@ -170,20 +181,26 @@ def _words_avoiding(n: int, u: Word) -> list[Word]:
     Generated depth first, ``0`` before ``1``, over the state (prefix,
     letters of ``u`` matched greedily).  The letter ``u`` does not ask for
     next never advances the match, so a prefix whose match is incomplete
-    can always be completed.
+    can always be completed.  A word is appended at its last letter.
     """
     out: list[Word] = []
+    size = len(u)
 
     def extend(prefix: Word, matched: int, left: int) -> None:
-        if not left:
-            out.append(prefix)
-            return
+        # left >= 1: a word is appended at its last letter, as above
+        left -= 1
         for c in "01":
             advanced = matched + (c == u[matched])
-            if advanced < len(u):
-                extend(prefix + c, advanced, left - 1)
+            if advanced < size:
+                if left:
+                    extend(prefix + c, advanced, left)
+                else:
+                    out.append(prefix + c)
 
-    extend("", 0, n)
+    if n:
+        extend("", 0, n)
+    else:
+        out.append("")
     del extend  # break the cycle through extend's closure, as above
     return out
 

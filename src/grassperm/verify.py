@@ -45,9 +45,11 @@ key, and a listing of Grassmannian permutations is read by index over its
 declared size.  So a formula that refuses a cell of its own domain, as
 ``counting.exact_quotient`` refuses the inexact quotient that a wrong count
 upstream leaves, a refused table, a missing row and a missing item all give
-their cells the value None, which never matches; so does a Dyck path whose
-printed peak count is not that of ``paths.peaks``, in the cells that read
-its first and last peak.  Only a cap refusal ends the run.
+their cells the value None, which never matches; so does a cell that one of
+the first four tables prints twice (``_by_cell``; a gf row printed twice
+shows in its size's sum), and a Dyck path whose printed peak count is not
+that of ``paths.peaks``, in the cells that read its first and last peak.
+Only a cap refusal ends the run.
 
 ``Options.fault`` perturbs one cell of the recurrence table as seen by the
 oracle-agreement check; it exists so the harness can prove that a single
@@ -145,6 +147,18 @@ def _m_range(k: int, cap: int) -> range:
     return range(0, min(2 * k - 2, cap) + 1)
 
 
+def _by_cell(rows: Iterable[tuple], width: int) -> dict[tuple, object]:
+    """A printed table by cell: each row keyed by its first ``width`` fields,
+    to the field after them, or to a list of the fields after them where
+    there are more.  A key printed twice maps to None, which never matches,
+    so a repeated row fails its cells instead of overwriting the first."""
+    cells: dict[tuple, object] = {}
+    for row in rows:
+        key, rest = row[:width], row[width:]
+        cells[key] = None if key in cells else rest[0] if len(rest) == 1 else list(rest)
+    return cells
+
+
 def word_oracle_cells(opts: Options) -> list[tuple[int, int]]:
     """The (k, m) cells compared with the word oracle one length at a time;
     ``Options.fault`` only shows if it names one of them."""
@@ -213,15 +227,15 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
     to_list = sum(counting.avoiding_perm_count(k, m) for k, m in {*word_cells, *perm_cells})
     if to_list > LISTING_CAP:
         raise CapExceededError(f"counting suite lists up to {LISTING_CAP} avoiders, not {to_list}")
-    grid = _value(lambda: {(k, m): c for k, m, c in counting.avoiding_word_table(opts.k_max)}) or {}
+    grid = _value(lambda: _by_cell(counting.avoiding_word_table(opts.k_max), 2)) or {}
     # `table --quantity A`, by cell.
-    alternating = (
-        _value(lambda: {(k, m): c for k, m, c in counting.alternating_word_table(opts.k_max)}) or {}
-    )
+    alternating = _value(lambda: _by_cell(counting.alternating_word_table(opts.k_max), 2)) or {}
 
-    def table(k: int, m: int) -> int:
-        """The grid as the oracle check reads it, one more at the fault."""
-        return grid[k, m] + (opts.fault == (k, m))
+    def table(k: int, m: int) -> int | None:
+        """The grid as the oracle check reads it, one more at the fault; a
+        repeated cell stays None."""
+        count = grid[k, m]
+        return None if count is None else count + (opts.fault == (k, m))
 
     def listed(k: int, m: int) -> tuple[int, int | None]:
         """The avoiders of 12...k in S_m as (avoiding words, distinct
@@ -289,7 +303,7 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
             {"k_max": 5, "n_max": min(opts.perm_cap, 7)},
             (
                 (
-                    {"pattern": _value(lambda: core.perm_to_str(ps[i])), "n": n},
+                    {"pattern": name, "n": n},
                     counting.nonidentity_avoider_count(n, k),
                     _value(lambda: len(patterns.avoiding_words(n, ps[i]))),
                 )
@@ -297,6 +311,8 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
                 for ps in [core.grassmannian_permutations(k)]
                 # sorted, so the identity first and the 2^k - k - 1 others after it
                 for i in range(1, 2**k - k)
+                # each pattern named once, for all its sizes
+                for name in [_value(lambda: core.perm_to_str(ps[i]))]
                 for n in range(min(opts.perm_cap, 7) + 1)
             ),
         ),
@@ -344,7 +360,7 @@ def suite_parity(opts: Options, tallies: Tallies) -> list[Check]:
     # the closed forms at m = 2k - 2 and 2k - 3 need k >= 2
     from_two = range(2, max(opts.k_max, 2) + 1)
     # `table --quantity parity`, each row [B, O, E] by cell.
-    printed = _value(lambda: {(k, m): row for k, m, *row in parity.parity_table(opts.k_max)}) or {}
+    printed = _value(lambda: _by_cell(parity.parity_table(opts.k_max), 2)) or {}
 
     def point_row(k: int, m: int) -> list[int]:
         """[B, O, E] at (k, m) by the point forms: the odd count is the total
@@ -413,10 +429,16 @@ def _oracle_class(tally: dict[tuple, int], k: int, member: str, odd: bool) -> in
 def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
     perms = tallies.perms
     n_max = min(opts.perm_cap, 8)
-    # Each size listed once, for both membership checks.
+    # Each size listed once, for both membership checks, and each listed
+    # permutation named once, for both; an item the listing lacks is named
+    # None.
     grassmannians = [core.grassmannian_permutations(n) for n in range(n_max + 1)]
+    names = [
+        [_value(lambda: core.perm_to_str(ps[i])) for i in range(2**n - n)]
+        for n, ps in enumerate(grassmannians)
+    ]
     # The class totals, by (class, m).
-    totals = _value(lambda: {(c, m): t for c, m, t in classes.class_table(opts.perm_cap)}) or {}
+    totals = _value(lambda: _by_cell(classes.class_table(opts.perm_cap), 2)) or {}
 
     def recognition(name: str, characterised: Callable, recognised: Callable) -> Check:
         """A recognition predicate against its characterisation, each 1 or 0,
@@ -425,12 +447,12 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
         None there."""
         cells = (
             (
-                {"n": n, "perm": _value(lambda: core.perm_to_str(ps[i]))},
+                {"n": n, "perm": perm},
                 _value(lambda: characterised(ps[i])),
                 _value(lambda: int(recognised(ps[i]))),
             )
             for n, ps in enumerate(grassmannians)
-            for i in range(2**n - n)
+            for i, perm in enumerate(names[n])
         )
         return _sweep(name, {"n_max": n_max}, cells)
 

@@ -3,7 +3,7 @@ from itertools import accumulate, combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from grassperm import core, counting, parity, paths, patterns
+from grassperm import cli, core, counting, parity, paths, patterns
 from grassperm.errors import DomainError
 
 FOREIGN = [" ", "\n", "\t", "\u00a0", "\u0663", "\uff11", "u", "d", "x", "0", "1"]
@@ -263,8 +263,8 @@ class TestStatistics:
     )
     def test_peaks_and_valleys(self, p, pk, vl):
         assert paths.peaks(p) == pk
-        # the valleys are read by the toggles, through the one pass
-        assert [h for _, kind, h in paths._turns(p) if kind == "valley"] == vl
+        # the valleys, which the toggles read, by the walked reference
+        assert [h for _, kind, h in walked_extrema(p) if kind == "valley"] == vl
 
     def test_match_the_extrema_on_dyck_paths(self):
         for n in range(11):
@@ -487,6 +487,65 @@ class TestHalving:
                 assert len(q) == paths.semilength(p) - 1, p
                 halved += 1
         assert halved == sum(parity.all_odd_extrema_count(n) for n in range(1, 11))
+
+
+def printed_turn(capsys, prefix, *argv):
+    """The turn that ``biject *argv`` prints on its ``{prefix}position=``
+    line, as (0-based index, kind, height)."""
+    assert cli.main(["biject", *argv]) == 0
+    [line] = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith(prefix + "position=")
+    ]
+    fields = dict(field.split("=") for field in line.split())
+    position, kind, height = (fields[prefix + name] for name in ("position", "kind", "height"))
+    return int(position) - 1, kind, int(height)
+
+
+class TestBijectPrintsTheWalkedTurn:
+    """The position, kind and height that ``biject toggle`` and ``biject
+    word-to-lattice`` print, which no verify check reads, against the walk."""
+
+    def test_dyck_toggle_on_every_path_to_semilength_6(self, capsys):
+        past = 0
+        for p in ALL_DYCK:
+            if paths.semilength(p) > 6 or walked_all_extrema_odd(p):
+                continue
+            turn = walked_first_even_extremum(p)
+            assert printed_turn(capsys, "", "toggle", "--input", p) == turn, p
+            past += turn[0] > 1
+        assert past > 0
+
+    @pytest.mark.parametrize(
+        "k,w,steps,turn",
+        [
+            # the turn below height 0, and past the first pair
+            (5, "01110", "UDDDU", (3, "valley", -2)),
+            (5, "1011", "DDUD", (2, "peak", -1)),
+            (5, "011100", "UUDDDU", (4, "valley", -1)),
+        ],
+    )
+    def test_lattice_toggle_past_the_first_pair(self, capsys, k, w, steps, turn):
+        lp = paths.word_to_lattice(k, w)
+        assert lp.steps == steps and walked_floor_parity_extremum(lp) == turn
+        args = ("--k", str(k), "--input")
+        assert printed_turn(capsys, "", "toggle", *args, steps) == turn
+        assert printed_turn(capsys, "toggle_", "word-to-lattice", *args, w) == turn
+
+    def test_lattice_toggle_on_every_avoiding_word_to_k_5(self, capsys):
+        below = 0
+        for k in range(1, 6):
+            for m in range(2 * k - 1):
+                for w in patterns.enumerate_avoiding_words(k, m):
+                    lp = paths.word_to_lattice(k, w)
+                    turn = outcome(walked_floor_parity_extremum, lp)
+                    if turn[0] == "DomainError":
+                        continue
+                    args = ("--k", str(k), "--input")
+                    assert printed_turn(capsys, "", "toggle", *args, lp.steps) == turn, (k, w)
+                    assert printed_turn(capsys, "toggle_", "word-to-lattice", *args, w) == turn
+                    below += turn[0] > 1 and turn[2] < 0
+        assert below > 0
 
 
 class TestLattice:

@@ -490,6 +490,58 @@ def test_a_short_table_or_a_wrong_semilength_fails_its_cells(monkeypatch, capsys
     assert fail_lines_of_a_full_run(capsys) == fail_lines
 
 
+def sixth_row_repeated(original):
+    """``original`` with the sixth row it returns printed again at the end."""
+
+    def repeated(*args):
+        rows = list(original(*args))
+        return [*rows, rows[5]]
+
+    return repeated
+
+
+# A table with its sixth row printed twice: each table is read by cell, and a
+# cell printed twice reads None, so each of these faults fails the checks
+# that read the row, where a second copy used to overwrite the first.
+REPEATED_ROW = {
+    "avoiding_word_table": (counting, [
+        "FAIL counting.recurrence_vs_word_oracle 35/36 cells"
+        " (first mismatch at k=3 m=1: expected 2, actual None)",
+        "FAIL counting.closed_forms_agree 83/84 cells"
+        " (first mismatch at k=3 m=1 form=recurrence: expected 2, actual None)",
+    ]),
+    "alternating_word_table": (counting, [
+        "FAIL counting.closed_forms_agree 83/84 cells"
+        " (first mismatch at k=3 m=1 form=alternating: expected 2, actual None)",
+    ]),
+    "parity_table": (parity, [
+        "FAIL parity.odd_plus_even_is_total 35/36 cells"
+        " (first mismatch at k=3 m=1: expected [2, 0, 2], actual None)",
+    ]),
+    "class_table": (classes, [
+        "FAIL classes.class_totals_vs_oracle 39/40 cells"
+        " (first mismatch at class=bigrass m=5: expected 21, actual None)",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", REPEATED_ROW)
+def test_a_repeated_table_row_fails_its_cells(monkeypatch, capsys, name):
+    module, fail_lines = REPEATED_ROW[name]
+    monkeypatch.setattr(module, name, sixth_row_repeated(getattr(module, name)))
+    assert fail_lines_of_a_full_run(capsys) == fail_lines
+
+
+def test_a_repeated_grid_cell_is_not_offset_by_the_fault(monkeypatch):
+    # The oracle check's fault adds one to a grid cell; a cell printed twice
+    # stays None under it.
+    monkeypatch.setattr(
+        counting, "avoiding_word_table", sixth_row_repeated(counting.avoiding_word_table)
+    )
+    check = checks_of("counting", verify.Options(fault=(3, 1)))["recurrence_vs_word_oracle"]
+    assert check.params["first_mismatch"] == {"k": 3, "m": 1, "expected": 2, "actual": None}
+
+
 def test_a_wrong_identity_test_fails_its_cells(monkeypatch, capsys):
     # Every permutation but the identity judged the identity: the avoider
     # listings that take the pattern as the identity, or not, go wrong.
