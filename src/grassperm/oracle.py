@@ -12,8 +12,12 @@ it keeps each length as it passes it, O(m_max^3) steps in all.
 the binary-word encoding: a depth-first walk over the permutations of [n]
 that extends a prefix only while it can still end with at most one
 descent, so every prefix it visits completes and its cost follows the
-2^n - n permutations it lists; it tallies each under a plain tuple and
-makes each distinct key a ``PermKey`` once.  Each tally counts its objects
+2^n - n permutations it lists.  The last value is forced, the one left,
+so each permutation is tallied where that value is placed, with no call
+of its own; the inverse is one list for the whole walk, each value's
+position written as it is placed, so a leaf reads it whole without
+rebuilding it.  It tallies each permutation under a plain tuple and makes
+each distinct key a ``PermKey`` once.  Each tally counts its objects
 by the statistics the paper refines by, so a question about avoiders is a
 sum over one tally: a word avoids every ``0^j 1^(k-j)`` iff its longest
 ``0*1*`` subsequence is shorter than k, and a permutation avoids
@@ -117,23 +121,30 @@ def grassmannian_statistics(n: int) -> Counter[PermKey]:
     """
     _check_size(n, PERM_CAP, "permutation size")
     # Each leaf is tallied under a plain tuple; each distinct key is made a
-    # PermKey once, at the end.
+    # PermKey once, at the end.  perm[i] is the value at position i + 1, and
+    # inverse[v - 1] the position of v, written as each value is placed, so
+    # a leaf reads every value at its current place.
     tally: Counter[tuple] = Counter()
-    prefix: list[int] = []
+    perm = [0] * n
+    inverse = [0] * n
 
-    def extend(used: int, last: int, descended: bool, inversions: int, fixed: int) -> None:
-        # used has bit v set for each value v in the prefix
-        position = len(prefix) + 1
-        if position > n:
-            inverse = [0] * n  # the positions, in the order of the values they hold
-            for i, v in enumerate(prefix, 1):
-                inverse[v - 1] = i
+    def extend(
+        position: int, used: int, last: int, descended: bool, inversions: int, fixed: int
+    ) -> None:
+        # used has bit v set for each value v placed before position
+        least = (~used & (used + 2)).bit_length() - 1  # lowest clear bit past 0
+        if position >= n:
+            # The last value is forced, the one left: least.  It is tallied
+            # here, with no call of its own; at n = 0 there is none.
+            if n:
+                perm[-1] = least
+                inverse[least - 1] = n
             key = (
-                _longest_increasing(prefix),
+                _longest_increasing(perm),
                 _descents(inverse) <= 1,
-                inverse == prefix,
-                inversions,
-                fixed,
+                inverse == perm,
+                inversions + (used >> least).bit_count(),  # earlier values above it
+                fixed + (least == n),
             )
             tally[key] += 1
             return
@@ -141,21 +152,21 @@ def grassmannian_statistics(n: int) -> Counter[PermKey]:
         # descent, and the rest rise from it.  Before the descent the prefix
         # rises, so every value above the last is unused, and any above the
         # least may follow too; past it, that would force a second.
-        least = (~used & (used + 2)).bit_length() - 1  # lowest clear bit past 0
         choices = [least]
         if not descended:
             choices += range(max(last, least) + 1, n + 1)
         for v in choices:
-            prefix.append(v)
+            perm[position - 1] = v
+            inverse[v - 1] = position
             extend(
+                position + 1,
                 used | 1 << v,
                 v,
                 descended or v < last,
                 inversions + (used >> v).bit_count(),  # earlier values above v
                 fixed + (v == position),
             )
-            prefix.pop()
 
-    extend(0, 0, False, 0, 0)
+    extend(1, 0, 0, False, 0, 0)
     del extend  # break the cycle through extend's closure
     return Counter({PermKey._make(key): count for key, count in tally.items()})

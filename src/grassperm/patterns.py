@@ -11,13 +11,17 @@ while it can still be completed to an avoiding word, so every prefix it
 visits yields a word and the cost follows the output, not the 2^n words.
 A word is appended at its last letter, with no call for the finished word.
 ``avoiding_words`` lists the avoiders of a pattern as their words, one word
-each, and ``enumerate_avoiders`` decodes that list into permutations; a
-caller that only counts avoiders counts the words.
+each: the words other than ``0^n`` that decode to the identity are found in
+the sorted listing by bisection and removed in place.
+``enumerate_avoiders`` decodes that list into permutations; a caller that
+only counts avoiders counts the words.  A caller that tests many
+permutations against one pattern builds the pattern's neighbour table once
+and hands it to ``permutation_contains`` in place of the pattern.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, bisect_left
 
 from . import core
 from .core import Permutation, Word
@@ -47,23 +51,16 @@ def permutation_contains(sigma: Permutation, pi: Permutation) -> bool:
     only against the images of the earlier entries of ``pi`` nearest below
     and nearest above it in value: the images chosen so far are ordered as
     those entries are, so a value between those two images is ordered
-    against every earlier image as ``pi[j]`` is.
+    against every earlier image as ``pi[j]`` is.  ``pi`` may also be its
+    ``_neighbours`` table, built once by a caller that tests many
+    permutations against one pattern.
     """
-    n, m = len(sigma), len(pi)
+    neighbours = pi if isinstance(pi, _Neighbours) else _neighbours(pi)
+    n, m = len(sigma), len(neighbours)
     if m == 0:
         return True
     if m > n:
         return False
-    # (index of the nearest smaller, of the nearest larger earlier entry),
-    # None where there is none, read off the earlier entries kept sorted
-    neighbours = []
-    values: list = []  # the earlier entries of pi, in increasing order
-    at: list[int] = []  # their indices, in the same order
-    for j, v in enumerate(pi):
-        i = bisect(values, v)
-        neighbours.append((at[i - 1] if i else None, at[i] if i < j else None))
-        values.insert(i, v)
-        at.insert(i, j)
     images: list = []
 
     def extend(j: int, start: int) -> bool:
@@ -84,6 +81,27 @@ def permutation_contains(sigma: Permutation, pi: Permutation) -> bool:
     found = extend(0, 0)
     del extend  # break the cycle through extend's closure, as below
     return found
+
+
+class _Neighbours(tuple):
+    """A pattern's neighbour table: for each entry, (the index of the
+    earlier entry nearest below it in value, that of the one nearest above
+    it), None where there is none."""
+
+    __slots__ = ()
+
+
+def _neighbours(pi: Permutation) -> _Neighbours:
+    # read off the earlier entries kept sorted
+    neighbours = []
+    values: list = []  # the earlier entries of pi, in increasing order
+    at: list[int] = []  # their indices, in the same order
+    for j, v in enumerate(pi):
+        i = bisect(values, v)
+        neighbours.append((at[i - 1] if i else None, at[i] if i < j else None))
+        values.insert(i, v)
+        at.insert(i, j)
+    return _Neighbours(neighbours)
 
 
 def grassmannian_contains(wprime: Word, w: Word) -> bool:
@@ -213,8 +231,8 @@ def avoiding_words(n: int, pattern: Permutation) -> list[Word]:
     taken as it is, any other sequence checked.  The words are generated: for
     the identity of size k, those avoiding every ``0^j 1^(k-j)``; for any
     other pattern, those avoiding its word as a subsequence.  Every
-    ``0^j 1^(n-j)`` decodes to the identity, so all but ``0^n`` are dropped,
-    and each avoider has exactly one word here.
+    ``0^j 1^(n-j)`` decodes to the identity, so all but ``0^n`` are removed
+    from the listing in place, and each avoider has exactly one word here.
 
     >>> avoiding_words(2, (1, 2, 3))
     ['00', '10']
@@ -231,8 +249,13 @@ def avoiding_words(n: int, pattern: Permutation) -> list[Word]:
         words = enumerate_avoiding_words(len(pattern), n)
     else:
         words = _words_avoiding(n, core.canonical_word(pattern))
-    others = set(core.identity_words(n)[:-1])
-    return [w for w in words if w not in others]
+    # The listing is sorted, so each such word it holds is found by bisection
+    # and removed in place: at most n deletions, and no copy of the listing.
+    for w in core.identity_words(n)[:-1]:
+        i = bisect_left(words, w)
+        if i < len(words) and words[i] == w:
+            del words[i]
+    return words
 
 
 def enumerate_avoiders(n: int, pattern: Permutation) -> list[Permutation]:

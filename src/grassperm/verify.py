@@ -18,7 +18,8 @@ each (k, m); the classes suite the Grassmannian permutations of each size.
 Where a command prints a listing or table, the suite reads it as printed:
 the paths suite the Dyck paths to semilength 7 as ``paths.dyck_listing``
 prints them for ``enumerate dyck --stats peaks``, each path with its peak
-count, and 8 and 9 through ``paths.enumerate_dyck``, that listing's lines;
+count, and 8 through ``paths.enumerate_dyck``, that listing's lines (at 9
+it builds only the all-odd paths the halving reads, by ``_all_odd_dyck``);
 the counting suite ``counting.avoiding_word_table`` and
 ``counting.alternating_word_table`` (``table --quantity B`` and ``A``), each
 from m = 0; the parity suite each row of ``parity.parity_table``
@@ -48,8 +49,11 @@ upstream leaves, a refused table, a missing row and a missing item all give
 their cells the value None, which never matches; so does a cell that one of
 the first four tables prints twice (``_by_cell``; a gf row printed twice
 shows in its size's sum), and a Dyck path whose printed peak count is not
-that of ``paths.peaks``, in the cells that read its first and last peak.
-Only a cap refusal ends the run.
+that of ``paths.peaks``, in the cells that read its first and last peak
+(at semilengths 0 and 1, which no peak formula reads, in a cell of its
+own).  Only a cap refusal ends the run.  A cell names its fields with a
+constant tuple and gives their values as another, so a passing cell
+builds no dict.
 
 ``Options.fault`` perturbs one cell of the recurrence table as seen by the
 oracle-agreement check; it exists so the harness can prove that a single
@@ -99,16 +103,19 @@ class SuiteResult(NamedTuple):
         return all(c.passed for c in self.checks)
 
 
-def _sweep(name: str, params: dict, cells: Iterable[tuple[dict, int, int]]) -> Check:
-    """Fold per-cell (params, expected, actual) comparisons into one check."""
+def _sweep(name: str, params: dict, cells: Iterable[tuple]) -> Check:
+    """Fold per-cell (keys, values, expected, actual) comparisons into one
+    check.  A cell names its fields by ``keys``, one constant tuple for each
+    shape of cell, and gives their ``values`` as a tuple; the named dict is
+    built only for the first mismatch, in the same order."""
     total = matched = 0
     first = None
-    for cell, expected, actual in cells:
+    for keys, values, expected, actual in cells:
         total += 1
         if expected is not None and expected == actual:  # an absent value never matches
             matched += 1
         elif first is None:
-            first = {**cell, "expected": expected, "actual": actual}
+            first = {**dict(zip(keys, values)), "expected": expected, "actual": actual}
     params = dict(params)
     if first is not None:
         params["first_mismatch"] = first
@@ -137,7 +144,8 @@ def _sweep_index(
 ) -> Check:
     """Compare two formulas at each index of ``indices``; the check reports
     the last index compared as ``{key}_max``."""
-    cells = (({key: i}, _value(expected, i), _value(actual, i)) for i in indices)
+    keys = (key,)
+    cells = ((keys, (i,), _value(expected, i), _value(actual, i)) for i in indices)
     return _sweep(name, {f"{key}_max": indices.stop - 1}, cells)
 
 
@@ -187,7 +195,7 @@ def _sweep_by_length(
     """``formula(k, m)`` against the words of length m whose longest ``0*1*``
     subsequence is shorter than k, over the word oracle cells."""
     cells = (
-        ({"k": k, "m": m}, _count(words[m], lambda w: w.longest < k), _value(formula, k, m))
+        (("k", "m"), (k, m), _count(words[m], lambda w: w.longest < k), _value(formula, k, m))
         for k, m in word_oracle_cells(opts)
     )
     return _sweep(name, {"k_max": opts.k_max, "word_cap": opts.word_cap}, cells)
@@ -208,7 +216,8 @@ def _sweep_by_zeros(
     all_words = sum(words, Counter())
     cells = (
         (
-            {"k": k, "j": j},
+            ("k", "j"),
+            (k, j),
             _count(all_words, lambda w: w.longest < k and w.zeros == j),
             _value(formula, k, j),
         )
@@ -262,7 +271,7 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
             {"k_max": opts.k_max},
             # from m = 0: the printed rows, 0 to 2k - 2, and one length past them
             (
-                ({"k": k, "m": m, "form": form}, counting.avoiding_word_count(k, m), value)
+                (("k", "m", "form"), (k, m, form), counting.avoiding_word_count(k, m), value)
                 for k in range(1, opts.k_max + 1)
                 for m in range(2 * k)
                 for form, value in (
@@ -276,7 +285,8 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
             {"k_max": opts.k_max, "word_cap": opts.word_cap},
             (
                 (
-                    {"k": k, "m": m},
+                    ("k", "m"),
+                    (k, m),
                     counting.avoiding_word_count(k, m),
                     identity_avoiders[k, m][0],
                 )
@@ -290,7 +300,12 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
             "perm_counts_vs_perm_oracle",
             {"k_max": opts.k_max, "perm_cap": opts.perm_cap},
             (
-                ({"k": k, "m": m, "form": form}, _count(perms[m], lambda p: p.longest < k), value)
+                (
+                    ("k", "m", "form"),
+                    (k, m, form),
+                    _count(perms[m], lambda p: p.longest < k),
+                    value,
+                )
                 for k, m in perm_cells
                 for form, value in (
                     ("formula", counting.avoiding_perm_count(k, m)),
@@ -303,7 +318,8 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
             {"k_max": 5, "n_max": min(opts.perm_cap, 7)},
             (
                 (
-                    {"pattern": name, "n": n},
+                    ("pattern", "n"),
+                    (name, n),
                     counting.nonidentity_avoider_count(n, k),
                     _value(lambda: len(patterns.avoiding_words(n, ps[i]))),
                 )
@@ -336,7 +352,8 @@ def suite_counting(opts: Options, tallies: Tallies) -> list[Check]:
             {"perm_cap": opts.perm_cap},
             (
                 (
-                    {"n": n, "k": k},
+                    ("n", "k"),
+                    (n, k),
                     _count(perms[n], lambda p: p.fixed_points == k),
                     counting.fixed_point_count(n, k),
                 )
@@ -375,7 +392,7 @@ def suite_parity(opts: Options, tallies: Tallies) -> list[Check]:
             "odd_plus_even_is_total",
             {"k_max": opts.k_max},
             (
-                ({"k": k, "m": m}, _value(point_row, k, m), printed.get((k, m)))
+                (("k", "m"), (k, m), _value(point_row, k, m), printed.get((k, m)))
                 for k in range(1, opts.k_max + 1)
                 for m in range(2 * k - 1)
             ),
@@ -439,6 +456,8 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
     ]
     # The class totals, by (class, m).
     totals = _value(lambda: _by_cell(classes.class_table(opts.perm_cap), 2)) or {}
+    # 2413 as its neighbour table, built once for every permutation tested.
+    avoided = patterns._neighbours((2, 4, 1, 3))
 
     def recognition(name: str, characterised: Callable, recognised: Callable) -> Check:
         """A recognition predicate against its characterisation, each 1 or 0,
@@ -447,7 +466,8 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
         None there."""
         cells = (
             (
-                {"n": n, "perm": perm},
+                ("n", "perm"),
+                (n, perm),
                 _value(lambda: characterised(ps[i])),
                 _value(lambda: int(recognised(ps[i]))),
             )
@@ -462,9 +482,10 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
             {"perm_cap": opts.perm_cap},
             (
                 (
-                    {"class": name, "m": m},
+                    ("class", "m"),
+                    (name, m),
                     _oracle_class(perms[m], m + 1, member, odd),
-                    _value(lambda: totals[name, m]),
+                    totals.get((name, m)),
                 )
                 for name, (member, odd, _) in _CLASSES.items()
                 for m in range(opts.perm_cap + 1)
@@ -475,7 +496,8 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
             {"k_max": opts.k_max, "perm_cap": opts.perm_cap},
             (
                 (
-                    {"class": name, "k": k, "m": m},
+                    ("class", "k", "m"),
+                    (name, k, m),
                     _oracle_class(perms[m], k, member, odd),
                     _value(avoiders, k, m),
                 )
@@ -493,7 +515,7 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
         ),
         recognition(
             "bigrassmannian_iff_avoids_2413",
-            lambda p: int(not patterns.permutation_contains(p, (2, 4, 1, 3))),
+            lambda p: int(not patterns.permutation_contains(p, avoided)),
             classes.is_bigrassmannian,
         ),
         recognition(
@@ -504,27 +526,59 @@ def suite_classes(opts: Options, tallies: Tallies) -> list[Check]:
     ]
 
 
+def _all_odd_dyck(n: int) -> list[str]:
+    """The Dyck paths of semilength n whose peaks and valleys are all at odd
+    height, as plain strings, without listing the others: built step by
+    step, depth first, never turning the path at an even height and never
+    stepping down to the axis before the last up step.
+
+    >>> _all_odd_dyck(3)
+    ['UUUDDD']
+    """
+    out: list[str] = []
+
+    def extend(prefix: str, height: int, ups: int) -> None:
+        # ups up steps are left; a step unlike the last turns the path at
+        # this height, which must then be odd
+        last, turns = prefix[-1], height % 2
+        if not ups:
+            if turns or last == paths.DOWN:
+                out.append(prefix + paths.DOWN * height)
+            return
+        if height > 1 and (turns or last == paths.DOWN):
+            extend(prefix + paths.DOWN, height - 1, ups)
+        if turns or last == paths.UP:
+            extend(prefix + paths.UP, height + 1, ups - 1)
+
+    if n:
+        extend(paths.UP, 1, n - 1)
+    else:
+        out.append("")
+    del extend  # break the cycle through extend's closure
+    return out
+
+
 def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
     k_top = min(opts.k_max, 7)
 
-    # Every semilength the checks below read, each listed once by
+    # Every semilength the checks below read in full, each listed once by
     # paths.dyck_listing and each path classified once: to 7 (the peak
     # formulas' largest) as `enumerate dyck --stats peaks` prints them, each
-    # line split into its path and its peak count; at 8 (the toggle's
-    # largest, and at least k_top + 1) in full, and at 9 only the all-odd
-    # paths, which the halving reads, both through enumerate_dyck.  The
-    # listing joins a rise from the axis to a fall back to it that never
-    # dips below it, so each path is a Dyck path, typed unchecked; the
-    # all-odd paths of 9 are found among the plain strings by the
-    # classifier's kernel, so only the 14 survivors are typed.
+    # line split into its path and its peak count, and 8 (the toggle's
+    # largest, and at least k_top + 1) through enumerate_dyck.  The listing
+    # joins a rise from the axis to a fall back to it that never dips below
+    # it, so each path is a Dyck path, typed unchecked.  At 9 the halving
+    # reads only the 14 all-odd paths, so only they are built, by
+    # _all_odd_dyck, which never dips below the axis and ends on it: typed
+    # unchecked too.  They are built step by step, not by doubling a path
+    # of 4, which would certify the halving against its own inverse.
     listings = ("".join(paths.dyck_listing(n, True)).splitlines() for n in range(8))
     printed = [[line.rpartition(" peaks=") for line in lines] for lines in listings]
     dyck = [[paths.DyckPath._make(p) for p, _, _ in lines] for lines in printed]
     dyck.append(list(map(paths.DyckPath._make, paths.enumerate_dyck(8))))
     all_odd = [[paths.all_extrema_odd(p) for p in ps] for ps in dyck]
     odd_paths = [[p for p, odd in zip(ps, flags) if odd] for ps, flags in zip(dyck, all_odd)]
-    nine = filter(paths._all_extrema_odd, paths.enumerate_dyck(9))
-    odd_paths.append(list(map(paths.DyckPath._make, nine)))
+    odd_paths.append(list(map(paths.DyckPath._make, _all_odd_dyck(9))))
     # The avoiding words of every (k, m) cell, listed once, and each word's
     # lattice path, encoded once for the Dyck and the lattice encodings
     # (k <= 6 for the lattice).  enumerate_avoiding_words extends a prefix
@@ -564,11 +618,12 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
                     for w, p in zip(words, images)
                 )
                 yield (
-                    {"k": k, "m": m, "aspect": "image_set"},
+                    ("k", "m", "aspect"),
+                    (k, m, "image_set"),
                     int(image_set == target and len(image_set) == len(words)),
                     1,
                 )
-                yield ({"k": k, "m": m, "aspect": "round_trip"}, int(round_trip), 1)
+                yield (("k", "m", "aspect"), (k, m, "round_trip"), int(round_trip), 1)
 
     def toggle_cells():
         for n in range(1, 9):
@@ -578,14 +633,21 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
             odd = {p: paths.is_odd_dyck(p) for p in domain}
             for p in domain:
                 q = image[p]
-                yield ({"n": n, "path": p, "aspect": "involution"}, int(image.get(q) == p), 1)
                 yield (
-                    {"n": n, "path": p, "aspect": "parity_flip"},
+                    ("n", "path", "aspect"),
+                    (n, p, "involution"),
+                    int(image.get(q) == p),
+                    1,
+                )
+                yield (
+                    ("n", "path", "aspect"),
+                    (n, p, "parity_flip"),
                     int(odd.get(q, odd[p]) != odd[p]),
                     1,
                 )
             yield (
-                {"n": n, "aspect": "all_odd_count"},
+                ("n", "aspect"),
+                (n, "all_odd_count"),
                 len(odd_paths[n]),
                 parity.all_odd_extrema_count(n),
             )
@@ -596,21 +658,34 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
             # None where the halving refuses a path, and None is no path
             images = {_value(paths.halve_all_odd_path, p) for p in domain}
             yield (
-                {"n": n},
+                ("n",),
+                (n,),
                 int(len(images) == len(domain) and images == set(dyck[(n - 1) // 2])),
                 1,
             )
             yield (
-                {"n": n, "aspect": "all_odd_paths_are_odd"},
+                ("n", "aspect"),
+                (n, "all_odd_paths_are_odd"),
                 sum(1 for p in domain if paths.is_odd_dyck(p)),
                 len(domain),
             )
 
     def peak_formula_cells():
+        # The lines of semilengths 0 and 1, which no formula below reads,
+        # each against its path's peaks; the empty path has none.
+        for n in (0, 1):
+            for p, (_, _, v) in zip(dyck[n], printed[n]):
+                yield (
+                    ("n", "path", "aspect"),
+                    (n, p, "printed_peaks"),
+                    int(str(len(paths.peaks(p))) == v),
+                    1,
+                )
         for n in range(2, 8):
             for s in range(2, 2 * n - 1):
                 yield (
-                    {"n": n, "s": s},
+                    ("n", "s"),
+                    (n, s),
                     peak_sums[n].count(s),
                     counting.dyck_peak_sum_count(n, s),
                 )
@@ -624,7 +699,8 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
             for a in range(1, n + 1):
                 for b in range(1, 2 * (n - 1) - a + 1):
                     yield (
-                        {"n": n - 1, "a": a, "b": b},
+                        ("n", "a", "b"),
+                        (n - 1, a, b),
                         firsts_lasts.count((a, b)),
                         counting.dyck_peak_pair_count(n - 1, a, b),
                     )
@@ -638,12 +714,14 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
                 untoggleable_balance = 0
                 for w, lp in zip(words, lps):
                     yield (
-                        {"k": k, "m": m, "word": w, "aspect": "round_trip"},
+                        ("k", "m", "word", "aspect"),
+                        (k, m, w, "round_trip"),
                         int(paths.lattice_to_word(lp) == w),
                         1,
                     )
                     yield (
-                        {"k": k, "m": m, "word": w, "aspect": "parity_transport"},
+                        ("k", "m", "word", "aspect"),
+                        (k, m, w, "parity_transport"),
                         int(odd[lp] == core.is_odd_word(w)),
                         1,
                     )
@@ -652,14 +730,16 @@ def suite_paths(opts: Options, tallies: Tallies) -> list[Check]:
                         untoggleable_balance += -1 if odd[lp] else 1
                         continue
                     yield (
-                        {"k": k, "m": m, "word": w, "aspect": "toggle"},
+                        ("k", "m", "word", "aspect"),
+                        (k, m, w, "toggle"),
                         int(partners.get(partner) == lp and odd[partner] != odd[lp]),
                         1,
                     )
                 # The toggle pairs odd with even, so the even-odd surplus
                 # lives entirely on the untoggleable paths.
                 yield (
-                    {"k": k, "m": m, "aspect": "untoggleable_balance"},
+                    ("k", "m", "aspect"),
+                    (k, m, "untoggleable_balance"),
                     _value(
                         lambda: counting.avoiding_word_count(k, m)
                         - 2 * parity.odd_word_count(k, m)
@@ -702,7 +782,7 @@ def suite_series(opts: Options, tallies: Tallies) -> list[Check]:
         for n, tally in enumerate(tallies.perms):
             for i in range(n * n // 4 + 1):
                 expected = _count(tally, lambda p: p.inversions == i)
-                yield ({"n": n, "inversions": i}, expected, _value(lambda: table[n][i]))
+                yield (("n", "inversions"), (n, i), expected, _value(lambda: table[n][i]))
 
     return [
         _sweep(
@@ -727,18 +807,20 @@ def suite_identities(opts: Options, tallies: Tallies) -> list[Check]:
         for k in range(1, opts.k_max + 1):
             for m in range(k):
                 yield (
-                    {"identity": "alternating_sum_is_power_of_two", "k": k, "m": m},
+                    ("identity", "k", "m"),
+                    ("alternating_sum_is_power_of_two", k, m),
                     2**m,
                     counting.avoiding_word_count_alternating(k, m),
                 )
             yield (
-                {"identity": "alternating_sum_at_full_length", "k": k, "m": None},
+                ("identity", "k", "m"),
+                ("alternating_sum_at_full_length", k, None),
                 2**k - k - 1,
                 counting.avoiding_word_count_alternating(k, k),
             )
 
     ballot_cells = (
-        ({"a": a, "b": b}, _value(counting.ballot, a, b), counting.ballot_alternating(a, b))
+        (("a", "b"), (a, b), _value(counting.ballot, a, b), counting.ballot_alternating(a, b))
         for a in range(a_max + 1)
         for b in range(a + 1)
     )

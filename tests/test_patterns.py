@@ -91,6 +91,16 @@ class TestPermutationContainment:
                         sigma, pi
                     ), (sigma, pi)
 
+    def test_a_prebuilt_table_is_the_pattern(self):
+        # a pattern's neighbour table, built once, stands for the pattern
+        for pi in ((2, 4, 1, 3), (1,), (), (3, 1, 2)):
+            table = patterns._neighbours(pi)
+            for n in range(6):
+                for sigma in permutations(range(1, n + 1)):
+                    assert patterns.permutation_contains(sigma, table) == (
+                        patterns.permutation_contains(sigma, pi)
+                    ), (sigma, pi)
+
     def test_any_distinct_values(self):
         # values need not be 1..n, nor integers
         assert patterns.permutation_contains((30, -5, 12, 7.5), (9, 2, 4))
@@ -191,6 +201,24 @@ class TestEnumerateAvoiders:
         for n in range(13):
             for pat in pats:
                 assert patterns.enumerate_avoiders(n, pat) == merged_avoiders(n, pat), (n, pat)
+
+    def test_identity_words_removed_in_place_equal_the_set_filter(self):
+        # every Grassmannian pattern of size <= 4, the empty one included,
+        # against a copy of the listing filtered through a set of the n
+        # words other than 0^n that decode to the identity
+        pats = [p for k in range(5) for p in core.grassmannian_permutations(k)]
+        for n in range(11):
+            others = set(core.identity_words(n)[:-1])
+            for pat in pats:
+                if core.is_identity(pat):
+                    words = patterns.enumerate_avoiding_words(len(pat), n)
+                    # every identity word is listed below length k, none from it
+                    listed = others <= set(words) if n < len(pat) else not others & set(words)
+                    assert listed, (n, pat)
+                else:
+                    words = patterns._words_avoiding(n, core.canonical_word(pat))
+                expected = [w for w in words if w not in others]
+                assert patterns.avoiding_words(n, pat) == expected, (n, pat)
 
     def test_rejects_negative_size(self):
         with pytest.raises(DomainError):

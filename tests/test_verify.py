@@ -1,6 +1,7 @@
 """The harness builds each object once, and its records are values."""
 
 from itertools import islice
+from math import comb
 
 import pytest
 
@@ -33,13 +34,29 @@ def counting_calls(monkeypatch, module, name, key):
 
 
 def test_suite_paths_enumerates_each_semilength_once(monkeypatch):
-    # Every path comes from the one builder: semilengths 0 to 7 with their
-    # printed peak counts, and 8 and 9 plain, through enumerate_dyck.
+    # Every listed path comes from the one builder: semilengths 0 to 7 with
+    # their printed peak counts, and 8 plain, through enumerate_dyck.  At 9
+    # only the all-odd paths are built, by their own builder, never the
+    # whole listing.
     calls = counting_calls(monkeypatch, paths, "dyck_listing", lambda n, peaks: (n, peaks))
     joined = counting_calls(monkeypatch, paths, "enumerate_dyck", lambda n: n)
+    all_odd = counting_calls(monkeypatch, verify, "_all_odd_dyck", lambda n: n)
     assert all(c.passed for c in checks_of("paths", RAISED).values())
-    assert sorted(calls) == [(n, n < 8) for n in range(10)]
-    assert sorted(joined) == [8, 9]
+    assert sorted(calls) == [(n, n < 8) for n in range(9)]
+    assert joined == [8]
+    assert all_odd == [9]
+
+
+@pytest.mark.parametrize("n", range(12))
+def test_all_odd_paths_are_built_without_the_listing(n):
+    # The builder gives the paths that the classifier keeps from the whole
+    # listing: C_((n-1)/2) of them at odd n, none at even n > 0, and the
+    # empty path at 0.
+    built = verify._all_odd_dyck(n)
+    kept = list(filter(paths._all_extrema_odd, paths.enumerate_dyck(n)))
+    assert set(built) == set(kept) and len(built) == len(kept)
+    j = (n - 1) // 2
+    assert len(built) == (comb(2 * j, j) // (j + 1) if n % 2 else int(n == 0))
 
 
 def test_suite_paths_lists_each_word_cell_once(monkeypatch):
@@ -374,8 +391,36 @@ def test_a_misprinted_peak_count_fails_its_cells(monkeypatch, capsys):
 
     monkeypatch.setattr(paths, "dyck_listing", misprinted)
     assert fail_lines_of_a_full_run(capsys) == [
-        "FAIL paths.peak_statistics_formulas 176/177 cells"
+        "FAIL paths.peak_statistics_formulas 178/179 cells"
         " (first mismatch at n=3 a=2 b=2: expected 1, actual 2)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "n,line,wrong,where",
+    [
+        (0, " peaks=0\n", " peaks=5\n", "n=0 path="),
+        (1, "UD peaks=1\n", "UD peaks=2\n", "n=1 path=UD"),
+    ],
+)
+def test_a_misprinted_peak_count_of_a_short_path_fails_its_cell(
+    monkeypatch, capsys, n, line, wrong, where
+):
+    # No peak formula reads semilengths 0 and 1, so their printed lines are
+    # read against the peaks of their paths; the empty path has none.
+    original = paths.dyck_listing
+
+    def misprinted(size, peaks):
+        text = "".join(original(size, peaks))
+        if (size, peaks) == (n, True):
+            assert text == line
+            text = wrong
+        return iter([text])
+
+    monkeypatch.setattr(paths, "dyck_listing", misprinted)
+    assert fail_lines_of_a_full_run(capsys) == [
+        "FAIL paths.peak_statistics_formulas 178/179 cells"
+        f" (first mismatch at {where} aspect=printed_peaks: expected 0, actual 1)",
     ]
 
 
@@ -620,8 +665,10 @@ def test_a_refused_value_never_matches():
     assert (check.expected, check.actual) == (3, 2)
     assert check.params["first_mismatch"] == {"k": 3, "expected": 3, "actual": None}
     assert verify._value({}.__getitem__, (1, 2)) is None
-    check = verify._sweep("demo", {}, [({"k": 1}, None, 1), ({"k": 2}, 1, None), ({"k": 3}, 2, 2)])
+    cells = [(("k",), (1,), None, 1), (("k",), (2,), 1, None), (("k",), (3,), 2, 2)]
+    check = verify._sweep("demo", {}, cells)
     assert (check.expected, check.actual) == (3, 1)
+    assert check.params["first_mismatch"] == {"k": 1, "expected": None, "actual": 1}
 
 
 def test_a_refused_parity_grid_fails_every_cell_that_reads_it(monkeypatch, capsys):
